@@ -39,6 +39,10 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# icebench is its own module (replace ../), so the root ./... never
+# compiles it; vetting it type-checks every file, tests included,
+# against the current harness and service APIs.
+(cd icebench && go vet ./...)
 go build ./...
 go test -race ./...
 

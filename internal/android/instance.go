@@ -512,12 +512,20 @@ func (in *Instance) churnJava(churn int) mm.Cost {
 	if churn > len(in.javaPages) {
 		churn = len(in.javaPages)
 	}
+	pid, seq := in.MainPID(), in.launchSeq
 	start := in.churnIdx % len(in.javaPages)
 	for i := 0; i < churn; i++ {
 		idx := (start + i) % len(in.javaPages)
 		in.sys.MM.FreePagesOf(in.javaPages[idx : idx+1])
-		id, c := in.sys.MM.MapOne(in.MainPID(), in.UID, mm.AnonJava)
+		id, c := in.sys.MM.MapOne(pid, in.UID, mm.AnonJava)
 		cost.Add(c)
+		if seq != in.launchSeq {
+			// MapOne's direct reclaim let the LMK kill this very app, and
+			// teardown already exited pid: release the page just mapped
+			// to it so nothing outlives the process, and stop churning.
+			in.sys.MM.ExitProcess(pid)
+			return cost
+		}
 		in.javaPages[idx] = id
 	}
 	in.churnIdx = (start + churn) % len(in.javaPages)

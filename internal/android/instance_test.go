@@ -72,6 +72,33 @@ func TestChurnJavaPreservesHeapSize(t *testing.T) {
 	}
 }
 
+// TestChurnJavaSurvivesSelfKill: with memory exhausted, the direct
+// reclaim inside GC churn's MapOne finds nothing to reclaim and raises
+// pressure, and the LMK kills the churning app itself. Churn must stop
+// there, and the page mapped to the dead pid must not outlive it.
+func TestChurnJavaSurvivesSelfKill(t *testing.T) {
+	sys, in := launchedApp(t, "WhatsApp")
+	pid := in.MainPID()
+	for _, p := range in.Processes() {
+		sys.MM.ReclaimProcess(p.PID)
+	}
+	sys.MM.AllocTransient(sys.MM.FreePages())
+	killed := false
+	sys.MM.OnPressure(func() {
+		if in.Running() {
+			killed = true
+			sys.LMK.KillForTest(in)
+		}
+	})
+	in.churnJava(40)
+	if !killed {
+		t.Fatal("churn never reached the pressure hook")
+	}
+	if n := len(sys.MM.PagesOf(pid)); n != 0 {
+		t.Fatalf("%d pages of the killed pid %d outlive it", n, pid)
+	}
+}
+
 func TestTouchHotCoreStaysResident(t *testing.T) {
 	sys, in := launchedApp(t, "WhatsApp")
 	// Touch the core repeatedly, then reclaim pressure should spare it.

@@ -50,8 +50,8 @@ type Options struct {
 	Slots chan struct{}
 	// Hooks distributes the run matrix across processes (see
 	// harness.ExecHooks): a worker daemon restricts execution to a cell
-	// range and sinks per-cell JSON, a coordinator plans remote chunks.
-	// The zero value keeps execution fully local.
+	// range and sinks per-cell JSON, a coordinator lets peers steal
+	// chunks. The zero value keeps execution fully local.
 	Hooks harness.ExecHooks
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/eurosys23/ice/internal/harness"
@@ -35,11 +36,13 @@ func runRange(run Runner, o Options, r harness.Range) ([][]byte, error) {
 }
 
 // TestRunnersShardLoopback proves every registered runner's cell type
-// survives the sharding wire: a sharded run whose chunks are computed
-// by loopback range-restricted re-runs (the path a remote worker
-// executes, minus HTTP) must render and marshal byte-identically to
-// the plain local run. A runner whose per-cell result loses data
-// through JSON — unexported fields, non-nil interfaces — fails here.
+// survives the sharding wire: a run whose stealable chunks are leased
+// by a loopback peer computing range-restricted re-runs (the path a
+// remote worker executes, minus HTTP) must render and marshal
+// byte-identically to the plain local run. A runner whose per-cell
+// result loses data through JSON — unexported fields, non-nil
+// interfaces — fails here. The local pool holds no budget until the
+// peer has leased its first chunk, so cells always go remote.
 func TestRunnersShardLoopback(t *testing.T) {
 	for _, run := range Registry() {
 		run := run
@@ -56,23 +59,39 @@ func TestRunnersShardLoopback(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			slots := make(chan struct{}, 1)
+			slots <- struct{}{}
+			var remote atomic.Int64
 			sharded := base
-			sharded.Hooks.Shard = func(total int) []harness.RemoteChunk {
-				var chunks []harness.RemoteChunk
-				for _, r := range harness.Partition(total, 3)[1:] {
-					r := r
-					chunks = append(chunks, harness.RemoteChunk{
-						Range: r,
-						Exec: func(context.Context) ([][]byte, error) {
-							return runRange(run, base, r)
-						},
-					})
-				}
-				return chunks
+			sharded.Slots = slots
+			sharded.Hooks.Steal = &harness.StealConfig{
+				ChunkCells: 1, // a 2-cell matrix still has a stealable chunk
+				Run: func(ctx context.Context, q *harness.LeaseQueue) {
+					r, ok := q.Lease()
+					<-slots
+					for ; ok; r, ok = q.Lease() {
+						payloads, err := runRange(run, base, r)
+						if err != nil {
+							t.Error(err)
+							q.Requeue(r)
+							return
+						}
+						// Counted before Complete: once it merges the last
+						// chunk, the run may return before this loop resumes.
+						remote.Add(int64(r.Len()))
+						if !q.Complete(r, payloads) {
+							t.Errorf("chunk %v rejected", r)
+							return
+						}
+					}
+				},
 			}
 			render2, data2, err := run.Run(sharded)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if remote.Load() == 0 {
+				t.Error("no cells went remote")
 			}
 			json2, err := json.Marshal(data2)
 			if err != nil {

@@ -34,7 +34,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/eurosys23/ice/internal/obs"
@@ -117,55 +116,6 @@ func Cells(from, to int) *Range {
 	return &Range{From: from, To: to}
 }
 
-// Partition splits the index space [0, n) into at most parts
-// contiguous, near-even, non-empty ranges in ascending order. Earlier
-// ranges are at most one cell larger than later ones; the union covers
-// every index exactly once. n <= 0 yields nil; parts is clamped to
-// [1, n].
-func Partition(n, parts int) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > n {
-		parts = n
-	}
-	base, rem := n/parts, n%parts
-	out := make([]Range, 0, parts)
-	from := 0
-	for p := 0; p < parts; p++ {
-		size := base
-		if p < rem {
-			size++
-		}
-		out = append(out, Range{From: from, To: from + size})
-		from += size
-	}
-	return out
-}
-
-// RemoteChunk is a contiguous cell range a shard planner wants executed
-// elsewhere. Exec must return one JSON-marshalled result per index of
-// the range, in index order — the bytes a worker's Sink emitted for
-// those cells. If Exec errors, returns the wrong count, or returns
-// payloads that do not unmarshal, the harness re-runs the chunk's
-// cells locally; cells are deterministic in their seeds, so the
-// fallback results are identical to what the remote would have
-// produced.
-type RemoteChunk struct {
-	Range
-	Exec func(ctx context.Context) ([][]byte, error)
-}
-
-// ShardPlanner maps a matrix size onto the chunks to execute remotely;
-// indices not covered by any returned chunk run locally. It is
-// consulted once per run, after cells are stamped. Returning nil keeps
-// the whole matrix local. Chunks that are out of bounds, empty, or
-// overlap an earlier chunk are ignored (their cells run locally).
-type ShardPlanner func(total int) []RemoteChunk
-
 // ErrRangePartial marks a run whose Config.Range excluded part of the
 // matrix: the in-range cells completed, out-of-range result slots are
 // zero, and any reduction over the full matrix would be wrong. Callers
@@ -179,10 +129,10 @@ var ErrRangePartial = errors.New("harness: range-restricted run, results incompl
 // path). The zero value means plain local execution.
 type ExecHooks struct {
 	// Range, when non-nil, restricts execution to the stamped cell
-	// indices in [Range.From, Range.To); every other result slot stays
-	// zero and the run error wraps ErrRangePartial (unless the range
-	// covers the whole matrix). Worker nodes run coordinator-assigned
-	// chunks this way. Mutually exclusive with Shard (Range wins).
+	// indices in [Range.From, Range.To), clamped to the matrix; every
+	// other result slot stays zero and the run error wraps
+	// ErrRangePartial (unless the range covers the whole matrix).
+	// Worker nodes run coordinator-assigned chunks this way.
 	Range *Range
 	// Sink, when non-nil, receives each completed cell's result
 	// marshalled as JSON, keyed by matrix index. Calls are serialised
@@ -190,25 +140,25 @@ type ExecHooks struct {
 	// *CellError. This is how a worker captures per-cell payloads
 	// without knowing the runner's concrete result type.
 	Sink func(index int, result []byte)
-	// Shard, when non-nil, lets a coordinator push contiguous cell
-	// ranges to remote executors; see ShardPlanner. Failed chunks fall
-	// back to local execution, so the merged matrix is byte-identical
-	// to a fully local run at any plan.
-	Shard ShardPlanner
-	// Steal, when non-nil, switches the locally planned indices to
-	// pull-based work-stealing dispatch: the index space becomes a
-	// LeaseQueue of contiguous chunks that the local pool and any
-	// remote lease loops (spawned by Steal.Run) pull from as they
-	// finish — see lease.go. Composes with Shard (Shard's chunks, e.g.
-	// a resumed job's prefill, are injected as usual; Steal covers the
-	// rest); ignored under Range (worker nodes do not steal).
+	// Prefill holds the Sink payloads of an earlier, preempted run of
+	// the same matrix, keyed by index, so a requeued job resumes
+	// instead of re-simulating its completed cells. Before any cell
+	// executes, each payload that unmarshals is merged and reported
+	// through Progress and Sink exactly like a remote chunk; one that
+	// does not unmarshal, or an index outside the matrix or the Range,
+	// is ignored and that cell runs.
+	Prefill map[int][]byte
+	// Steal, when non-nil, lets remote lease loops (spawned by
+	// Steal.Run) pull whole chunks of the run's LeaseQueue alongside
+	// the local pool — see lease.go. Ignored under Range (worker nodes
+	// do not steal).
 	Steal *StealConfig
 	// ObsSink, when non-nil, receives the instrument-registry snapshot
 	// of every LOCALLY executed cell whose result implements
-	// obs.SnapshotProvider. Remote-injected chunks are excluded on
-	// purpose: the executing worker folds its own cells, so a fleet
-	// aggregation never double-counts a cell. Calls may be concurrent —
-	// the sink must synchronise.
+	// obs.SnapshotProvider. Merged (remote or prefilled) cells are
+	// excluded on purpose: the executing worker folds its own cells, so
+	// a fleet aggregation never double-counts a cell. Calls may be
+	// concurrent — the sink must synchronise.
 	ObsSink func(obs.Snapshot)
 	// CellQuota, when non-nil, is a second execution budget alongside
 	// Config.Slots — the daemon uses it as a per-principal cap on cells
@@ -216,57 +166,9 @@ type ExecHooks struct {
 	// Workers acquire it AFTER the global Slots budget (consistent
 	// acquisition order, so the two semaphores cannot deadlock) and
 	// before claiming a cell index, preserving the completed-prefix
-	// cancellation guarantee. Injected (remote/prefilled) cells consume
+	// cancellation guarantee. Merged (remote/prefilled) cells consume
 	// no quota; the process that executes them accounts for them.
 	CellQuota chan struct{}
-}
-
-// Prefill builds a ShardPlanner that re-injects previously captured
-// cell payloads — the Sink output of an earlier, preempted run — so a
-// requeued job resumes instead of re-simulating its completed cells.
-// Contiguous runs of saved indices become RemoteChunks whose Exec
-// returns the saved bytes immediately; indices without a saved payload
-// execute normally. Because the saved bytes are exactly what Sink
-// captured (and what injectChunk would have merged from a remote
-// worker), the resumed run's merged matrix is byte-identical to an
-// uninterrupted run. next, when non-nil, plans the remaining indices
-// (its chunks lose ties against the prefill — overlapping chunks are
-// dropped by the planner and run locally).
-func Prefill(saved map[int][]byte, next ShardPlanner) ShardPlanner {
-	if len(saved) == 0 {
-		return next
-	}
-	return func(total int) []RemoteChunk {
-		idx := make([]int, 0, len(saved))
-		for i := range saved {
-			if i >= 0 && i < total {
-				idx = append(idx, i)
-			}
-		}
-		sort.Ints(idx)
-		var chunks []RemoteChunk
-		for k := 0; k < len(idx); {
-			from := idx[k]
-			to := from + 1
-			k++
-			for k < len(idx) && idx[k] == to {
-				to++
-				k++
-			}
-			payloads := make([][]byte, 0, to-from)
-			for i := from; i < to; i++ {
-				payloads = append(payloads, saved[i])
-			}
-			chunks = append(chunks, RemoteChunk{
-				Range: Range{From: from, To: to},
-				Exec:  func(context.Context) ([][]byte, error) { return payloads, nil },
-			})
-		}
-		if next != nil {
-			chunks = append(chunks, next(total)...)
-		}
-		return chunks
-	}
 }
 
 // Config tunes one harness run.
@@ -290,8 +192,8 @@ type Config struct {
 	// completed cells still form a matrix prefix.
 	Slots chan struct{}
 
-	// ExecHooks (Range/Sink/Shard) distribute a run across processes;
-	// the zero value keeps execution fully local.
+	// ExecHooks distribute a run across processes; the zero value
+	// keeps execution fully local.
 	ExecHooks
 }
 
@@ -361,9 +263,10 @@ func Map[T any](cfg Config, cells []Cell, fn func(Cell) T) ([]T, error) {
 // MapContext is Map with cooperative cancellation. Cells are claimed in
 // matrix order; once ctx is cancelled no further cell starts, while
 // cells already in flight run to completion (a cell function is not
-// interruptible). The completed cells therefore always form a prefix of
-// the matrix, and because each cell is deterministic in its seed that
-// prefix is byte-identical to the same prefix of an uncancelled run.
+// interruptible). Without remote executors the completed cells
+// therefore always form a prefix of the matrix, and because each cell
+// is deterministic in its seed that prefix is byte-identical to the
+// same prefix of an uncancelled run.
 //
 // On cancellation the result slice still has full matrix length — slots
 // whose cell never ran hold zero values — and the returned error joins
@@ -371,14 +274,15 @@ func Map[T any](cfg Config, cells []Cell, fn func(Cell) T) ([]T, error) {
 // from "cells panicked" with errors.Is(err, context.Canceled) (or
 // DeadlineExceeded) and Errs.
 //
-// The ExecHooks in cfg distribute a run across processes. With Range
-// set, only the in-range cells execute and the error wraps
-// ErrRangePartial when cells were excluded. With Shard set, planned
-// chunks are fetched from remote executors concurrently with the local
-// pool; a chunk whose remote fails is re-run locally, so the merged
-// matrix is byte-identical to a fully local run regardless of the
-// plan. The completed-prefix cancellation guarantee above applies to
-// the plain (hook-free) configuration.
+// Every run takes one path: the cells to execute are queued on a
+// LeaseQueue (lease.go) that one local worker pool drains. The
+// ExecHooks in cfg only shape that queue. Range queues just the
+// in-range cells, and the error wraps ErrRangePartial when cells were
+// excluded. Prefill merges a resumed run's saved payloads before the
+// pool starts and leaves only the rest queued. Steal lets remote
+// executors lease whole chunks alongside the local pool. The merged
+// matrix is byte-identical to a plain local run in every
+// configuration.
 func MapContext[T any](ctx context.Context, cfg Config, cells []Cell, fn func(Cell) T) ([]T, error) {
 	stamped := make([]Cell, len(cells))
 	for i := range cells {
@@ -391,65 +295,54 @@ func MapContext[T any](ctx context.Context, cfg Config, cells []Cell, fn func(Ce
 	out := make([]T, n)
 	tr := &tracker{total: n, start: time.Now(), progress: cfg.Progress, sink: cfg.Sink}
 
-	local, chunks, partial := plan(cfg, n)
-
-	var dispatchers sync.WaitGroup
-	for _, ch := range chunks {
-		ch := ch
-		dispatchers.Add(1)
-		go func() {
-			defer dispatchers.Done()
-			if injectChunk(ctx, ch, stamped, out, tr) {
-				return
-			}
-			// The remote executor failed (or returned garbage). Cells
-			// are deterministic in their seeds, so re-running the chunk
-			// here yields exactly the bytes the remote would have
-			// produced.
-			idx := make([]int, 0, ch.Len())
-			for i := ch.From; i < ch.To; i++ {
-				idx = append(idx, i)
-			}
-			runPool(ctx, cfg, stamped, idx, out, tr, fn)
-		}()
+	// A worker's Range is a lease that arrived over the wire: it bounds
+	// what is queued, and nothing under it is stolen again.
+	from, to, steal := 0, n, cfg.Steal
+	if cfg.Range != nil {
+		from, steal = max(cfg.Range.From, 0), nil
+		to = max(min(cfg.Range.To, n), from)
 	}
-	if cfg.Steal != nil && cfg.Range == nil && len(local) > 0 {
-		// Work-stealing mode: the local indices become a chunk deque
-		// shared between this pool and the remote lease loops Steal.Run
-		// spawns. Merging stays by matrix index, so the result is
-		// byte-identical to plain local execution at any steal pattern.
-		q := newLeaseQueue(local, cfg.Steal.ChunkCells)
-		q.inject = func(r Range, payloads [][]byte) bool {
-			if len(payloads) != r.Len() {
+	partial := to-from < n
+
+	inject := func(r Range, payloads [][]byte) bool {
+		if len(payloads) != r.Len() {
+			return false
+		}
+		vals := make([]T, len(payloads))
+		for k, p := range payloads {
+			if json.Unmarshal(p, &vals[k]) != nil {
 				return false
 			}
-			vals := make([]T, len(payloads))
-			for k, p := range payloads {
-				if json.Unmarshal(p, &vals[k]) != nil {
-					return false
-				}
-			}
-			for k := range vals {
-				i := r.From + k
-				out[i] = vals[k]
-				tr.complete(stamped[i], 0, nil, payloads[k])
-			}
-			return true
 		}
-		stop := context.AfterFunc(ctx, q.cancelAll)
-		if cfg.Steal.Run != nil {
-			go cfg.Steal.Run(ctx, q)
+		for k := range vals {
+			i := r.From + k
+			out[i] = vals[k]
+			tr.complete(stamped[i], 0, nil, payloads[k])
 		}
-		runSteal(ctx, cfg, stamped, out, tr, fn, q)
-		// Barrier: after this no remote merge is running or can start,
-		// so returning (and letting the caller read out) is safe even
-		// if a Steal.Run loop is still unwinding a dispatch.
-		q.cancelAll()
-		stop()
-	} else {
-		runPool(ctx, cfg, stamped, local, out, tr, fn)
+		return true
 	}
-	dispatchers.Wait()
+	queued := make([]int, 0, to-from)
+	for i := from; i < to; i++ {
+		if p, ok := cfg.Prefill[i]; ok && inject(Range{From: i, To: i + 1}, [][]byte{p}) {
+			continue
+		}
+		queued = append(queued, i)
+	}
+	chunkCells := 0
+	if steal != nil {
+		chunkCells = steal.ChunkCells
+	}
+	q := newLeaseQueue(queued, chunkCells, inject)
+	stop := context.AfterFunc(ctx, q.cancelAll)
+	if steal != nil && steal.Run != nil && len(queued) > 0 {
+		go steal.Run(ctx, q)
+	}
+	runPool(ctx, cfg, stamped, out, tr, fn, q, len(queued))
+	// Barrier: after this no remote merge is running or can start, so
+	// returning (and letting the caller read out) is safe even if a
+	// Steal.Run loop is still unwinding a dispatch.
+	q.cancelAll()
+	stop()
 
 	cellErrs := tr.cellErrs
 	if len(cellErrs) == 0 && ctx.Err() == nil && !partial {
@@ -469,63 +362,10 @@ func MapContext[T any](ctx context.Context, cfg Config, cells []Cell, fn func(Ce
 	return out, errors.Join(errs...)
 }
 
-// plan picks the locally executed indices and the validated remote
-// chunks for one run. partial reports that cfg.Range excluded part of
-// the matrix.
-func plan(cfg Config, n int) (local []int, chunks []RemoteChunk, partial bool) {
-	switch {
-	case cfg.Range != nil:
-		from, to := cfg.Range.From, cfg.Range.To
-		if from < 0 {
-			from = 0
-		}
-		if to > n {
-			to = n
-		}
-		for i := from; i < to; i++ {
-			local = append(local, i)
-		}
-		return local, nil, len(local) < n
-	case cfg.Shard != nil:
-		covered := make([]bool, n)
-		for _, ch := range cfg.Shard(n) {
-			if ch.Exec == nil || ch.From < 0 || ch.To > n || ch.From >= ch.To {
-				continue
-			}
-			overlaps := false
-			for i := ch.From; i < ch.To; i++ {
-				if covered[i] {
-					overlaps = true
-					break
-				}
-			}
-			if overlaps {
-				continue
-			}
-			for i := ch.From; i < ch.To; i++ {
-				covered[i] = true
-			}
-			chunks = append(chunks, ch)
-		}
-		for i := 0; i < n; i++ {
-			if !covered[i] {
-				local = append(local, i)
-			}
-		}
-		return local, chunks, false
-	default:
-		local = make([]int, n)
-		for i := range local {
-			local[i] = i
-		}
-		return local, nil, false
-	}
-}
-
-// tracker is the shared completion state of one MapContext run. Local
-// pools and remote-chunk injections all report through it, so progress
-// counts and Sink calls stay serialised no matter where a cell was
-// computed.
+// tracker is the shared completion state of one MapContext run. The
+// local pool and merged (remote or prefilled) cells all report through
+// it, so progress counts and Sink calls stay serialised no matter where
+// a cell was computed.
 type tracker struct {
 	total    int
 	start    time.Time
@@ -565,78 +405,78 @@ func (tr *tracker) complete(c Cell, cellTime time.Duration, cerr *CellError, sun
 	}
 }
 
-// runPool executes the given stamped-cell indices on a bounded worker
-// pool, claiming indices in slice order.
-func runPool[T any](ctx context.Context, cfg Config, stamped []Cell, indices []int, out []T, tr *tracker, fn func(Cell) T) {
-	if len(indices) == 0 {
-		return
-	}
+// runPool is the run's local worker pool: at most cfg.Workers (and
+// never more than the queued cells) workers, each claiming one cell
+// at a time from q. A worker acquires its execution budgets — Slots,
+// then CellQuota, the fixed order that keeps the two semaphores
+// deadlock-free — BEFORE it claims anything. A worker abandoning on
+// cancellation while a budget is exhausted has then claimed nothing,
+// so every claimed cell runs to completion; claiming first and
+// abandoning later would let a later-index cell that already held a
+// budget complete while an earlier one never runs, breaking the
+// completed-prefix guarantee. When nothing is claimable while remote
+// leases are outstanding, the worker releases its budgets before it
+// waits, so an idle run never starves its neighbours.
+func runPool[T any](ctx context.Context, cfg Config, stamped []Cell, out []T, tr *tracker, fn func(Cell) T, q *LeaseQueue, queued int) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(indices) {
-		workers = len(indices)
-	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(workers, queued) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil && cfg.acquire(ctx) {
+				i, ok := q.claim()
+				if !ok {
+					cfg.release()
+					if q.await() {
+						continue
+					}
 					return
 				}
-				// Acquire the shared budget slot BEFORE claiming a cell
-				// index. A worker abandoning on cancellation while the
-				// budget is exhausted has then claimed nothing, so every
-				// claimed index runs to completion — claiming a cell
-				// first and abandoning it later would let a later-index
-				// cell that already held a slot complete while an
-				// earlier one never runs, breaking the completed-prefix
-				// guarantee.
-				if cfg.Slots != nil {
-					select {
-					case cfg.Slots <- struct{}{}:
-					case <-ctx.Done():
-						return // abandoned: budget exhausted and run cancelled
-					}
-				}
-				// The per-principal budget is acquired strictly after the
-				// global one: every holder of a CellQuota slot already holds
-				// a Slots slot, so the two semaphores cannot form a cycle.
-				if cfg.CellQuota != nil {
-					select {
-					case cfg.CellQuota <- struct{}{}:
-					case <-ctx.Done():
-						if cfg.Slots != nil {
-							<-cfg.Slots
-						}
-						return // abandoned before claiming anything
-					}
-				}
-				release := func() {
-					if cfg.CellQuota != nil {
-						<-cfg.CellQuota
-					}
-					if cfg.Slots != nil {
-						<-cfg.Slots
-					}
-				}
-				k := int(next.Add(1)) - 1
-				if k >= len(indices) {
-					release()
-					return
-				}
-				c := stamped[indices[k]]
-				cerr, sunk, cellTime := computeCell(cfg, c, &out[c.Index], tr, fn)
-				release()
+				c := stamped[i]
+				cerr, sunk, cellTime := computeCell(cfg, c, &out[i], tr, fn)
+				cfg.release()
 				tr.complete(c, cellTime, cerr, sunk)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// acquire takes one Slots unit, then one CellQuota unit, reporting
+// false — holding neither — if ctx ends first.
+func (cfg *Config) acquire(ctx context.Context) bool {
+	if cfg.Slots != nil {
+		select {
+		case cfg.Slots <- struct{}{}:
+		case <-ctx.Done():
+			return false
+		}
+	}
+	if cfg.CellQuota != nil {
+		select {
+		case cfg.CellQuota <- struct{}{}:
+		case <-ctx.Done():
+			if cfg.Slots != nil {
+				<-cfg.Slots
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// release returns the budgets acquire took.
+func (cfg *Config) release() {
+	if cfg.CellQuota != nil {
+		<-cfg.CellQuota
+	}
+	if cfg.Slots != nil {
+		<-cfg.Slots
+	}
 }
 
 // computeCell executes one claimed cell: runs fn, feeds the ObsSink,
@@ -658,29 +498,6 @@ func computeCell[T any](cfg Config, c Cell, slot *T, tr *tracker, fn func(Cell) 
 		sunk = b
 	}
 	return cerr, sunk, time.Since(cellStart)
-}
-
-// injectChunk runs a remote chunk's Exec and, on success, copies the
-// unmarshalled results into the output slice. It reports false — and
-// writes nothing — when the remote failed in any way, leaving the
-// chunk to the local fallback pool.
-func injectChunk[T any](ctx context.Context, ch RemoteChunk, stamped []Cell, out []T, tr *tracker) bool {
-	payloads, err := ch.Exec(ctx)
-	if err != nil || len(payloads) != ch.Len() {
-		return false
-	}
-	vals := make([]T, len(payloads))
-	for k, p := range payloads {
-		if json.Unmarshal(p, &vals[k]) != nil {
-			return false
-		}
-	}
-	for k := range vals {
-		i := ch.From + k
-		out[i] = vals[k]
-		tr.complete(stamped[i], 0, nil, payloads[k])
-	}
-	return true
 }
 
 // runCell runs fn for one cell, converting a panic into a *CellError.

@@ -1,21 +1,19 @@
 package harness
 
-// lease.go is the pull-based work-stealing side of the harness: instead
-// of a ShardPlanner deciding up front which contiguous slice of the
-// matrix each executor owns, a LeaseQueue holds the matrix as a deque
-// of cell-range chunks and every executor — the local worker pool and
-// any number of remote lease loops — pulls the next chunk when it
-// finishes its previous one. A slow or busy executor simply stops
-// pulling, so stragglers shed load without any replanning; a failed
-// remote lease is requeued at the front of the deque and the next
-// puller (possibly the local pool) runs it. Results merge by matrix
-// index exactly as in every other execution mode, so the output is
-// byte-identical to a single-process run at any executor count, join
-// order, or failure pattern.
+// lease.go is the harness's single execution path. Every run — plain,
+// a worker's Range, a resumed job's prefill, a coordinator stealing
+// across peers — queues the cells it must execute on a LeaseQueue: a
+// deque of contiguous cell-range chunks. The local pool claims one
+// cell at a time from the front; remote lease loops pull whole chunks
+// as they finish their previous one. A slow or busy executor simply
+// stops pulling, so stragglers shed load without any replanning; a
+// failed remote lease is requeued at the front of the deque and the
+// next puller (possibly the local pool) runs it. Results merge by
+// matrix index, so the output is byte-identical to a serial run at any
+// worker count, executor count, join order, or failure pattern.
 
 import (
 	"context"
-	"runtime"
 	"sync"
 )
 
@@ -25,14 +23,11 @@ import (
 // overhead stays negligible.
 const defaultStealChunks = 16
 
-// StealConfig switches a run into pull-based work-stealing dispatch
-// (ExecHooks.Steal). The harness splits the locally planned index
-// space into contiguous chunks on a LeaseQueue; the local pool leases
-// chunks like any other executor, and Run is started on its own
-// goroutine to feed remote executors from the same queue.
+// StealConfig lets remote executors pull work from a run's LeaseQueue
+// (ExecHooks.Steal) alongside the local pool.
 type StealConfig struct {
 	// ChunkCells caps how many cells one lease covers. <=0 splits the
-	// index space into about defaultStealChunks chunks.
+	// queued cells into about defaultStealChunks chunks.
 	ChunkCells int
 	// Run, when non-nil, is started on its own goroutine with the run's
 	// LeaseQueue after chunks are built. It typically spawns one lease
@@ -44,24 +39,27 @@ type StealConfig struct {
 	Run func(ctx context.Context, q *LeaseQueue)
 }
 
-// LeaseQueue is the shared chunk deque of one work-stealing run. The
-// local pool and remote lease loops pull from it concurrently:
+// LeaseQueue is the shared chunk deque of one run. The local pool and
+// remote lease loops pull from it concurrently:
 //
-//   - Lease hands the next stealable chunk to a remote executor,
-//     blocking while the deque is empty but an outstanding remote
-//     lease could still requeue. It returns false when no chunk can
-//     ever appear again — the loop's signal to exit.
+//   - Lease hands the next whole chunk to a remote executor, blocking
+//     while the deque is empty but an outstanding remote lease could
+//     still requeue. It returns false when no chunk can ever appear
+//     again — the loop's signal to exit.
 //   - Complete merges a leased chunk's per-cell payloads back into the
 //     run (matrix order, so merged bytes are position-independent).
-//     Garbage payloads requeue the chunk instead, and the cells re-run
-//     locally or on the next puller — deterministic seeds make the
-//     re-run byte-identical to what the remote should have produced.
+//     A wrong payload count or any payload that does not unmarshal
+//     requeues the chunk instead, and the cells re-run locally or on
+//     the next puller — deterministic seeds make the re-run
+//     byte-identical to what the remote should have produced.
 //   - Requeue returns a chunk whose remote dispatch failed to the
 //     front of the deque.
 //
-// Chunks containing cell 0 are pinned to the local pool: cell 0 is the
-// only cell that may record a trace, and trace buffers cannot cross
-// the payload wire.
+// The local pool consumes its current chunk one cell at a time and
+// refills it from the front of the deque. Its first chunk is the one
+// holding cell 0, which therefore never leaves the local pool: cell 0
+// is the only cell that may record a trace, and trace buffers cannot
+// cross the payload wire.
 //
 // Every successful Lease must be resolved by exactly one Complete or
 // Requeue call. All methods are safe for concurrent use.
@@ -69,10 +67,9 @@ type LeaseQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	pinned  []Range // local-only chunks (hold cell 0)
-	pending []Range // stealable chunks; requeues return to the front
+	local   Range   // the local pool's chunk, consumed one cell at a time
+	pending []Range // whole stealable chunks; requeues return to the front
 
-	outLocal  int // chunks leased by the local pool, unresolved
 	outRemote int // chunks leased via Lease, unresolved
 
 	cancelled bool
@@ -80,71 +77,64 @@ type LeaseQueue struct {
 	drained   chan struct{}
 
 	// inject merges one remotely computed chunk (one payload per cell,
-	// in index order) into the run's output; it reports false on any
-	// malformed payload without writing. Set by MapContext; called
-	// under mu, which serialises remote merges against queue shutdown.
+	// in index order) into the run's output; it reports false on a
+	// wrong payload count or any malformed payload without writing.
+	// Called under mu, which serialises remote merges against queue
+	// shutdown.
 	inject func(r Range, payloads [][]byte) bool
 }
 
-// newLeaseQueue chunks the ascending local index list into contiguous
-// ranges of at most chunkCells cells each. Non-contiguous index lists
-// (a resumed job's prefill leaves gaps) produce one chunk sequence per
+// newLeaseQueue chunks the ascending index list into contiguous ranges
+// of at most chunkCells cells each. Non-contiguous index lists (a
+// resumed job's prefill leaves gaps) produce one chunk sequence per
 // contiguous run.
-func newLeaseQueue(local []int, chunkCells int) *LeaseQueue {
-	q := &LeaseQueue{drained: make(chan struct{})}
+func newLeaseQueue(cells []int, chunkCells int, inject func(Range, [][]byte) bool) *LeaseQueue {
+	q := &LeaseQueue{drained: make(chan struct{}), inject: inject}
 	q.cond = sync.NewCond(&q.mu)
 	if chunkCells <= 0 {
-		chunkCells = (len(local) + defaultStealChunks - 1) / defaultStealChunks
+		chunkCells = max((len(cells)+defaultStealChunks-1)/defaultStealChunks, 1)
 	}
-	if chunkCells < 1 {
-		chunkCells = 1
-	}
-	for k := 0; k < len(local); {
-		from := local[k]
+	for k := 0; k < len(cells); {
+		from := cells[k]
 		to := from + 1
 		k++
-		for k < len(local) && local[k] == to && to-from < chunkCells {
+		for k < len(cells) && cells[k] == to && to-from < chunkCells {
 			to++
 			k++
 		}
 		r := Range{From: from, To: to}
 		if r.From == 0 {
-			q.pinned = append(q.pinned, r)
+			q.local = r
 		} else {
 			q.pending = append(q.pending, r)
 		}
 	}
-	if len(q.pinned) == 0 && len(q.pending) == 0 {
-		q.done = true
-		close(q.drained)
-	}
+	q.checkDrainedLocked()
 	return q
 }
 
-// Lease pulls the next stealable chunk for a remote executor. It
-// blocks while the deque is empty but an outstanding remote lease
-// could still requeue; false means the queue is drained (or the run
-// cancelled) and no chunk will ever be available again.
+// Lease pulls the next whole chunk for a remote executor. It blocks
+// while the deque is empty but an outstanding remote lease could still
+// requeue; false means the queue is drained (or the run cancelled) and
+// no chunk will ever be available again.
 func (q *LeaseQueue) Lease() (Range, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if q.cancelled {
-			return Range{}, false
-		}
+	for !q.cancelled {
 		if len(q.pending) > 0 {
 			r := q.pending[0]
 			q.pending = q.pending[1:]
 			q.outRemote++
 			return r, true
 		}
-		// Pinned chunks and local leases never re-enter the stealable
-		// deque, so once no remote lease is outstanding nothing can.
+		// The local chunk never re-enters the deque, so once no remote
+		// lease is outstanding nothing can.
 		if q.outRemote == 0 {
-			return Range{}, false
+			break
 		}
 		q.cond.Wait()
 	}
+	return Range{}, false
 }
 
 // Complete resolves a remote lease with its per-cell payloads (one per
@@ -155,18 +145,16 @@ func (q *LeaseQueue) Lease() (Range, bool) {
 func (q *LeaseQueue) Complete(r Range, payloads [][]byte) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	defer q.cond.Broadcast()
 	q.outRemote--
 	if q.cancelled {
-		q.cond.Broadcast()
 		return false
 	}
 	if !q.inject(r, payloads) {
 		q.pending = append([]Range{r}, q.pending...)
-		q.cond.Broadcast()
 		return false
 	}
 	q.checkDrainedLocked()
-	q.cond.Broadcast()
 	return true
 }
 
@@ -182,47 +170,48 @@ func (q *LeaseQueue) Requeue(r Range) {
 	q.cond.Broadcast()
 }
 
-// Drained is closed when every chunk has been resolved (or the run
-// cancelled) — the dispatcher's signal that the job is over.
+// Drained is closed once no chunk can be leased again — every queued
+// cell is claimed locally or merged from a remote — or the run is
+// cancelled: the dispatcher's signal that the job is over.
 func (q *LeaseQueue) Drained() <-chan struct{} { return q.drained }
 
-// leaseLocal pulls the next chunk for the local pool, preferring
-// pinned chunks (only the local pool may run them). False means no
-// chunk can ever become available for local execution again.
-func (q *LeaseQueue) leaseLocal() (Range, bool) {
+// claim takes the next cell for the local pool: the next index of the
+// local chunk, which is refilled from the front of the deque. False
+// means nothing is claimable right now.
+func (q *LeaseQueue) claim() (int, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if q.cancelled {
-			return Range{}, false
+	if q.cancelled {
+		return 0, false
+	}
+	if q.local.Len() == 0 {
+		if len(q.pending) == 0 {
+			return 0, false
 		}
-		if len(q.pinned) > 0 {
-			r := q.pinned[0]
-			q.pinned = q.pinned[1:]
-			q.outLocal++
-			return r, true
-		}
-		if len(q.pending) > 0 {
-			r := q.pending[0]
-			q.pending = q.pending[1:]
-			q.outLocal++
-			return r, true
+		q.local, q.pending = q.pending[0], q.pending[1:]
+	}
+	i := q.local.From
+	q.local.From++
+	q.checkDrainedLocked()
+	return i, true
+}
+
+// await blocks until a cell may be claimable. False means none can
+// ever be again: the run is cancelled, or the deque is empty and no
+// outstanding remote lease could requeue.
+func (q *LeaseQueue) await() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for !q.cancelled {
+		if q.local.Len() > 0 || len(q.pending) > 0 {
+			return true
 		}
 		if q.outRemote == 0 {
-			return Range{}, false
+			return false
 		}
 		q.cond.Wait()
 	}
-}
-
-// resolveLocal resolves one local lease (local execution cannot fail —
-// a panicking cell still completes, as a *CellError).
-func (q *LeaseQueue) resolveLocal() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.outLocal--
-	q.checkDrainedLocked()
-	q.cond.Broadcast()
+	return false
 }
 
 // cancelAll wakes every waiter and turns all further queue operations
@@ -242,67 +231,9 @@ func (q *LeaseQueue) checkDrainedLocked() {
 	if q.done {
 		return
 	}
-	empty := len(q.pinned) == 0 && len(q.pending) == 0 && q.outLocal == 0 && q.outRemote == 0
+	empty := q.local.Len() == 0 && len(q.pending) == 0 && q.outRemote == 0
 	if empty || q.cancelled {
 		q.done = true
 		close(q.drained)
 	}
-}
-
-// runSteal is the local pool of a work-stealing run: workers lease
-// chunks from the queue alongside the remote loops and execute their
-// cells in index order, acquiring the usual execution budgets per
-// cell. It returns when every chunk is resolved or the run is
-// cancelled mid-chunk.
-func runSteal[T any](ctx context.Context, cfg Config, stamped []Cell, out []T, tr *tracker, fn func(Cell) T, q *LeaseQueue) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r, ok := q.leaseLocal()
-				if !ok {
-					return
-				}
-				for i := r.From; i < r.To; i++ {
-					if ctx.Err() != nil {
-						return // abandoned mid-chunk; cancelAll runs via AfterFunc
-					}
-					if cfg.Slots != nil {
-						select {
-						case cfg.Slots <- struct{}{}:
-						case <-ctx.Done():
-							return
-						}
-					}
-					if cfg.CellQuota != nil {
-						select {
-						case cfg.CellQuota <- struct{}{}:
-						case <-ctx.Done():
-							if cfg.Slots != nil {
-								<-cfg.Slots
-							}
-							return
-						}
-					}
-					c := stamped[i]
-					cerr, sunk, cellTime := computeCell(cfg, c, &out[i], tr, fn)
-					if cfg.CellQuota != nil {
-						<-cfg.CellQuota
-					}
-					if cfg.Slots != nil {
-						<-cfg.Slots
-					}
-					tr.complete(c, cellTime, cerr, sunk)
-				}
-				q.resolveLocal()
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -241,7 +241,7 @@ func TestStealComposesWithPrefill(t *testing.T) {
 		return fn(c)
 	}
 	cfg := Config{BaseSeed: 7, Workers: 2}
-	cfg.Shard = Prefill(saved, nil)
+	cfg.Prefill = saved
 	cfg.Steal = &StealConfig{
 		ChunkCells: 2,
 		Run: func(ctx context.Context, q *LeaseQueue) {

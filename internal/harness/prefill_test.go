@@ -39,7 +39,7 @@ func TestPrefillResumesWithoutReexecution(t *testing.T) {
 		partial[i] = saved[i]
 	}
 	var executed atomic.Int64
-	resumed, err := Map(Config{Workers: 2, ExecHooks: ExecHooks{Shard: Prefill(partial, nil)}},
+	resumed, err := Map(Config{Workers: 2, ExecHooks: ExecHooks{Prefill: partial}},
 		cells, func(c Cell) int {
 			executed.Add(1)
 			return fn(c)
@@ -56,7 +56,7 @@ func TestPrefillResumesWithoutReexecution(t *testing.T) {
 
 	// Full prefill: nothing executes at all.
 	executed.Store(0)
-	again, err := Map(Config{ExecHooks: ExecHooks{Shard: Prefill(saved, nil)}},
+	again, err := Map(Config{ExecHooks: ExecHooks{Prefill: saved}},
 		cells, func(c Cell) int {
 			executed.Add(1)
 			return fn(c)
@@ -70,11 +70,6 @@ func TestPrefillResumesWithoutReexecution(t *testing.T) {
 	if n := executed.Load(); n != 0 {
 		t.Fatalf("fully prefilled run executed %d cells, want 0", n)
 	}
-
-	// Empty saved map degrades to the inner planner (nil here).
-	if Prefill(nil, nil) != nil {
-		t.Fatal("Prefill(nil, nil) should be nil")
-	}
 }
 
 // TestPrefillOutOfRangeIgnored: saved indices beyond the matrix are
@@ -85,7 +80,7 @@ func TestPrefillOutOfRangeIgnored(t *testing.T) {
 		cells[i] = Cell{Round: i}
 	}
 	bogus, _ := json.Marshal(999)
-	out, err := Map(Config{ExecHooks: ExecHooks{Shard: Prefill(map[int][]byte{7: bogus, -1: bogus}, nil)}},
+	out, err := Map(Config{ExecHooks: ExecHooks{Prefill: map[int][]byte{7: bogus, -1: bogus}}},
 		cells, func(c Cell) int { return c.Index })
 	if err != nil {
 		t.Fatal(err)

@@ -4,144 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// TestPartition covers the planner arithmetic: empty input, one cell
-// across many parts, many cells on one part, and uneven splits.
-func TestPartition(t *testing.T) {
-	cases := []struct {
-		n, parts int
-		want     []Range
-	}{
-		{0, 3, nil},
-		{-1, 2, nil},
-		{1, 5, []Range{{0, 1}}},
-		{5, 1, []Range{{0, 5}}},
-		{6, 3, []Range{{0, 2}, {2, 4}, {4, 6}}},
-		{7, 3, []Range{{0, 3}, {3, 5}, {5, 7}}},
-		{10, 3, []Range{{0, 4}, {4, 7}, {7, 10}}},
-		{4, 0, []Range{{0, 4}}},
-		{3, 8, []Range{{0, 1}, {1, 2}, {2, 3}}},
-	}
-	for _, tc := range cases {
-		got := Partition(tc.n, tc.parts)
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("Partition(%d, %d) = %v, want %v", tc.n, tc.parts, got, tc.want)
-		}
-	}
-}
-
-// TestPartitionCoversEveryIndexOnce: for a sweep of matrix sizes and
-// part counts, the union of ranges is exactly [0, n) with no overlap.
-func TestPartitionCoversEveryIndexOnce(t *testing.T) {
-	for n := 1; n <= 40; n++ {
-		for parts := 1; parts <= 7; parts++ {
-			seen := make([]int, n)
-			prevTo := 0
-			for _, r := range Partition(n, parts) {
-				if r.From != prevTo {
-					t.Fatalf("n=%d parts=%d: range %v does not start at previous end %d", n, parts, r, prevTo)
-				}
-				if r.Len() <= 0 {
-					t.Fatalf("n=%d parts=%d: empty range %v", n, parts, r)
-				}
-				for i := r.From; i < r.To; i++ {
-					seen[i]++
-				}
-				prevTo = r.To
-			}
-			if prevTo != n {
-				t.Fatalf("n=%d parts=%d: ranges end at %d, want %d", n, parts, prevTo, n)
-			}
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d parts=%d: index %d covered %d times", n, parts, i, c)
-				}
-			}
-		}
-	}
-}
-
-// TestRangeRestrictsExecution: Config.Range runs only the in-range
-// cells, reports ErrRangePartial, and the Sink receives exactly the
-// in-range results as their JSON marshalling.
-func TestRangeRestrictsExecution(t *testing.T) {
-	cells := Spec{Variants: []string{"a", "b"}, Rounds: 6}.Cells() // 12 cells
-	serial, err := Map(Config{BaseSeed: 3, Workers: 1}, cells, func(c Cell) int64 { return c.Seed })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sunk := map[int][]byte{}
-	var ran atomic.Int64
-	cfg := Config{BaseSeed: 3, Workers: 2}
-	cfg.Range = Cells(4, 9)
-	cfg.Sink = func(i int, b []byte) { sunk[i] = append([]byte(nil), b...) }
-	out, err := Map(cfg, cells, func(c Cell) int64 {
-		ran.Add(1)
-		return c.Seed
-	})
-	if !errors.Is(err, ErrRangePartial) {
-		t.Fatalf("error %v does not wrap ErrRangePartial", err)
-	}
-	if n := ran.Load(); n != 5 {
-		t.Fatalf("%d cells ran, want 5", n)
-	}
-	for i := range out {
-		if i >= 4 && i < 9 {
-			if out[i] != serial[i] {
-				t.Fatalf("slot %d = %d, want %d", i, out[i], serial[i])
-			}
-			want, _ := json.Marshal(serial[i])
-			if string(sunk[i]) != string(want) {
-				t.Fatalf("sink[%d] = %q, want %q", i, sunk[i], want)
-			}
-		} else {
-			if out[i] != 0 {
-				t.Fatalf("out-of-range slot %d holds %d", i, out[i])
-			}
-			if _, ok := sunk[i]; ok {
-				t.Fatalf("sink saw out-of-range index %d", i)
-			}
-		}
-	}
-}
-
-// TestRangeFullMatrixIsNotPartial: a Range covering the whole matrix
-// behaves exactly like a plain run — no ErrRangePartial.
-func TestRangeFullMatrixIsNotPartial(t *testing.T) {
-	cells := Spec{Rounds: 8}.Cells()
-	cfg := Config{BaseSeed: 1, Workers: 2}
-	cfg.Range = Cells(0, len(cells))
-	if _, err := Map(cfg, cells, func(c Cell) int64 { return c.Seed }); err != nil {
-		t.Fatalf("full-range run errored: %v", err)
-	}
-}
-
-// execRangeLocally simulates a remote worker: it re-runs the same
-// matrix under a Range restriction and returns the Sink payloads in
-// index order — exactly the contract RemoteChunk.Exec promises.
-func execRangeLocally(cfg Config, cells []Cell, r Range, fn func(Cell) int64) ([][]byte, error) {
-	collected := make([][]byte, r.Len())
-	wcfg := cfg
-	wcfg.ExecHooks = ExecHooks{
-		Range: Cells(r.From, r.To),
-		Sink: func(i int, b []byte) {
-			collected[i-r.From] = append([]byte(nil), b...)
-		},
-	}
-	if _, err := Map(wcfg, cells, fn); err != nil && !errors.Is(err, ErrRangePartial) {
-		return nil, err
-	}
-	return collected, nil
-}
-
-// TestShardInjectsRemoteResults: a shard plan whose chunks are served
-// by loopback "workers" merges to the same bytes as a plain run, with
-// progress counting every cell exactly once.
+// TestShardInjectsRemoteResults: chunks served by a loopback "worker"
+// merge to the same bytes as a plain run, with progress counting every
+// cell exactly once. The local pool holds no budget until the worker
+// has leased every stealable chunk, so the split is certain: the pinned
+// cell-0 chunk runs locally and everything else remotely.
 func TestShardInjectsRemoteResults(t *testing.T) {
 	cells := Spec{Variants: []string{"x", "y"}, Rounds: 8}.Cells() // 16 cells
 	base := Config{BaseSeed: 17, Workers: 2}
@@ -156,22 +28,39 @@ func TestShardInjectsRemoteResults(t *testing.T) {
 		remoteRan.Add(1)
 		return c.Seed
 	}
+	slots := make(chan struct{}, 1)
+	slots <- struct{}{}
+	runDone := make(chan struct{})
 	var completed atomic.Int64
 	cfg := base
+	cfg.Slots = slots
 	cfg.Progress = func(Progress) { completed.Add(1) }
-	cfg.Shard = func(total int) []RemoteChunk {
-		if total != 16 {
-			t.Errorf("planner saw total %d, want 16", total)
-		}
-		ranges := Partition(total, 3)
-		var chunks []RemoteChunk
-		for _, r := range ranges[1:] {
-			r := r
-			chunks = append(chunks, RemoteChunk{Range: r, Exec: func(context.Context) ([][]byte, error) {
-				return execRangeLocally(base, cells, r, remoteFn)
-			}})
-		}
-		return chunks
+	cfg.Steal = &StealConfig{
+		ChunkCells: 6, // [0,6) pinned locally; [6,12) and [12,16) stealable
+		Run: func(ctx context.Context, q *LeaseQueue) {
+			defer close(runDone)
+			var leased []Range
+			for range 2 {
+				r, ok := q.Lease()
+				if !ok {
+					t.Error("queue drained before the worker leased both chunks")
+					break
+				}
+				leased = append(leased, r)
+			}
+			<-slots
+			for _, r := range leased {
+				payloads, err := execRangeLocally(base, cells, r, remoteFn)
+				if err != nil {
+					t.Error(err)
+					q.Requeue(r)
+					continue
+				}
+				if !q.Complete(r, payloads) {
+					t.Errorf("Complete rejected the payloads of %v", r)
+				}
+			}
+		},
 	}
 	var localRan atomic.Int64
 	out, err := Map(cfg, cells, func(c Cell) int64 {
@@ -181,26 +70,28 @@ func TestShardInjectsRemoteResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-runDone
 	for i := range out {
 		if out[i] != serial[i] {
 			t.Fatalf("slot %d = %d, want %d", i, out[i], serial[i])
 		}
 	}
-	ranges := Partition(16, 3)
-	if n := localRan.Load(); int(n) != ranges[0].Len() {
-		t.Fatalf("%d cells ran locally, want %d", n, ranges[0].Len())
+	if n := localRan.Load(); n != 6 {
+		t.Fatalf("%d cells ran locally, want the 6 of the pinned chunk", n)
 	}
-	if n := remoteRan.Load(); int(n) != 16-ranges[0].Len() {
-		t.Fatalf("%d cells ran remotely, want %d", n, 16-ranges[0].Len())
+	if n := remoteRan.Load(); n != 10 {
+		t.Fatalf("%d cells ran remotely, want 10", n)
 	}
 	if n := completed.Load(); n != 16 {
 		t.Fatalf("progress reported %d completions, want 16", n)
 	}
 }
 
-// TestShardFailedChunkFallsBackLocal: a chunk whose Exec errors (or
-// returns short/garbage payloads) is re-run locally and the merged
-// output still matches the plain run.
+// TestShardFailedChunkFallsBackLocal: a leased chunk whose dispatch
+// errors (Requeue), or whose payloads are one short or do not unmarshal
+// (Complete rejects them and requeues), is re-run locally and the
+// merged output still matches the plain run. The local pool waits on a
+// held Slots unit until the worker has leased, so the lease is certain.
 func TestShardFailedChunkFallsBackLocal(t *testing.T) {
 	cells := Spec{Rounds: 12}.Cells()
 	base := Config{BaseSeed: 5, Workers: 3}
@@ -210,67 +101,125 @@ func TestShardFailedChunkFallsBackLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	execs := []func(context.Context) ([][]byte, error){
-		func(context.Context) ([][]byte, error) { return nil, errors.New("peer down") },
-		func(context.Context) ([][]byte, error) { return [][]byte{[]byte("1")}, nil },           // short
-		func(context.Context) ([][]byte, error) { return [][]byte{[]byte("{"), nil, nil}, nil }, // garbage
+	// Each case resolves the lease r and reports whether the chunk went
+	// back to the queue.
+	cases := []struct {
+		name    string
+		resolve func(q *LeaseQueue, r Range) bool
+	}{
+		{"peer down", func(q *LeaseQueue, r Range) bool {
+			q.Requeue(r)
+			return true
+		}},
+		{"short", func(q *LeaseQueue, r Range) bool {
+			payloads, err := execRangeLocally(base, cells, r, fn)
+			if err != nil {
+				q.Requeue(r)
+				return false
+			}
+			return !q.Complete(r, payloads[:len(payloads)-1])
+		}},
+		{"garbage", func(q *LeaseQueue, r Range) bool {
+			return !q.Complete(r, [][]byte{[]byte("{"), nil, nil})
+		}},
 	}
-	for name, exec := range execs {
-		exec := exec
+	for _, tc := range cases {
+		slots := make(chan struct{}, 1)
+		slots <- struct{}{}
+		requeued := make(chan bool, 1)
 		cfg := base
-		cfg.Shard = func(total int) []RemoteChunk {
-			return []RemoteChunk{{Range: Range{From: 4, To: 7}, Exec: exec}}
+		cfg.Slots = slots
+		cfg.Steal = &StealConfig{
+			ChunkCells: 3,
+			Run: func(ctx context.Context, q *LeaseQueue) {
+				r, ok := q.Lease()
+				<-slots
+				if !ok {
+					requeued <- false
+					return
+				}
+				requeued <- tc.resolve(q, r)
+			},
 		}
-		out, err := Map(cfg, cells, fn)
+		var localRan atomic.Int64
+		out, err := Map(cfg, cells, func(c Cell) int64 { localRan.Add(1); return fn(c) })
 		if err != nil {
-			t.Fatalf("case %d: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !<-requeued {
+			t.Fatalf("%s: the failed chunk was not requeued (or the worker never leased)", tc.name)
 		}
 		for i := range out {
 			if out[i] != serial[i] {
-				t.Fatalf("case %d: slot %d = %d, want %d", name, i, out[i], serial[i])
+				t.Fatalf("%s: slot %d = %d, want %d", tc.name, i, out[i], serial[i])
 			}
+		}
+		if n := localRan.Load(); int(n) != len(cells) {
+			t.Fatalf("%s: %d cells ran locally, want all %d", tc.name, n, len(cells))
 		}
 	}
 }
 
-// TestShardInvalidChunksIgnored: out-of-bounds, empty, overlapping, or
-// Exec-less chunks are dropped from the plan; their cells run locally.
+// TestShardInvalidChunksIgnored: saved chunks that do not belong to a
+// worker's run — indices outside the matrix or its Range, or payloads
+// that do not unmarshal — are ignored. Nothing outside the Range is
+// merged or sunk, and every in-range cell without a valid payload runs.
 func TestShardInvalidChunksIgnored(t *testing.T) {
 	cells := Spec{Rounds: 10}.Cells()
-	base := Config{BaseSeed: 2, Workers: 2}
 	fn := func(c Cell) int64 { return c.Seed }
-	serial, err := Map(base, cells, fn)
+	saved := map[int][]byte{}
+	serial, err := Map(Config{BaseSeed: 2, Workers: 2, ExecHooks: ExecHooks{Sink: func(i int, b []byte) {
+		saved[i] = append([]byte(nil), b...)
+	}}}, cells, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	poison := func(context.Context) ([][]byte, error) {
-		t.Error("invalid chunk was dispatched")
-		return nil, errors.New("poison")
+
+	var mu sync.Mutex
+	executed := map[int]bool{}
+	sunk := map[int][]byte{}
+	cfg := Config{BaseSeed: 2, Workers: 2}
+	cfg.Range = Cells(2, 8)
+	cfg.Prefill = map[int][]byte{
+		-1: saved[0],    // before the matrix
+		1:  saved[1],    // before the Range
+		3:  saved[3],    // valid: merged, not executed
+		5:  []byte("{"), // does not unmarshal: runs
+		8:  saved[8],    // past the Range
+		10: saved[9],    // past the matrix
 	}
-	ok := func(r Range) func(context.Context) ([][]byte, error) {
-		return func(context.Context) ([][]byte, error) {
-			return execRangeLocally(base, cells, r, fn)
-		}
-	}
-	cfg := base
-	cfg.Shard = func(total int) []RemoteChunk {
-		return []RemoteChunk{
-			{Range: Range{From: -1, To: 3}, Exec: poison},         // out of bounds
-			{Range: Range{From: 4, To: 4}, Exec: poison},          // empty
-			{Range: Range{From: 2, To: 5}, Exec: ok(Range{2, 5})}, // valid
-			{Range: Range{From: 4, To: 8}, Exec: poison},          // overlaps previous
-			{Range: Range{From: 8, To: 11}, Exec: poison},         // past end
-			{Range: Range{From: 8, To: 10}, Exec: nil},            // no Exec
-			{Range: Range{From: 6, To: 8}, Exec: ok(Range{6, 8})}, // valid
-		}
-	}
-	out, err := Map(cfg, cells, fn)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Sink = func(i int, b []byte) { sunk[i] = append([]byte(nil), b...) }
+	out, err := Map(cfg, cells, func(c Cell) int64 {
+		mu.Lock()
+		executed[c.Index] = true
+		mu.Unlock()
+		return fn(c)
+	})
+	if !errors.Is(err, ErrRangePartial) {
+		t.Fatalf("error %v does not wrap ErrRangePartial", err)
 	}
 	for i := range out {
-		if out[i] != serial[i] {
-			t.Fatalf("slot %d = %d, want %d", i, out[i], serial[i])
+		if i >= 2 && i < 8 {
+			if out[i] != serial[i] {
+				t.Fatalf("slot %d = %d, want %d", i, out[i], serial[i])
+			}
+			want, _ := json.Marshal(serial[i])
+			if string(sunk[i]) != string(want) {
+				t.Fatalf("sink[%d] = %q, want %q", i, sunk[i], want)
+			}
+			if executed[i] == (i == 3) {
+				t.Fatalf("cell %d executed = %v: want only the valid prefill 3 merged", i, executed[i])
+			}
+		} else {
+			if out[i] != 0 {
+				t.Fatalf("out-of-range slot %d holds %d", i, out[i])
+			}
+			if _, ok := sunk[i]; ok {
+				t.Fatalf("sink saw out-of-range index %d", i)
+			}
+			if executed[i] {
+				t.Fatalf("out-of-range cell %d executed", i)
+			}
 		}
 	}
 }

@@ -148,7 +148,6 @@ var promHelp = map[string]string{
 	"service.store.loaded_at_boot":       "Entries indexed by the boot scan.",
 	"service.store.bytes":                "Disk-store payload bytes resident.",
 	"service.store.entries":              "Disk-store entries resident.",
-	"service.shard.dispatched":           "Cell chunks dispatched to peers.",
 	"service.shard.remote_cells":         "Cells executed remotely.",
 	"service.shard.steals":               "Chunks completed by a remote peer via work stealing.",
 	"service.shard.leases":               "Chunks leased to remote peers.",

@@ -51,9 +51,9 @@ type ExperimentResult struct {
 // returning the marshalled result payload and, for traced runs, the
 // Perfetto trace-event JSON. slots is the daemon's global cell budget;
 // progress receives the harness callback stream. hooks distributes the
-// matrix across nodes (see harness.ExecHooks): a coordinator passes a
-// shard planner, a worker a cell range + sink, a single node the zero
-// value.
+// matrix across nodes (see harness.ExecHooks): a coordinator passes its
+// steal config and a resumed job's saved payloads, a worker a cell
+// range + sink.
 func execute(ctx context.Context, spec JobSpec, slots chan struct{}, progress func(harness.Progress), hooks harness.ExecHooks) (result, traceJSON []byte, err error) {
 	// Priority decides when a job runs, never what it computes; strip
 	// it so the marshalled result (which embeds the spec) is

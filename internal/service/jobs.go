@@ -251,7 +251,6 @@ type Manager struct {
 	// Config.Coordinator, the served set only with WorkerEndpoint; both
 	// stay nil (and nil-safe) otherwise. peerCacheServedCtr is always
 	// registered: any node may serve its cache to a coordinator.
-	shardDispatchCtr    *obs.Counter
 	shardRemoteCtr      *obs.Counter
 	shardStealCtr       *obs.Counter
 	shardLeaseCtr       *obs.Counter
@@ -375,7 +374,6 @@ func OpenManager(cfg Config) (*Manager, error) {
 	}
 	m.peerCacheServedCtr = reg.Counter("service.cache.peer_served")
 	if cfg.Coordinator {
-		m.shardDispatchCtr = reg.Counter("service.shard.dispatched")
 		m.shardRemoteCtr = reg.Counter("service.shard.remote_cells")
 		m.shardStealCtr = reg.Counter("service.shard.steals")
 		m.shardLeaseCtr = reg.Counter("service.shard.leases")
@@ -665,7 +663,7 @@ func (m *Manager) run(ctx context.Context, j *job) {
 	// resumed job's already-completed cells from the saved payloads
 	// instead of executing them anywhere.
 	hooks := harness.ExecHooks{
-		Shard:     harness.Prefill(prefill, nil),
+		Prefill:   prefill,
 		Steal:     m.stealConfig(spec, j.principal),
 		ObsSink:   m.foldSim,
 		CellQuota: quota,

@@ -22,7 +22,7 @@
 // while in-flight cells complete, so the job yields at a cell
 // boundary. The preempted job is requeued at the front of its queue
 // with its completed cells' payloads retained; on resume those are
-// injected through harness.Prefill, so the final merged result is
+// merged through harness.ExecHooks.Prefill, so the final result is
 // byte-identical to an uninterrupted run (the harness completed-prefix
 // and Sink-capture invariants make the saved payloads exactly what the
 // uninterrupted run would have merged).

@@ -448,3 +448,27 @@ func TestManagerQueueBounds(t *testing.T) {
 	}
 	_ = fmt.Sprint() // keep fmt imported if assertions above change
 }
+
+// TestInternalCellsOversizedRange: a range far past the job's matrix
+// is refused with 400 before anything sized by the request is
+// allocated, and the worker keeps serving.
+func TestInternalCellsOversizedRange(t *testing.T) {
+	_, addr := workerAddr(t)
+	body, _ := json.Marshal(shardRequest{Spec: tinySpec(), From: 0, To: 1 << 34, Version: codeVersion()})
+	resp, err := http.Post("http://"+addr+internalCellsPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized range: status %d, want 400", resp.StatusCode)
+	}
+	resp, err = http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after oversized range: status %d", resp.StatusCode)
+	}
+}

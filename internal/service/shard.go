@@ -363,7 +363,7 @@ type stealSession struct {
 }
 
 // stealConfig builds the harness work-stealing hook for one job, or
-// nil when this node does not coordinate. A coordinator plans steal
+// nil when this node does not coordinate. A coordinator opens steal
 // sessions even with zero current members — that is exactly what lets
 // a worker that joins mid-job start leasing.
 func (m *Manager) stealConfig(spec JobSpec, principal string) *harness.StealConfig {
@@ -431,7 +431,6 @@ func (m *Manager) peerStealLoop(s *stealSession, p *peer) {
 		}
 		m.mu.Lock()
 		m.shardLeaseCtr.Inc()
-		m.shardDispatchCtr.Inc()
 		m.mu.Unlock()
 		cells, err := m.postCells(s.ctx, p, s.spec, r, s.principal)
 		if err != nil {
@@ -533,16 +532,17 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 	quota := m.tenantLocked(principal).cells
 	m.mu.Unlock()
 
-	collected := make([][]byte, to-from)
-	got := 0
+	// Cells are collected by index, never into anything sized by the
+	// request: the harness clamps the range to the matrix, so a range
+	// past its end yields fewer cells than it names and is rejected
+	// below. The first progress callback carries the matrix size and
+	// stops such a run at its first cells.
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	collected := make(map[int][]byte)
 	hooks := harness.ExecHooks{
 		Range: harness.Cells(from, to),
-		Sink: func(i int, b []byte) { // calls serialised by the harness
-			if i >= from && i < to && collected[i-from] == nil {
-				collected[i-from] = b
-				got++
-			}
-		},
+		Sink:  func(i int, b []byte) { collected[i] = b }, // calls serialised by the harness
 		// Cells served for a coordinator fold into this worker's own
 		// sim.* series, keeping fleet aggregation double-count free.
 		ObsSink:   m.foldSim,
@@ -551,20 +551,28 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 	// The progress callback records the served cells' wall-clock latency
 	// into harness.cell_us — the same series coordinator-local cells use.
 	progress := func(p harness.Progress) {
+		if to > p.Total {
+			cancel()
+		}
 		if p.CellTime > 0 {
 			m.mu.Lock()
 			m.cellUs.Observe(p.CellTime.Microseconds())
 			m.mu.Unlock()
 		}
 	}
-	if _, _, err := execute(ctx, spec, m.slots, progress, hooks); err != nil && !errors.Is(err, harness.ErrRangePartial) {
-		return nil, err
+	_, _, err := execute(runCtx, spec, m.slots, progress, hooks)
+	if len(collected) != to-from {
+		if err != nil && (harness.Errs(err) != nil || ctx.Err() != nil) {
+			return nil, err
+		}
+		return nil, &BadSpecError{Err: fmt.Errorf("cell range [%d,%d) exceeds the job's matrix", from, to)}
 	}
-	if got != to-from {
-		return nil, fmt.Errorf("range [%d,%d): %d of %d cells produced results (range exceeds the job's matrix?)", from, to, got, to-from)
+	cells := make([][]byte, 0, len(collected))
+	for i := from; i < to; i++ {
+		cells = append(cells, collected[i])
 	}
 	m.mu.Lock()
-	m.shardServedCellsCtr.Add(uint64(got))
+	m.shardServedCellsCtr.Add(uint64(len(cells)))
 	m.mu.Unlock()
-	return collected, nil
+	return cells, nil
 }

@@ -210,8 +210,8 @@ func TestShardDeadPeerRunsLocal(t *testing.T) {
 
 	spec := JobSpec{Kind: KindRun, Device: "Pixel3", Scenario: "S-C", Scheme: "Ice", DurationSec: 2, Rounds: 2, Seed: 3}
 	runJob(t, cts.URL, spec)
-	if n := counterValue(coord, "service.shard.dispatched"); n != 0 {
-		t.Errorf("dispatched = %d to a dead peer, want 0", n)
+	if n := counterValue(coord, "service.shard.leases"); n != 0 {
+		t.Errorf("leases = %d to a dead peer, want 0", n)
 	}
 }
 
