@@ -3,7 +3,8 @@
 #   gofmt (no unformatted files), go vet, build, the full test suite
 #   under the race detector (the harness worker pool must stay
 #   race-free at any -workers setting), a flake guard re-running the
-#   concurrency-heavy packages, a one-iteration benchmark smoke pass
+#   concurrency-heavy packages, a 10 s fuzz of the cached-entry trust
+#   check (FuzzDecodeEntry), a one-iteration benchmark smoke pass
 #   (benchmarks must at least run; their cells/sec, allocs/cell and
 #   p50/p99 per-cell latency metrics are written to BENCH_<n>.json —
 #   n derived from the highest committed snapshot, no hand edit per
@@ -51,6 +52,12 @@ go test -race ./...
 # a row under the race detector. A scheduling-order dependence usually
 # shows up on the second, cache-warm iteration.
 go test -race -count=2 -timeout 20m ./internal/harness/ ./internal/service/
+
+# A short fuzz of the one trust check on cached entries (decodeEntry):
+# every disk read and every peer fetch goes through it. Needs no
+# network; the fuzzer writes only to the Go cache (and, on a failure,
+# the failing input under internal/service/testdata/fuzz/).
+go test -run='^$' -fuzz='^FuzzDecodeEntry$' -fuzztime=10s ./internal/service/
 
 # Benchmarks stay runnable: one iteration each, no timing claims — and
 # their cells/sec + allocs/cell + per-cell latency percentile metrics

@@ -49,8 +49,10 @@
 // repeated every -join-interval) and is admitted at runtime — even
 // into jobs already running — and deregisters on drain; a
 // runtime-joined worker that stops answering health probes is pruned.
-// Alternatively -role coordinator makes a node coordinate with no seed
-// workers at all, relying entirely on joins.
+// A node given -peers coordinates and reports role coordinator on
+// /healthz and in the metrics role label; -role coordinator makes a
+// node coordinate with no seed workers at all, relying entirely on
+// joins.
 //
 // Distributed jobs return byte-identical results to single-node runs:
 // cell seeds derive from the job spec alone and the coordinator merges
@@ -150,12 +152,6 @@ func main() {
 			coordinators = append(coordinators, c)
 		}
 	}
-	// A node with seed peers coordinates the fleet; report that on
-	// /healthz and in the metrics role label.
-	reportedRole := *role
-	if reportedRole == "node" && len(peers) > 0 {
-		reportedRole = "coordinator"
-	}
 	var registry *tenant.Registry
 	if *authTokens != "" {
 		var err error
@@ -176,11 +172,10 @@ func main() {
 		RetainTerminalJobs: *retainJobs,
 		WorkerEndpoint:     *role == "worker",
 		Peers:              peers,
-		Coordinator:        *role == "coordinator",
 		ShardChunkTimeout:  *shardTimeout,
 		ShardChunkCells:    *shardChunkCells,
 		PeerCacheTimeout:   *peerCacheWait,
-		Role:               reportedRole,
+		Role:               *role,
 		Node:               *node,
 		AuthTokens:         registry,
 		PeerToken:          *peerToken,

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -37,27 +36,6 @@ func labelPeer(fams []obs.PromFamily, peer string) []obs.PromFamily {
 		out[i] = nf
 	}
 	return out
-}
-
-// scrapePeer fetches and parses one peer's exposition.
-func (m *Manager) scrapePeer(ctx context.Context, addr string) ([]obs.PromFamily, error) {
-	ctx, cancel := context.WithTimeout(ctx, m.cfg.FleetScrapeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/metrics?format=prom", nil)
-	if err != nil {
-		return nil, err
-	}
-	m.peerAuth(req)
-	resp, err := m.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("peer %s: /metrics returned %s", addr, resp.Status)
-	}
-	return obs.ParseProm(resp.Body)
 }
 
 // FleetMetrics renders the fleet-wide exposition: this node's series
@@ -89,13 +67,16 @@ func (m *Manager) FleetMetrics(ctx context.Context) ([]byte, error) {
 	peerUp := make([]bool, len(peers))
 	var wg sync.WaitGroup
 	for i, p := range peers {
-		i, addr := i, p.addr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fams, err := m.scrapePeer(ctx, addr)
+			raw, err := m.peerCall(ctx, m.cfg.FleetScrapeTimeout, http.MethodGet, p.addr, "/metrics?format=prom", nil)
 			if err != nil {
 				return // dead peer: ice_peer_up 0, nothing else
+			}
+			fams, err := obs.ParseProm(bytes.NewReader(raw))
+			if err != nil {
+				return
 			}
 			peerFams[i] = fams
 			peerUp[i] = true

@@ -76,13 +76,9 @@ type Config struct {
 	RetainTerminalJobs int
 	// Peers seeds the fleet membership with other icesimd daemons
 	// ("host:port"). Seed members survive liveness pruning; runtime
-	// members join via POST /internal/join (see shard.go).
+	// members join via POST /internal/join (see shard.go). A node with
+	// seed peers coordinates (see Role).
 	Peers []string
-	// Coordinator makes this node a work-stealing dispatch coordinator:
-	// jobs run with a lease queue that registered peers pull chunks
-	// from, and cache misses consult peers' stores before simulating.
-	// Implied by a non-empty Peers list.
-	Coordinator bool
 	// WorkerEndpoint enables POST /internal/cells, letting a
 	// coordinator assign this node cell ranges (icesimd -role worker).
 	WorkerEndpoint bool
@@ -96,9 +92,13 @@ type Config struct {
 	// PeerCacheTimeout bounds the fleet-wide cache consultation on a
 	// local miss (<=0: 2 seconds). On expiry the job simulates.
 	PeerCacheTimeout time.Duration
-	// Role is the daemon's reported role ("node", "worker",
-	// "coordinator"); it surfaces in /healthz and as the exposition's
-	// role const label. Empty defaults to "node".
+	// Role is the daemon's role ("node", "worker", "coordinator"); it
+	// surfaces in /healthz and as the exposition's role const label.
+	// Empty defaults to "node", and a node with seed Peers reports
+	// "coordinator". A coordinator — Role "coordinator" or any node with
+	// seed Peers — runs jobs with a lease queue that registered peers
+	// pull chunks from, and consults peers' stores on a cache miss
+	// before simulating.
 	Role string
 	// Node is the daemon's node name for /healthz and the exposition's
 	// node const label. Empty defaults to the hostname.
@@ -169,7 +169,7 @@ type job struct {
 	trace     []byte
 	cancel    context.CancelFunc
 	// start is closed by the scheduler when the job is dispatched into
-	// a running slot; run blocks on it. Replaced on every requeue.
+	// a running slot; run blocks on it. Made anew on every enqueue.
 	start chan struct{}
 	// partial holds completed cells' Sink payloads of a preemptible
 	// (batch) run, keyed by cell index, for Prefill on resume.
@@ -207,11 +207,10 @@ type Manager struct {
 	nextID   int
 	jobs     map[string]*job
 	order    []string // submission order for List
-	queued   int      // jobs currently in StateQueued (O(1) Submit bound check)
 	fq       *fairQueue
 	tenants  map[string]*tenantState
-	cache    *resultCache
-	store    *diskStore // nil without Config.StateDir
+	cache    *lru[cacheEntry] // memory tier: each entry costs 1
+	store    *diskStore       // nil without Config.StateDir
 	// terminalByKey holds terminal job IDs per principal and state,
 	// oldest first, for the retention policy — per-principal so one
 	// tenant's churn cannot evict another tenant's history.
@@ -247,8 +246,8 @@ type Manager struct {
 	bootCtr           *obs.Counter
 	diskBytes         *obs.Gauge
 	diskEntries       *obs.Gauge
-	// Shard instruments: the coordinator set is registered only with
-	// Config.Coordinator, the served set only with WorkerEndpoint; both
+	// Shard instruments: the coordinator set is registered only on a
+	// coordinator, the served set only with WorkerEndpoint; both
 	// stay nil (and nil-safe) otherwise. peerCacheServedCtr is always
 	// registered: any node may serve its cache to a coordinator.
 	shardRemoteCtr      *obs.Counter
@@ -313,6 +312,9 @@ func OpenManager(cfg Config) (*Manager, error) {
 	if cfg.MaxQueuedJobs <= 0 {
 		cfg.MaxQueuedJobs = 64
 	}
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = 256
+	}
 	if cfg.RetainTerminalJobs <= 0 {
 		cfg.RetainTerminalJobs = 256
 	}
@@ -322,9 +324,11 @@ func OpenManager(cfg Config) (*Manager, error) {
 	if cfg.PeerCacheTimeout <= 0 {
 		cfg.PeerCacheTimeout = 2 * time.Second
 	}
-	cfg.Coordinator = cfg.Coordinator || len(cfg.Peers) > 0
 	if cfg.Role == "" {
 		cfg.Role = "node"
+	}
+	if cfg.Role == "node" && len(cfg.Peers) > 0 {
+		cfg.Role = "coordinator"
 	}
 	if cfg.Node == "" {
 		if host, err := os.Hostname(); err == nil {
@@ -345,7 +349,7 @@ func OpenManager(cfg Config) (*Manager, error) {
 		fq:                newFairQueue(cfg.MaxRunningJobs),
 		tenants:           make(map[string]*tenantState),
 		jobs:              make(map[string]*job),
-		cache:             newResultCache(cfg.CacheEntries),
+		cache:             newLRU[cacheEntry](int64(cfg.CacheEntries), nil),
 		terminalByKey:     make(map[string][]string),
 		reg:               reg,
 		subCtr:            reg.Counter("service.jobs.submitted"),
@@ -373,7 +377,7 @@ func OpenManager(cfg Config) (*Manager, error) {
 		httpRoutes:        make(map[string]*routeInstruments),
 	}
 	m.peerCacheServedCtr = reg.Counter("service.cache.peer_served")
-	if cfg.Coordinator {
+	if m.coordinates() {
 		m.shardRemoteCtr = reg.Counter("service.shard.remote_cells")
 		m.shardStealCtr = reg.Counter("service.shard.steals")
 		m.shardLeaseCtr = reg.Counter("service.shard.leases")
@@ -414,6 +418,13 @@ func OpenManager(cfg Config) (*Manager, error) {
 		m.diskEntries.Set(int64(store.len()))
 	}
 	return m, nil
+}
+
+// coordinates reports whether this node dispatches its jobs' chunks to
+// peers and consults their stores on a cache miss: its role is
+// coordinator, or it has seed peers.
+func (m *Manager) coordinates() bool {
+	return m.cfg.Role == "coordinator" || len(m.cfg.Peers) > 0
 }
 
 // Metrics snapshots the service instrument registry, refreshing the
@@ -482,35 +493,23 @@ func (m *Manager) SubmitAs(spec JobSpec, principal string) (JobView, error) {
 		class:     classOf(spec),
 		cost:      jobCost(spec),
 		subs:      map[int]chan StreamEvent{},
-		start:     make(chan struct{}),
 		done:      make(chan struct{}),
 	}
 
-	if entry, ok := m.cache.get(key); ok {
+	// A verified disk hit is promoted into the memory tier and served
+	// exactly like a memory hit; a corrupted entry has been quarantined
+	// and the job simulates afresh.
+	entry, tier := m.lookupLocked(key)
+	switch tier {
+	case tierMemory:
 		m.hitCtr.Inc()
-		defer m.mu.Unlock()
-		return m.resolveCachedLocked(j, entry), nil
-	}
-	m.missCtr.Inc()
-
-	// Memory miss: consult the disk store. A verified disk entry is
-	// promoted into the memory front and served exactly like a memory
-	// hit; a corrupted one has been quarantined and the job simulates
-	// afresh.
-	if m.store != nil {
-		entry, ok, corrupt := m.store.get(key)
-		if corrupt {
-			m.corruptCtr.Inc()
-			m.syncStoreGaugesLocked()
-		}
-		if ok {
-			m.diskHitCtr.Inc()
-			m.evictCtr.Add(uint64(m.cache.put(key, entry)))
-			m.entriesGauge.Set(int64(m.cache.len()))
-			defer m.mu.Unlock()
-			return m.resolveCachedLocked(j, entry), nil
-		}
-		m.diskMissCtr.Inc()
+	case tierDisk:
+		m.missCtr.Inc()
+		m.diskHitCtr.Inc()
+		m.admitLocked(key, entry)
+	default:
+		m.missCtr.Inc()
+		m.diskMissCtr.Inc() // nil without a disk store
 	}
 
 	// Both local tiers missed: on a coordinator, ask registered peers'
@@ -519,50 +518,92 @@ func (m *Manager) SubmitAs(spec JobSpec, principal string) (JobView, error) {
 	// is promoted into both local tiers — attributed to the submitting
 	// principal like any result this node produced — and served
 	// byte-identical without simulating a single cell.
-	if m.cfg.Coordinator && len(m.peers) > 0 {
+	if tier == tierNone && m.coordinates() && len(m.peers) > 0 {
 		m.mu.Unlock()
-		entry, ok := m.peerCacheLookup(context.Background(), key)
+		var ok bool
+		entry, ok = m.peerCacheLookup(context.Background(), key)
 		m.mu.Lock()
 		if m.closed {
 			m.mu.Unlock()
 			return JobView{}, ErrDraining
 		}
 		if ok {
+			tier = tierPeer
 			m.peerCacheHitCtr.Inc()
-			m.evictCtr.Add(uint64(m.cache.put(key, entry)))
-			m.entriesGauge.Set(int64(m.cache.len()))
-			m.persistLocked(m.tenantLocked(principal), key, entry)
-			defer m.mu.Unlock()
-			return m.resolveCachedLocked(j, entry), nil
+			m.admitLocked(key, entry)
+			m.persistLocked(ts, key, entry)
+		} else {
+			m.peerCacheMissCtr.Inc()
 		}
-		m.peerCacheMissCtr.Inc()
-		ts = m.tenantLocked(principal)
 	}
 	defer m.mu.Unlock()
+	if tier != tierNone {
+		return m.resolveCachedLocked(j, entry), nil
+	}
 
-	if m.queued >= m.cfg.MaxQueuedJobs {
+	if m.fq.len() >= m.cfg.MaxQueuedJobs {
 		ts.rejectedCtr.Inc()
 		return JobView{}, ErrQueueFull
 	}
-	if ts.p.MaxQueuedJobs > 0 && ts.queuedJobs >= ts.p.MaxQueuedJobs {
+	if ts.p.MaxQueuedJobs > 0 && m.fq.queuedOf(principal) >= ts.p.MaxQueuedJobs {
 		ts.rejectedCtr.Inc()
 		return JobView{}, ErrQuotaExceeded
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	j.state = StateQueued
-	j.cancel = cancel
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	m.queued++
-	m.queuedGauge.Add(1)
-	ts.queuedJobs++
-	ts.queuedG.Add(1)
-	m.fq.enqueue(j, ts.p.Weight, false)
+	m.enqueueLocked(j, false)
+	return m.viewLocked(j), nil
+}
+
+// Result tiers, as lookupLocked reports them.
+const (
+	tierNone = iota
+	tierMemory
+	tierDisk
+	tierPeer
+)
+
+// lookupLocked walks the local result tiers — memory, then the verified
+// disk store — and reports which one answered (tierNone on a miss). A
+// corrupt disk entry is quarantined, counted, and reads as a miss. It
+// moves no hit or miss counter: submission and peer serving count
+// differently.
+func (m *Manager) lookupLocked(key string) (cacheEntry, int) {
+	if entry, ok := m.cache.get(key); ok {
+		return entry, tierMemory
+	}
+	if m.store == nil {
+		return cacheEntry{}, tierNone
+	}
+	entry, ok, corrupt := m.store.get(key)
+	if corrupt {
+		m.corruptCtr.Inc()
+		m.syncStoreGaugesLocked()
+	}
+	if !ok {
+		return cacheEntry{}, tierNone
+	}
+	return entry, tierDisk
+}
+
+// admitLocked puts an entry into the memory tier.
+func (m *Manager) admitLocked(key string, entry cacheEntry) {
+	m.evictCtr.Add(uint64(m.cache.put(key, entry, 1)))
+	m.entriesGauge.Set(int64(m.cache.len()))
+}
+
+// enqueueLocked queues one segment of a job — a fresh submission, or a
+// preempted job at the front of its principal's queue — and starts the
+// goroutine that waits for its dispatch.
+func (m *Manager) enqueueLocked(j *job, front bool) {
+	ctx, cancel := context.WithCancel(context.Background())
+	j.cancel = cancel
+	j.state = StateQueued
+	j.start = make(chan struct{})
+	m.fq.enqueue(j, m.tenantLocked(j.principal).p.Weight, front)
 	m.wg.Add(1)
 	go m.run(ctx, j)
 	m.scheduleLocked()
-	return m.viewLocked(j), nil
 }
 
 // resolveCachedLocked completes a submission from a cached entry: the
@@ -701,25 +742,13 @@ func (m *Manager) requeueIfPreempted(j *job, err error) bool {
 	j.preemptions++
 	m.requeueCtr.Inc()
 	m.releaseRunningLocked(j)
-	ctx, cancel := context.WithCancel(context.Background())
-	j.cancel = cancel
-	j.state = StateQueued
-	j.start = make(chan struct{})
-	m.queued++
-	m.queuedGauge.Add(1)
-	ts := m.tenantLocked(j.principal)
-	ts.queuedJobs++
-	ts.queuedG.Add(1)
-	m.fq.enqueue(j, ts.p.Weight, true)
-	m.wg.Add(1)
-	go m.run(ctx, j)
-	m.scheduleLocked()
+	m.enqueueLocked(j, true)
 	return true
 }
 
 // publish records progress and fans it out to subscribers. Sends are
 // non-blocking: a slow stream reader loses intermediate events, never
-// the terminal one (the channel close carries that).
+// the terminal one (finish makes room for it).
 func (m *Manager) publish(j *job, p harness.Progress) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -752,17 +781,14 @@ func (m *Manager) finish(j *job, result, traceJSON []byte, err error) {
 
 	wasRunning := j.state == StateRunning
 	wasQueued := j.state == StateQueued
-	ts := m.tenantLocked(j.principal)
 	switch {
 	case err == nil:
 		j.state = StateDone
 		j.result = result
 		j.trace = traceJSON
 		entry := cacheEntry{result: result, trace: traceJSON}
-		evicted := m.cache.put(j.key, entry)
-		m.evictCtr.Add(uint64(evicted))
-		m.entriesGauge.Set(int64(m.cache.len()))
-		m.persistLocked(ts, j.key, entry)
+		m.admitLocked(j.key, entry)
+		m.persistLocked(m.tenantLocked(j.principal), j.key, entry)
 		m.doneCtr.Inc()
 	case errors.Is(err, context.Canceled):
 		j.state = StateCancelled
@@ -777,21 +803,23 @@ func (m *Manager) finish(j *job, result, traceJSON []byte, err error) {
 		m.releaseRunningLocked(j)
 	}
 	if wasQueued {
-		m.queued--
-		m.queuedGauge.Add(-1)
 		m.fq.remove(j)
-		ts.queuedJobs--
-		ts.queuedG.Add(-1)
 	}
 	j.partial = nil // terminal: captured payloads are no longer needed
 	m.recordTerminalLocked(j)
 
+	// Every send to a subscriber happens under mu, so a buffer can only
+	// drain under us: once a full one drops its oldest progress event,
+	// the terminal send cannot block, and it is always the last event.
 	ev := m.terminalEventLocked(j)
 	for id, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
+		if len(ch) == cap(ch) {
+			select {
+			case <-ch:
+			default: // the reader drained it meanwhile
+			}
 		}
+		ch <- ev
 		close(ch)
 		delete(j.subs, id)
 	}

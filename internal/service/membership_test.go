@@ -32,7 +32,7 @@ func postJoin(t *testing.T, url, path string, req joinRequest) int {
 func TestJoinEndpoint(t *testing.T) {
 	_, workerAddr := workerAddr(t)
 
-	coord := NewManager(Config{MaxWorkers: 1, Coordinator: true})
+	coord := NewManager(Config{MaxWorkers: 1, Role: "coordinator"})
 	cts := httptest.NewServer(NewServer(coord))
 	defer cts.Close()
 
@@ -114,7 +114,7 @@ func TestSeedPeerSurvivesLeaveAndPruning(t *testing.T) {
 func TestLateJoinWorkerReceivesLeases(t *testing.T) {
 	_, addr := workerAddr(t)
 
-	coord := NewManager(Config{MaxWorkers: 1, Coordinator: true, ShardChunkCells: 1})
+	coord := NewManager(Config{MaxWorkers: 1, Role: "coordinator", ShardChunkCells: 1})
 	cts := httptest.NewServer(NewServer(coord))
 	defer cts.Close()
 

@@ -2,22 +2,17 @@ package service
 
 // peercache.go makes every node's content-addressed result store a
 // fleet-wide resource: GET /internal/cache/<key> serves a node's cached
-// entry (memory tier first, then the verified disk store) in the exact
-// on-disk format — integrity header line, then raw result, then raw
-// trace — and a coordinator that misses both its own tiers asks every
-// healthy member before simulating. The header's lengths and SHA-256
-// checksums are re-verified on the coordinator, so a remote entry is
-// trusted only after the same end-to-end check a local disk read gets;
-// the cache key already pins spec and code version, making a verified
-// remote payload byte-identical to what a local simulation would
-// produce.
+// entry (memory tier first, then the verified disk store) encoded
+// exactly as the disk store writes it — integrity header line, then raw
+// result, then raw trace — and a coordinator that misses both its own
+// tiers asks every healthy member before simulating. A fetched entry
+// passes through the same decodeEntry check a local disk read does, so
+// a remote entry is trusted only as far as a local one; the cache key
+// already pins spec and code version, making a verified remote payload
+// byte-identical to what a local simulation would produce.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 )
@@ -26,51 +21,19 @@ import (
 // shared read side of the content-addressed store.
 const internalCachePath = "/internal/cache/"
 
-// maxPeerEntryBytes caps one fetched peer entry (header + payloads). A
-// peer serving more than this is misbehaving; the response is dropped.
-const maxPeerEntryBytes = 1 << 30
-
-// peerCacheEntry renders the locally cached entry for key in wire
-// format (header line + result + trace), for serving to a peer. It
-// checks the memory tier first, then the verified disk store.
+// peerCacheEntry encodes the locally cached entry for key for serving
+// to a peer.
 func (m *Manager) peerCacheEntry(key string) ([]byte, bool) {
 	m.mu.Lock()
-	entry, ok := m.cache.get(key)
-	if !ok && m.store != nil {
-		var corrupt bool
-		entry, ok, corrupt = m.store.get(key)
-		if corrupt {
-			m.corruptCtr.Inc()
-			m.syncStoreGaugesLocked()
-		}
-	}
-	if ok {
+	entry, tier := m.lookupLocked(key)
+	if tier != tierNone {
 		m.peerCacheServedCtr.Inc()
 	}
 	m.mu.Unlock()
-	if !ok {
+	if tier == tierNone {
 		return nil, false
 	}
-	return encodePeerEntry(key, entry), true
-}
-
-// encodePeerEntry renders one cache entry in the store's wire format.
-func encodePeerEntry(key string, e cacheEntry) []byte {
-	hdr := storeHeader{
-		Schema: storeSchema, Version: codeVersion(), Key: key,
-		ResultLen: int64(len(e.result)), ResultSHA: sha256Hex(e.result),
-		TraceLen: int64(len(e.trace)), TraceSHA: sha256Hex(e.trace),
-	}
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		return nil // storeHeader is all plain fields; cannot happen
-	}
-	buf := make([]byte, 0, len(line)+1+len(e.result)+len(e.trace))
-	buf = append(buf, line...)
-	buf = append(buf, '\n')
-	buf = append(buf, e.result...)
-	buf = append(buf, e.trace...)
-	return buf
+	return encodeEntry(key, codeVersion(), entry), true
 }
 
 // peerCacheLookup asks every healthy member for the entry concurrently
@@ -85,85 +48,29 @@ func (m *Manager) peerCacheLookup(ctx context.Context, key string) (cacheEntry, 
 			addrs = append(addrs, p.addr)
 		}
 	}
-	timeout := m.cfg.PeerCacheTimeout
 	m.mu.Unlock()
 	if len(addrs) == 0 {
 		return cacheEntry{}, false
 	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hits := make(chan cacheEntry, len(addrs))
 	var wg sync.WaitGroup
 	for _, addr := range addrs {
 		wg.Add(1)
-		go func(addr string) {
+		go func() {
 			defer wg.Done()
-			if e, err := m.fetchPeerEntry(ctx, addr, key); err == nil {
+			raw, err := m.peerCall(ctx, m.cfg.PeerCacheTimeout, http.MethodGet, addr, internalCachePath+key, nil)
+			if err != nil {
+				return
+			}
+			if e, err := decodeEntry(raw, key, codeVersion()); err == nil {
 				hits <- e
 			}
-		}(addr)
+		}()
 	}
 	go func() { wg.Wait(); close(hits) }()
 	e, ok := <-hits
 	cancel() // first hit wins; abort the stragglers
 	return e, ok
-}
-
-// fetchPeerEntry fetches and fully verifies one peer's entry for key.
-func (m *Manager) fetchPeerEntry(ctx context.Context, addr, key string) (cacheEntry, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+internalCachePath+key, nil)
-	if err != nil {
-		return cacheEntry{}, err
-	}
-	m.peerAuth(req)
-	resp, err := m.httpc.Do(req)
-	if err != nil {
-		return cacheEntry{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
-		return cacheEntry{}, fmt.Errorf("%s: %s", addr, resp.Status)
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerEntryBytes+1))
-	if err != nil {
-		return cacheEntry{}, err
-	}
-	if len(raw) > maxPeerEntryBytes {
-		return cacheEntry{}, fmt.Errorf("%s: entry exceeds %d bytes", addr, maxPeerEntryBytes)
-	}
-	return decodePeerEntry(raw, key)
-}
-
-// decodePeerEntry applies the full local-disk trust check to a fetched
-// entry: schema, key and code-version pins, declared lengths, and both
-// payload SHA-256 checksums. Anything short of a perfect match is
-// rejected — a peer hit must be as trustworthy as a local one.
-func decodePeerEntry(raw []byte, key string) (cacheEntry, error) {
-	hdr, hdrLen, err := readHeader(bytes.NewReader(raw))
-	if err != nil {
-		return cacheEntry{}, err
-	}
-	if hdr.Key != key {
-		return cacheEntry{}, fmt.Errorf("entry key %q, want %q", hdr.Key, key)
-	}
-	if hdr.Version != codeVersion() {
-		return cacheEntry{}, fmt.Errorf("entry version %q, want %q", hdr.Version, codeVersion())
-	}
-	body := raw[hdrLen:]
-	if int64(len(body)) != hdr.ResultLen+hdr.TraceLen {
-		return cacheEntry{}, fmt.Errorf("truncated: %d payload bytes, header declares %d", len(body), hdr.ResultLen+hdr.TraceLen)
-	}
-	result := append([]byte(nil), body[:hdr.ResultLen]...)
-	trace := append([]byte(nil), body[hdr.ResultLen:]...)
-	if sha256Hex(result) != hdr.ResultSHA {
-		return cacheEntry{}, fmt.Errorf("result checksum mismatch")
-	}
-	if sha256Hex(trace) != hdr.TraceSHA {
-		return cacheEntry{}, fmt.Errorf("trace checksum mismatch")
-	}
-	if len(trace) == 0 {
-		trace = nil
-	}
-	return cacheEntry{result: result, trace: trace}, nil
 }

@@ -108,7 +108,7 @@ func TestInternalCacheEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("cache fetch: status %d", code)
 	}
-	entry, err := decodePeerEntry(raw, key)
+	entry, err := decodeEntry(raw, key, codeVersion())
 	if err != nil {
 		t.Fatalf("served entry failed verification: %v", err)
 	}
@@ -122,11 +122,11 @@ func TestInternalCacheEndpoint(t *testing.T) {
 	// Tampering with a single payload byte must fail verification.
 	tampered := append([]byte(nil), raw...)
 	tampered[len(tampered)-1] ^= 1
-	if _, err := decodePeerEntry(tampered, key); err == nil {
+	if _, err := decodeEntry(tampered, key, codeVersion()); err == nil {
 		t.Error("tampered entry passed verification")
 	}
 	// An entry for a different key must be rejected even if intact.
-	if _, err := decodePeerEntry(raw, missing); err == nil {
+	if _, err := decodeEntry(raw, missing, codeVersion()); err == nil {
 		t.Error("key-mismatched entry passed verification")
 	}
 }

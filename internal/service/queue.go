@@ -84,8 +84,9 @@ type tenantQueues struct {
 	deficit [numClasses]int
 }
 
-// fairQueue is the scheduler proper. It is not self-locking: the
-// owning Manager serialises every call under its mutex.
+// fairQueue is the scheduler proper, and the one record of how many
+// jobs wait. It is not self-locking: the owning Manager serialises
+// every call under its mutex.
 type fairQueue struct {
 	maxRunning int
 	running    map[*job]struct{}
@@ -113,6 +114,18 @@ func (q *fairQueue) queues(name string, weight int) *tenantQueues {
 		t.weight = weight
 	}
 	return t
+}
+
+// len reports the jobs waiting in every class.
+func (q *fairQueue) len() int { return q.queued[classInteractive] + q.queued[classBatch] }
+
+// queuedOf reports the jobs one principal has waiting.
+func (q *fairQueue) queuedOf(name string) int {
+	t := q.tq[name]
+	if t == nil {
+		return 0
+	}
+	return len(t.q[classInteractive]) + len(t.q[classBatch])
 }
 
 // enqueue adds a job to its principal's class queue; front requeues a
@@ -225,8 +238,6 @@ type tenantState struct {
 	p     *tenant.Principal
 	cells chan struct{} // per-principal in-flight cell budget; nil = unlimited
 
-	queuedJobs int // jobs waiting in the scheduler
-
 	cacheKeys  map[string]int64 // cache key -> attributed payload bytes
 	cacheBytes int64
 
@@ -270,7 +281,9 @@ func (m *Manager) tenantLocked(name string) *tenantState {
 }
 
 // scheduleLocked dispatches queued jobs into free running slots, then
-// preempts batch work if interactive work is still waiting.
+// preempts batch work if interactive work is still waiting. Every
+// queue transition — submit, requeue, dispatch, finish — ends here, so
+// this is the one place the level gauges are set.
 func (m *Manager) scheduleLocked() {
 	for len(m.fq.running) < m.fq.maxRunning {
 		j := m.fq.popNext()
@@ -280,6 +293,16 @@ func (m *Manager) scheduleLocked() {
 		m.startJobLocked(j)
 	}
 	m.maybePreemptLocked()
+
+	m.queuedGauge.Set(int64(m.fq.len()))
+	m.runningGauge.Set(int64(len(m.fq.running)))
+	for name, ts := range m.tenants {
+		ts.queuedG.Set(int64(m.fq.queuedOf(name)))
+		ts.runningG.Set(0)
+	}
+	for j := range m.fq.running {
+		m.tenantLocked(j.principal).runningG.Add(1)
+	}
 }
 
 // startJobLocked transitions a popped job to running and releases its
@@ -288,22 +311,13 @@ func (m *Manager) startJobLocked(j *job) {
 	m.fq.running[j] = struct{}{}
 	j.state = StateRunning
 	j.started = nowFunc()
-	m.queued--
-	m.queuedGauge.Add(-1)
-	m.runningGauge.Add(1)
-	ts := m.tenantLocked(j.principal)
-	ts.queuedJobs--
-	ts.queuedG.Add(-1)
-	ts.runningG.Add(1)
 	close(j.start)
 }
 
 // releaseRunningLocked takes a no-longer-running job out of the
-// running set and updates the level gauges.
+// running set.
 func (m *Manager) releaseRunningLocked(j *job) {
 	delete(m.fq.running, j)
-	m.runningGauge.Add(-1)
-	m.tenantLocked(j.principal).runningG.Add(-1)
 	j.elapsed += nowFunc().Sub(j.started)
 }
 

@@ -18,6 +18,15 @@ import (
 // unknown bearer token (HTTP 401).
 var ErrUnauthorized = errors.New("service: missing or invalid bearer token")
 
+// errBadBody marks a request body that does not decode (HTTP 400).
+var errBadBody = errors.New("invalid")
+
+// maxRequestBytes caps every request body (HTTP 413 beyond it). The
+// largest legitimate body, a JobSpec inside a shardRequest, is under
+// 1 KB; without a cap one oversized POST is buffered whole by the
+// decoder before it is rejected.
+const maxRequestBytes = 1 << 20
+
 // authPrincipal resolves the caller's principal on a protected route.
 // With auth disabled every caller is the anonymous principal; with
 // auth enabled the request must carry "Authorization: Bearer <token>"
@@ -67,10 +76,12 @@ func (m *Manager) authPrincipal(r *http.Request) (string, error) {
 // service.http.{requests,errors,latency_us}.<route>.
 //
 // With Config.AuthTokens set, the mutating routes (POST /jobs,
-// POST /jobs/{id}/cancel, POST /internal/cells) require a bearer
-// token from the token file; health and metrics stay open so probes
-// and scrapers need no credentials. Cancel additionally enforces
-// ownership: a principal may only cancel its own jobs.
+// POST /jobs/{id}/cancel) and the internal fleet routes require a
+// bearer token from the token file; health and metrics stay open so
+// probes and scrapers need no credentials. Cancel additionally enforces
+// ownership: a principal may only cancel its own jobs. A fleet route
+// this node's role does not serve answers 403 before any credential
+// check. Request bodies are capped at maxRequestBytes.
 func NewServer(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
@@ -85,6 +96,30 @@ func NewServer(m *Manager) http.Handler {
 			h(sw, r)
 			m.noteHTTP(ri, sw.status, time.Since(start))
 		})
+	}
+	// authed wires a route that needs the caller's principal. A non-nil
+	// refuse answers every request 403 before any credential check: the
+	// route belongs to another role.
+	authed := func(pattern, route string, refuse error, h func(http.ResponseWriter, *http.Request, string)) {
+		handle(pattern, route, func(w http.ResponseWriter, r *http.Request) {
+			if refuse != nil {
+				writeErr(w, http.StatusForbidden, refuse)
+				return
+			}
+			principal, err := m.authPrincipal(r)
+			if err != nil {
+				fail(w, err)
+				return
+			}
+			h(w, r, principal)
+		})
+	}
+	var notWorker, notCoordinator error
+	if !m.cfg.WorkerEndpoint {
+		notWorker = errors.New("not a worker node (start icesimd with -role worker)")
+	}
+	if !m.coordinates() {
+		notCoordinator = errors.New("not a coordinator (start icesimd with -role coordinator or -peers)")
 	}
 
 	handle("GET /healthz", "healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -145,8 +180,8 @@ func NewServer(m *Manager) http.Handler {
 	})
 
 	handle("GET /fleet/metrics", "fleet_metrics", func(w http.ResponseWriter, r *http.Request) {
-		if !m.cfg.Coordinator {
-			writeErr(w, http.StatusNotFound, errors.New("not a coordinator (start icesimd with -role coordinator or -peers)"))
+		if notCoordinator != nil {
+			writeErr(w, http.StatusNotFound, notCoordinator)
 			return
 		}
 		text, err := m.FleetMetrics(r.Context())
@@ -158,32 +193,15 @@ func NewServer(m *Manager) http.Handler {
 		w.Write(text)
 	})
 
-	handle("POST /jobs", "jobs_submit", func(w http.ResponseWriter, r *http.Request) {
-		principal, err := m.authPrincipal(r)
-		if err != nil {
-			writeErr(w, http.StatusUnauthorized, err)
-			return
-		}
+	authed("POST /jobs", "jobs_submit", nil, func(w http.ResponseWriter, r *http.Request, principal string) {
 		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid job spec: %w", err))
+		if err := decodeBody(w, r, "job spec", &spec); err != nil {
+			fail(w, err)
 			return
 		}
 		view, err := m.SubmitAs(spec, principal)
 		if err != nil {
-			var bad *BadSpecError
-			switch {
-			case errors.As(err, &bad):
-				writeErr(w, http.StatusBadRequest, err)
-			case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQuotaExceeded):
-				writeErr(w, http.StatusTooManyRequests, err)
-			case errors.Is(err, ErrDraining):
-				writeErr(w, http.StatusServiceUnavailable, err)
-			default:
-				writeErr(w, http.StatusInternalServerError, err)
-			}
+			fail(w, err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, view)
@@ -196,25 +214,16 @@ func NewServer(m *Manager) http.Handler {
 	handle("GET /jobs/{id}", "jobs_get", func(w http.ResponseWriter, r *http.Request) {
 		view, err := m.Get(r.PathValue("id"))
 		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			fail(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, view)
 	})
 
-	handle("POST /jobs/{id}/cancel", "jobs_cancel", func(w http.ResponseWriter, r *http.Request) {
-		principal, err := m.authPrincipal(r)
-		if err != nil {
-			writeErr(w, http.StatusUnauthorized, err)
-			return
-		}
+	authed("POST /jobs/{id}/cancel", "jobs_cancel", nil, func(w http.ResponseWriter, r *http.Request, principal string) {
 		requested, err := m.CancelBy(r.PathValue("id"), principal)
-		switch {
-		case errors.Is(err, ErrForbidden):
-			writeErr(w, http.StatusForbidden, err)
-			return
-		case err != nil:
-			writeErr(w, http.StatusNotFound, err)
+		if err != nil {
+			fail(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"cancel_requested": requested})
@@ -223,7 +232,7 @@ func NewServer(m *Manager) http.Handler {
 	handle("GET /jobs/{id}/result", "jobs_result", func(w http.ResponseWriter, r *http.Request) {
 		payload, state, err := m.Result(r.PathValue("id"))
 		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			fail(w, err)
 			return
 		}
 		if !terminal(state) {
@@ -241,7 +250,7 @@ func NewServer(m *Manager) http.Handler {
 	handle("GET /jobs/{id}/trace", "jobs_trace", func(w http.ResponseWriter, r *http.Request) {
 		payload, state, err := m.Trace(r.PathValue("id"))
 		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			fail(w, err)
 			return
 		}
 		if !terminal(state) {
@@ -258,26 +267,16 @@ func NewServer(m *Manager) http.Handler {
 	})
 
 	// Worker half of the sharding protocol (see shard.go): execute a
-	// coordinator-assigned cell range. Gated on Config.WorkerEndpoint
-	// so a plain node never runs foreign cell ranges by accident.
-	handle("POST "+internalCellsPath, "internal_cells", func(w http.ResponseWriter, r *http.Request) {
-		if !m.cfg.WorkerEndpoint {
-			writeErr(w, http.StatusForbidden, errors.New("not a worker node (start icesimd with -role worker)"))
-			return
-		}
-		// The coordinator authenticates with its own fleet token; the
-		// submitting tenant's identity travels in the request body and
-		// is attributed (and quota'd) as-is — the worker trusts an
-		// authenticated coordinator's principal claim.
-		if _, err := m.authPrincipal(r); err != nil {
-			writeErr(w, http.StatusUnauthorized, err)
-			return
-		}
+	// coordinator-assigned cell range. Served only with
+	// Config.WorkerEndpoint, so a plain node never runs foreign cell
+	// ranges by accident. The coordinator authenticates with its own
+	// fleet token; the submitting tenant's identity travels in the
+	// request body and is attributed (and quota'd) as-is — the worker
+	// trusts an authenticated coordinator's principal claim.
+	authed("POST "+internalCellsPath, "internal_cells", notWorker, func(w http.ResponseWriter, r *http.Request, _ string) {
 		var req shardRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid shard request: %w", err))
+		if err := decodeBody(w, r, "shard request", &req); err != nil {
+			fail(w, err)
 			return
 		}
 		if req.Version != codeVersion() {
@@ -287,20 +286,12 @@ func NewServer(m *Manager) http.Handler {
 		}
 		cells, err := m.ExecCellRange(r.Context(), req.Spec, req.From, req.To, req.Principal)
 		if err != nil {
-			var bad *BadSpecError
-			switch {
-			case errors.As(err, &bad):
-				writeErr(w, http.StatusBadRequest, err)
-			case errors.Is(err, ErrDraining):
-				writeErr(w, http.StatusServiceUnavailable, err)
-			default:
-				writeErr(w, http.StatusInternalServerError, err)
-			}
+			fail(w, err)
 			return
 		}
 		resp := shardResponse{Cells: make([]json.RawMessage, len(cells))}
 		for i, c := range cells {
-			resp.Cells[i] = json.RawMessage(c)
+			resp.Cells[i] = c
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
@@ -308,54 +299,24 @@ func NewServer(m *Manager) http.Handler {
 	// Runtime membership (see shard.go): a worker announces itself to a
 	// coordinator, which admits it into dispatch rotation — and into
 	// every job already running — immediately.
-	handle("POST "+internalJoinPath, "internal_join", func(w http.ResponseWriter, r *http.Request) {
-		if !m.cfg.Coordinator {
-			writeErr(w, http.StatusForbidden, errors.New("not a coordinator (start icesimd with -role coordinator or -peers)"))
-			return
-		}
-		if _, err := m.authPrincipal(r); err != nil {
-			writeErr(w, http.StatusUnauthorized, err)
-			return
-		}
+	authed("POST "+internalJoinPath, "internal_join", notCoordinator, func(w http.ResponseWriter, r *http.Request, _ string) {
 		var req joinRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid join request: %w", err))
+		if err := decodeBody(w, r, "join request", &req); err != nil {
+			fail(w, err)
 			return
 		}
 		n, err := m.RegisterPeer(req.Addr, req.Node, req.Version)
-		switch {
-		case errors.Is(err, ErrPeerVersion):
-			writeErr(w, http.StatusConflict, err)
-			return
-		case errors.Is(err, ErrBadPeerAddr):
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		case errors.Is(err, ErrDraining):
-			writeErr(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeErr(w, http.StatusInternalServerError, err)
+		if err != nil {
+			fail(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]int{"peers": n})
 	})
 
-	handle("POST "+internalLeavePath, "internal_leave", func(w http.ResponseWriter, r *http.Request) {
-		if !m.cfg.Coordinator {
-			writeErr(w, http.StatusForbidden, errors.New("not a coordinator"))
-			return
-		}
-		if _, err := m.authPrincipal(r); err != nil {
-			writeErr(w, http.StatusUnauthorized, err)
-			return
-		}
+	authed("POST "+internalLeavePath, "internal_leave", notCoordinator, func(w http.ResponseWriter, r *http.Request, _ string) {
 		var req joinRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid leave request: %w", err))
+		if err := decodeBody(w, r, "leave request", &req); err != nil {
+			fail(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"removed": m.DeregisterPeer(req.Addr)})
@@ -364,11 +325,7 @@ func NewServer(m *Manager) http.Handler {
 	// Peer-shared cache read (see peercache.go): any node serves its
 	// own cached entries; the integrity header lets the caller verify
 	// end to end before trusting a byte.
-	handle("GET "+internalCachePath+"{key}", "internal_cache", func(w http.ResponseWriter, r *http.Request) {
-		if _, err := m.authPrincipal(r); err != nil {
-			writeErr(w, http.StatusUnauthorized, err)
-			return
-		}
+	authed("GET "+internalCachePath+"{key}", "internal_cache", nil, func(w http.ResponseWriter, r *http.Request, _ string) {
 		key := r.PathValue("key")
 		if !validCacheKey(key) {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("cache key must be 64 hex characters, got %q", key))
@@ -387,7 +344,7 @@ func NewServer(m *Manager) http.Handler {
 		id := r.PathValue("id")
 		events, cancelSub, err := m.Subscribe(id)
 		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			fail(w, err)
 			return
 		}
 		defer cancelSub()
@@ -421,31 +378,12 @@ func NewServer(m *Manager) http.Handler {
 			return true
 		}
 
-		sawTerminal := false
+		// The channel closes right after the terminal event.
 		for {
 			select {
 			case ev, ok := <-events:
-				if !ok {
-					// Channel closed; make sure the client got the final
-					// state even if the buffered terminal event was lost.
-					if !sawTerminal {
-						if view, err := m.Get(id); err == nil {
-							write(StreamEvent{
-								Job: view.ID, State: view.State,
-								Completed: view.Completed, Total: view.Total,
-								FailedCells: view.FailedCells,
-								ElapsedMs:   view.ElapsedMs,
-								Cached:      view.Cached, Error: view.Error,
-							})
-						}
-					}
+				if !ok || !write(ev) {
 					return
-				}
-				if !write(ev) {
-					return
-				}
-				if terminal(ev.State) {
-					sawTerminal = true
 				}
 			case <-r.Context().Done():
 				return
@@ -522,4 +460,47 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// fail answers an error from the manager or the request decoder with
+// its status.
+func fail(w http.ResponseWriter, err error) {
+	writeErr(w, statusOf(err), err)
+}
+
+// statusOf is the one map from an error to its HTTP status.
+func statusOf(err error) int {
+	var bad *BadSpecError
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &bad), errors.Is(err, errBadBody), errors.Is(err, ErrBadPeerAddr):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrUnauthorized):
+		return http.StatusUnauthorized
+	case errors.Is(err, ErrForbidden):
+		return http.StatusForbidden
+	case errors.Is(err, ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, ErrPeerVersion):
+		return http.StatusConflict
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQuotaExceeded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrDraining):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
+// decodeBody is the one request-body decoder: JSON into v, unknown
+// fields rejected, at most maxRequestBytes read. what names the body
+// in the error.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w %s: %w", errBadBody, what, err)
+	}
+	return nil
 }

@@ -54,6 +54,14 @@ const (
 // keeps its shape across worker restarts.
 const peerFailureLimit = 3
 
+// peerControlTimeout bounds one health probe or membership announce.
+const peerControlTimeout = 2 * time.Second
+
+// maxPeerBodyBytes caps the body of one peer answer. The largest
+// legitimate one is a traced cache entry; a peer sending more is
+// misbehaving and the answer is dropped.
+const maxPeerBodyBytes = 1 << 30
+
 // ErrPeerVersion rejects a join from a peer built at a different code
 // version: merged payloads must all come from identical code.
 var ErrPeerVersion = errors.New("service: peer version mismatch")
@@ -161,8 +169,7 @@ func (m *Manager) RegisterPeer(addr, node, version string) (int, error) {
 		return 0, ErrDraining
 	}
 	p := m.findPeerLocked(addr)
-	fresh := p == nil
-	if fresh {
+	if p == nil {
 		p = m.addPeerLocked(addr, false)
 		m.peerJoinCtr.Inc()
 	}
@@ -170,15 +177,27 @@ func (m *Manager) RegisterPeer(addr, node, version string) (int, error) {
 		p.node = node
 	}
 	p.failures = 0
-	wasHealthy := p.healthy
-	p.healthy = true
-	p.healthyG.Set(1)
-	if fresh || !wasHealthy {
+	m.setHealthLocked(p, true)
+	return len(m.peers), nil
+}
+
+// setHealthLocked moves a member into or out of rotation. A member that
+// returns to health is spawned into every active lease session, so a
+// joining or recovering worker starts pulling chunks for jobs already
+// running.
+func (m *Manager) setHealthLocked(p *peer, healthy bool) {
+	returning := healthy && !p.healthy
+	p.healthy = healthy
+	var up int64
+	if healthy {
+		up = 1
+	}
+	p.healthyG.Set(up)
+	if returning {
 		for s := range m.sessions {
 			s.spawnLocked(m, p)
 		}
 	}
-	return len(m.peers), nil
 }
 
 // DeregisterPeer handles a voluntary leave (a draining worker's POST
@@ -192,8 +211,7 @@ func (m *Manager) DeregisterPeer(addr string) bool {
 	if p == nil {
 		return false
 	}
-	p.healthy = false
-	p.healthyG.Set(0)
+	m.setHealthLocked(p, false)
 	if !p.seed {
 		m.removePeerLocked(p)
 	}
@@ -218,22 +236,13 @@ func (m *Manager) ProbePeers(ctx context.Context) int {
 	m.mu.Unlock()
 	healthy := 0
 	for _, p := range snapshot {
-		ok := m.probePeer(ctx, p)
+		_, err := m.peerCall(ctx, peerControlTimeout, http.MethodGet, p.addr, "/healthz", nil)
 		m.mu.Lock()
-		switch {
-		case ok:
+		m.setHealthLocked(p, err == nil)
+		if err == nil {
 			p.failures = 0
-			if !p.healthy {
-				p.healthy = true
-				p.healthyG.Set(1)
-				for s := range m.sessions {
-					s.spawnLocked(m, p)
-				}
-			}
 			healthy++
-		default:
-			p.healthy = false
-			p.healthyG.Set(0)
+		} else {
 			p.failures++
 			if !p.seed && p.failures >= peerFailureLimit && m.findPeerLocked(p.addr) == p {
 				m.removePeerLocked(p)
@@ -244,30 +253,50 @@ func (m *Manager) ProbePeers(ctx context.Context) int {
 	return healthy
 }
 
-// peerAuth attaches the configured fleet bearer token to an outbound
-// peer request. Open routes ignore it; authenticated workers require
-// it on every mutating route.
-func (m *Manager) peerAuth(req *http.Request) {
+// peerCall is the one client for calls to a fleet member: it sends
+// method addr+path, with in as a JSON body when non-nil, under timeout
+// and with the fleet token attached (open routes ignore it;
+// authenticated workers require it on every mutating route). It
+// returns the body of a 200 answer, read through the maxPeerBodyBytes
+// bound; any other status is an error.
+func (m *Manager) peerCall(ctx context.Context, timeout time.Duration, method, addr, path string, in any) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	if m.cfg.PeerToken != "" {
 		req.Header.Set("Authorization", "Bearer "+m.cfg.PeerToken)
 	}
-}
-
-func (m *Manager) probePeer(ctx context.Context, p *peer) bool {
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+p.addr+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	m.peerAuth(req)
 	resp, err := m.httpc.Do(req)
 	if err != nil {
-		return false
+		return nil, err
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, fmt.Errorf("%s%s: %s: %s", addr, path, resp.Status, bytes.TrimSpace(msg))
+	}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBodyBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) > maxPeerBodyBytes {
+		return nil, fmt.Errorf("%s%s: answer exceeds %d bytes", addr, path, maxPeerBodyBytes)
+	}
+	return raw, nil
 }
 
 // PeerHealthLoop probes immediately, then every interval, until ctx is
@@ -299,53 +328,28 @@ func (m *Manager) AnnounceLoop(ctx context.Context, coordinators []string, adver
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
-	announce := func() {
+	// Announces are best effort: a failed join is retried next interval,
+	// and a failed leave is healed by the coordinator's probe pruning.
+	announce := func(ctx context.Context, path string) {
 		for _, c := range coordinators {
-			m.postMembership(ctx, c, internalJoinPath, advertise)
+			m.peerCall(ctx, peerControlTimeout, http.MethodPost, c, path,
+				joinRequest{Addr: advertise, Node: m.cfg.Node, Version: codeVersion()})
 		}
 	}
-	announce()
+	announce(ctx, internalJoinPath)
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			leaveCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			for _, c := range coordinators {
-				m.postMembership(leaveCtx, c, internalLeavePath, advertise)
-			}
+			leaveCtx, cancel := context.WithTimeout(context.Background(), peerControlTimeout)
+			announce(leaveCtx, internalLeavePath)
 			cancel()
 			return
 		case <-t.C:
-			announce()
+			announce(ctx, internalJoinPath)
 		}
 	}
-}
-
-// postMembership posts one join/leave announcement to a coordinator.
-func (m *Manager) postMembership(ctx context.Context, coordinator, path, advertise string) error {
-	body, err := json.Marshal(joinRequest{Addr: advertise, Node: m.cfg.Node, Version: codeVersion()})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+coordinator+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	m.peerAuth(req)
-	resp, err := m.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s%s: %s", coordinator, path, resp.Status)
-	}
-	return nil
 }
 
 // stealSession is one running job's dispatcher state: the job's lease
@@ -367,7 +371,7 @@ type stealSession struct {
 // sessions even with zero current members — that is exactly what lets
 // a worker that joins mid-job start leasing.
 func (m *Manager) stealConfig(spec JobSpec, principal string) *harness.StealConfig {
-	if !m.cfg.Coordinator {
+	if !m.coordinates() {
 		return nil
 	}
 	return &harness.StealConfig{
@@ -460,47 +464,29 @@ func (m *Manager) notePeerFailure(p *peer) {
 	defer m.mu.Unlock()
 	m.shardPeerFailCtr.Inc()
 	m.shardRequeueCtr.Inc()
-	p.healthy = false
-	p.healthyG.Set(0)
+	m.setHealthLocked(p, false)
 }
 
 // postCells performs one dispatch attempt under the per-chunk timeout.
 func (m *Manager) postCells(ctx context.Context, p *peer, spec JobSpec, r harness.Range, principal string) ([][]byte, error) {
-	body, err := json.Marshal(shardRequest{Spec: spec, From: r.From, To: r.To, Version: codeVersion(), Principal: principal})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, m.cfg.ShardChunkTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+p.addr+internalCellsPath, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	m.peerAuth(req)
-
 	m.mu.Lock()
 	p.inflight.Add(1)
 	m.mu.Unlock()
-	resp, err := m.httpc.Do(req)
+	raw, err := m.peerCall(ctx, m.cfg.ShardChunkTimeout, http.MethodPost, p.addr, internalCellsPath,
+		shardRequest{Spec: spec, From: r.From, To: r.To, Version: codeVersion(), Principal: principal})
 	m.mu.Lock()
 	p.inflight.Add(-1)
 	m.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("%s: %s: %s", p.addr, resp.Status, bytes.TrimSpace(msg))
-	}
 	var sr shardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := json.Unmarshal(raw, &sr); err != nil {
 		return nil, fmt.Errorf("%s: decode response: %w", p.addr, err)
 	}
 	out := make([][]byte, len(sr.Cells))
 	for i, c := range sr.Cells {
-		out[i] = []byte(c)
+		out[i] = c
 	}
 	return out, nil
 }

@@ -129,13 +129,13 @@ func TestNormalizeRejects(t *testing.T) {
 
 // TestResultCacheLRU exercises the bound and recency behaviour.
 func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", cacheEntry{result: []byte("A")})
-	c.put("b", cacheEntry{result: []byte("B")})
+	c := newLRU[cacheEntry](2, nil)
+	c.put("a", cacheEntry{result: []byte("A")}, 1)
+	c.put("b", cacheEntry{result: []byte("B")}, 1)
 	if _, ok := c.get("a"); !ok { // refresh a; b is now oldest
 		t.Fatal("a missing")
 	}
-	if ev := c.put("c", cacheEntry{result: []byte("C")}); ev != 1 {
+	if ev := c.put("c", cacheEntry{result: []byte("C")}, 1); ev != 1 {
 		t.Fatalf("evicted %d, want 1", ev)
 	}
 	if _, ok := c.get("b"); ok {
@@ -148,7 +148,7 @@ func TestResultCacheLRU(t *testing.T) {
 		t.Fatalf("len %d", c.len())
 	}
 	// Re-putting an existing key refreshes in place, no eviction.
-	if ev := c.put("a", cacheEntry{result: []byte("A2")}); ev != 0 {
+	if ev := c.put("a", cacheEntry{result: []byte("A2")}, 1); ev != 0 {
 		t.Fatalf("refresh evicted %d", ev)
 	}
 	if e, _ := c.get("a"); string(e.result) != "A2" {

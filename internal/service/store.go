@@ -3,7 +3,6 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -16,15 +15,16 @@ import (
 	"time"
 )
 
-// storeSchema versions the on-disk entry format. Bump it whenever the
-// header fields or the file layout change; entries written under any
-// other schema are quarantined on read, never misinterpreted.
+// storeSchema versions the entry format. Bump it whenever the header
+// fields or the layout change; entries written under any other schema
+// are quarantined on read, never misinterpreted.
 const storeSchema = "icesimd-store-v1"
 
-// storeHeader is the integrity header written as the first line of
-// every entry file, followed by the raw result bytes and then the raw
-// trace bytes. Lengths and checksums let a reader detect truncation
-// and corruption before serving a single payload byte.
+// storeHeader is the integrity header on the first line of every
+// encoded entry (see encodeEntry), on disk and on the peer wire alike,
+// followed by the raw result bytes and then the raw trace bytes.
+// Lengths and checksums let a reader detect truncation and corruption
+// before serving a single payload byte.
 type storeHeader struct {
 	Schema    string `json:"schema"`
 	Version   string `json:"version"` // code version the entry was produced by
@@ -33,13 +33,6 @@ type storeHeader struct {
 	ResultSHA string `json:"result_sha256"`
 	TraceLen  int64  `json:"trace_len"`
 	TraceSHA  string `json:"trace_sha256"`
-}
-
-// storeItem is one indexed on-disk entry; size is payload bytes
-// (result + trace), the unit of the store's byte budget.
-type storeItem struct {
-	key  string
-	size int64
 }
 
 // diskStore is the persistent tier behind the in-memory result cache:
@@ -56,17 +49,15 @@ type storeItem struct {
 // count) is what actually bounds the footprint. Access order survives
 // restarts approximately via file mtimes.
 //
-// Like resultCache, the store is not self-locking: the owning Manager
-// serialises every call under its mutex, which also keeps the obs
-// instruments race-free.
+// Like the memory tier, the store is not self-locking: the owning
+// Manager serialises every call under its mutex, which also keeps the
+// obs instruments race-free.
 type diskStore struct {
 	root    string // state dir; entries under root/cache, rejects under root/corrupt
-	budget  int64  // max total payload bytes on disk
 	version string // current code version; other versions' entries are unreachable
-
-	ll    *list.List // front = most recently used; values are *storeItem
-	items map[string]*list.Element
-	bytes int64 // total payload bytes indexed
+	// index costs each entry its payload bytes against the byte budget;
+	// an evicted entry's file is deleted.
+	index *lru[struct{}]
 }
 
 // storeBootStats reports what the startup scan found, for the boot
@@ -89,10 +80,8 @@ func openDiskStore(root string, budget int64, version string) (*diskStore, store
 	if budget <= 0 {
 		budget = 1 << 30 // 1 GiB
 	}
-	s := &diskStore{
-		root: root, budget: budget, version: version,
-		ll: list.New(), items: make(map[string]*list.Element),
-	}
+	s := &diskStore{root: root, version: version}
+	s.index = newLRU[struct{}](budget, func(key string) { os.Remove(s.entryPath(key)) })
 	var stats storeBootStats
 	for _, dir := range []string{s.cacheDir(), s.corruptDir()} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -101,7 +90,8 @@ func openDiskStore(root string, budget int64, version string) (*diskStore, store
 	}
 
 	type found struct {
-		item  storeItem
+		key   string
+		size  int64
 		mtime time.Time
 	}
 	var entries []found
@@ -125,10 +115,7 @@ func openDiskStore(root string, budget int64, version string) (*diskStore, store
 			if ierr != nil {
 				return nil // raced with removal; skip
 			}
-			entries = append(entries, found{
-				item:  storeItem{key: hdr.Key, size: size},
-				mtime: info.ModTime(),
-			})
+			entries = append(entries, found{key: hdr.Key, size: size, mtime: info.ModTime()})
 		}
 		return nil
 	})
@@ -137,17 +124,14 @@ func openDiskStore(root string, budget int64, version string) (*diskStore, store
 	}
 
 	// Oldest first, so the most recently touched entry ends up at the
-	// front of the LRU list.
+	// front of the LRU list and an over-budget directory loses its
+	// oldest entries.
 	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
 	for _, e := range entries {
-		s.items[e.item.key] = s.ll.PushFront(&storeItem{key: e.item.key, size: e.item.size})
-		s.bytes += e.item.size
+		stats.Evicted += s.index.put(e.key, struct{}{}, e.size)
 	}
-	stats.Loaded = len(entries)
-	stats.LoadedBytes = s.bytes
-	stats.Evicted = s.evictToBudget()
-	stats.Loaded -= stats.Evicted
-	stats.LoadedBytes = s.bytes
+	stats.Loaded = len(entries) - stats.Evicted
+	stats.LoadedBytes = s.index.used
 	return s, stats, nil
 }
 
@@ -219,57 +203,23 @@ func readHeader(r io.Reader) (storeHeader, int, error) {
 // an indexed entry existed but failed verification and was quarantined
 // — the caller should count it and re-simulate.
 func (s *diskStore) get(key string) (e cacheEntry, ok, corrupt bool) {
-	el, indexed := s.items[key]
-	if !indexed {
+	if _, indexed := s.index.get(key); !indexed {
 		return cacheEntry{}, false, false
 	}
 	path := s.entryPath(key)
-	entry, err := s.readEntry(path, key)
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		e, err = decodeEntry(raw, key, s.version)
+	}
 	if err != nil {
 		s.quarantine(path)
-		s.dropIndexed(el)
+		s.index.remove(key)
 		return cacheEntry{}, false, true
 	}
-	s.ll.MoveToFront(el)
 	// Best-effort recency stamp so LRU order survives a restart.
 	now := time.Now()
 	os.Chtimes(path, now, now)
-	return entry, true, false
-}
-
-// readEntry reads one entry file end to end, checking the header,
-// lengths and payload checksums before returning the payloads.
-func (s *diskStore) readEntry(path, key string) (cacheEntry, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return cacheEntry{}, err
-	}
-	hdr, hdrLen, err := readHeader(bytes.NewReader(raw))
-	if err != nil {
-		return cacheEntry{}, err
-	}
-	if hdr.Key != key {
-		return cacheEntry{}, fmt.Errorf("key mismatch")
-	}
-	if hdr.Version != s.version {
-		return cacheEntry{}, fmt.Errorf("version %q, want %q", hdr.Version, s.version)
-	}
-	body := raw[hdrLen:]
-	if int64(len(body)) != hdr.ResultLen+hdr.TraceLen {
-		return cacheEntry{}, fmt.Errorf("truncated: %d payload bytes, header declares %d", len(body), hdr.ResultLen+hdr.TraceLen)
-	}
-	result := body[:hdr.ResultLen]
-	trace := body[hdr.ResultLen:]
-	if sha256Hex(result) != hdr.ResultSHA {
-		return cacheEntry{}, fmt.Errorf("result checksum mismatch")
-	}
-	if sha256Hex(trace) != hdr.TraceSHA {
-		return cacheEntry{}, fmt.Errorf("trace checksum mismatch")
-	}
-	if len(trace) == 0 {
-		trace = nil // preserve the nil-means-untraced convention
-	}
-	return cacheEntry{result: result, trace: trace}, nil
+	return e, true, false
 }
 
 // put persists the entry for key atomically and evicts least-recently
@@ -279,36 +229,24 @@ func (s *diskStore) readEntry(path, key string) (cacheEntry, error) {
 // failure leaves the store consistent (the entry is simply not
 // persisted) and is reported for the error counter.
 func (s *diskStore) put(key string, e cacheEntry) (stored bool, evicted int, err error) {
-	if el, ok := s.items[key]; ok {
+	if _, ok := s.index.get(key); ok {
 		// Same key ⇒ byte-identical payload (simulations are
-		// deterministic); refresh recency, skip the rewrite.
-		s.ll.MoveToFront(el)
+		// deterministic); get refreshed recency, skip the rewrite.
 		return true, 0, nil
 	}
 	size := int64(len(e.result) + len(e.trace))
-	if size > s.budget {
+	if size > s.index.budget {
 		return false, 0, nil
 	}
 	if err := s.writeEntry(key, e); err != nil {
 		return false, 0, err
 	}
-	s.items[key] = s.ll.PushFront(&storeItem{key: key, size: size})
-	s.bytes += size
-	return true, s.evictToBudget(), nil
+	return true, s.index.put(key, struct{}{}, size), nil
 }
 
-// writeEntry writes header + payloads to a temp file in the entry's
+// writeEntry writes the encoded entry to a temp file in the entry's
 // final directory, fsyncs, and renames into place.
 func (s *diskStore) writeEntry(key string, e cacheEntry) error {
-	hdr := storeHeader{
-		Schema: storeSchema, Version: s.version, Key: key,
-		ResultLen: int64(len(e.result)), ResultSHA: sha256Hex(e.result),
-		TraceLen: int64(len(e.trace)), TraceSHA: sha256Hex(e.trace),
-	}
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		return err
-	}
 	dir := filepath.Dir(s.entryPath(key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -323,10 +261,8 @@ func (s *diskStore) writeEntry(key string, e cacheEntry) error {
 			os.Remove(tmp.Name())
 		}
 	}()
-	for _, chunk := range [][]byte{line, {'\n'}, e.result, e.trace} {
-		if _, err := tmp.Write(chunk); err != nil {
-			return err
-		}
+	if _, err := tmp.Write(encodeEntry(key, s.version, e)); err != nil {
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		return err
@@ -341,26 +277,6 @@ func (s *diskStore) writeEntry(key string, e cacheEntry) error {
 		return err
 	}
 	return nil
-}
-
-// evictToBudget removes least-recently used entries (index and file)
-// until total payload bytes fit the budget.
-func (s *diskStore) evictToBudget() (evicted int) {
-	for s.bytes > s.budget && s.ll.Len() > 0 {
-		oldest := s.ll.Back()
-		os.Remove(s.entryPath(oldest.Value.(*storeItem).key))
-		s.dropIndexed(oldest)
-		evicted++
-	}
-	return evicted
-}
-
-// dropIndexed removes one element from the index and byte accounting
-// (the file is the caller's problem — already removed or quarantined).
-func (s *diskStore) dropIndexed(el *list.Element) {
-	item := s.ll.Remove(el).(*storeItem)
-	delete(s.items, item.key)
-	s.bytes -= item.size
 }
 
 // quarantine moves a damaged entry into corrupt/ (best effort; if even
@@ -381,9 +297,58 @@ func (s *diskStore) quarantine(path string) {
 
 // len reports the number of indexed entries; totalBytes their summed
 // payload bytes.
-func (s *diskStore) len() int { return s.ll.Len() }
+func (s *diskStore) len() int { return s.index.len() }
 
-func (s *diskStore) totalBytes() int64 { return s.bytes }
+func (s *diskStore) totalBytes() int64 { return s.index.used }
+
+// encodeEntry renders one entry in the store format — header line, raw
+// result, raw trace. Disk files and peer-served entries are these bytes.
+func encodeEntry(key, version string, e cacheEntry) []byte {
+	// storeHeader is all string and integer fields: Marshal cannot fail.
+	line, _ := json.Marshal(storeHeader{
+		Schema: storeSchema, Version: version, Key: key,
+		ResultLen: int64(len(e.result)), ResultSHA: sha256Hex(e.result),
+		TraceLen: int64(len(e.trace)), TraceSHA: sha256Hex(e.trace),
+	})
+	buf := make([]byte, 0, len(line)+1+len(e.result)+len(e.trace))
+	buf = append(buf, line...)
+	buf = append(buf, '\n')
+	buf = append(buf, e.result...)
+	return append(buf, e.trace...)
+}
+
+// decodeEntry is the one trust check for an encoded entry, read from
+// disk or fetched from a peer: schema, key and code-version pins,
+// declared lengths, and both payload SHA-256 checksums. Anything short
+// of a perfect match is rejected, and the caller treats it as a miss.
+func decodeEntry(raw []byte, key, version string) (cacheEntry, error) {
+	hdr, hdrLen, err := readHeader(bytes.NewReader(raw))
+	if err != nil {
+		return cacheEntry{}, err
+	}
+	if hdr.Key != key {
+		return cacheEntry{}, fmt.Errorf("entry key %q, want %q", hdr.Key, key)
+	}
+	if hdr.Version != version {
+		return cacheEntry{}, fmt.Errorf("entry version %q, want %q", hdr.Version, version)
+	}
+	body := raw[hdrLen:]
+	if int64(len(body)) != hdr.ResultLen+hdr.TraceLen {
+		return cacheEntry{}, fmt.Errorf("truncated: %d payload bytes, header declares %d", len(body), hdr.ResultLen+hdr.TraceLen)
+	}
+	result := body[:hdr.ResultLen:hdr.ResultLen]
+	trace := body[hdr.ResultLen:]
+	if sha256Hex(result) != hdr.ResultSHA {
+		return cacheEntry{}, fmt.Errorf("result checksum mismatch")
+	}
+	if sha256Hex(trace) != hdr.TraceSHA {
+		return cacheEntry{}, fmt.Errorf("trace checksum mismatch")
+	}
+	if len(trace) == 0 {
+		trace = nil // preserve the nil-means-untraced convention
+	}
+	return cacheEntry{result: result, trace: trace}, nil
+}
 
 func sha256Hex(b []byte) string {
 	sum := sha256.Sum256(b)

@@ -403,7 +403,7 @@ func TestManagerRetentionSoak(t *testing.T) {
 	}
 
 	m.mu.Lock()
-	jobs, order, queued := len(m.jobs), len(m.order), m.queued
+	jobs, order, queued := len(m.jobs), len(m.order), m.fq.len()
 	recount := 0
 	for _, j := range m.jobs {
 		if j.state == StateQueued {
