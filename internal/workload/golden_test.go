@@ -21,6 +21,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/eurosys23/ice/internal/app"
 	"github.com/eurosys23/ice/internal/device"
 	"github.com/eurosys23/ice/internal/mm"
 	"github.com/eurosys23/ice/internal/policy"
@@ -130,5 +131,58 @@ func TestSchemeGolden(t *testing.T) {
 					"(if this change is intended, update schemeGolden)", name, got, want)
 			}
 		})
+	}
+}
+
+// launchLoopGolden is the SHA-256 of launchLoopHash's result. The
+// Monkey usage stream runs only in the launch loop and the studies, so
+// TestSchemeGolden's scenario runs never post a Monkey Work; this pins
+// that stream (and the GC and service streams beside it) byte-for-byte.
+const launchLoopGolden = "aec3729ec92f5c5dc2ea594d34c7474da060680458800acd08ee451d0a1bd481"
+
+// launchLoopHash runs two rounds of an eight-app launch loop under Ice
+// on the Pixel3, 3 s of Monkey usage per app at seed 42, and hashes
+// every deterministic field of the result.
+func launchLoopHash(t *testing.T) string {
+	t.Helper()
+	sch, err := policy.ByName("Ice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := workload.RunLaunchLoop(workload.LaunchLoopConfig{
+		Device: device.Pixel3,
+		Scheme: sch,
+		Rounds: 2,
+		Dwell:  3 * sim.Second,
+		Apps:   app.Catalog()[:8],
+		Seed:   42,
+	})
+	blob, err := json.Marshal(struct {
+		PerRound     interface{}
+		All          interface{}
+		HotPerRound  []int
+		ColdPerRound []int
+		LMKKills     int
+		Mem          mm.Stats
+		CPU          sched.Stats
+		IO           storage.Stats
+		Elapsed      sim.Time
+	}{res.PerRound, res.All, res.HotPerRound, res.ColdPerRound, res.LMKKills, res.Mem, res.CPU, res.IO, res.Elapsed})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestLaunchLoopGolden asserts the fixed-seed launch loop reproduces its
+// golden hash.
+func TestLaunchLoopGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("launch-loop simulation")
+	}
+	if got := launchLoopHash(t); got != launchLoopGolden {
+		t.Errorf("launch-loop result hash changed:\n  got  %s\n  want %s\n"+
+			"(if this change is intended, update launchLoopGolden)", got, launchLoopGolden)
 	}
 }
