@@ -24,27 +24,18 @@ import (
 	"io"
 	"os"
 
-	"github.com/eurosys23/ice/internal/device"
+	"github.com/eurosys23/ice/internal/experiments"
 	"github.com/eurosys23/ice/internal/harness"
-	"github.com/eurosys23/ice/internal/policy"
-	"github.com/eurosys23/ice/internal/sim"
 	"github.com/eurosys23/ice/internal/trace"
 	"github.com/eurosys23/ice/internal/workload"
-	"github.com/eurosys23/ice/internal/zram"
 )
 
 // options is the fully validated CLI configuration: flag parsing and
 // name resolution live in parseFlags so they are testable without
 // running a simulation.
 type options struct {
-	dev      device.Profile
-	sch      policy.Scheme
-	bc       workload.BGCase
-	scenario string
-	numBG    int
-	duration int
-	seed     int64
-	rounds   int
+	run      experiments.RunSpec     // resolved: defaults filled, scheme canonical
+	cfg      workload.ScenarioConfig // the single run at the raw -seed
 	workers  int
 	series   bool
 	traceN   int
@@ -53,9 +44,9 @@ type options struct {
 }
 
 // parseFlags parses args (not including the program name) and resolves
-// every name-valued flag against its registry. Usage/parse errors come
-// back wrapped around flag.ErrHelp semantics: the caller decides the
-// exit code.
+// the run they describe through the run path icesimd's run jobs share.
+// Usage/parse errors come back wrapped around flag.ErrHelp semantics:
+// the caller decides the exit code.
 func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("icesim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -64,7 +55,7 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		scenario  = fs.String("scenario", "S-A", "scenario: S-A (video call), S-B (short video), S-C (scrolling), S-D (game)")
 		scheme    = fs.String("scheme", "LRU+CFS", "management scheme")
 		bgCase    = fs.String("case", "apps", "background case: null, apps, cputester, memtester")
-		numBG     = fs.Int("bg", 0, "cached BG apps (0 = device default)")
+		numBG     = fs.Int("bg", 0, "cached BG apps, 0-19 (0 = device default)")
 		duration  = fs.Int("duration", 60, "measured seconds")
 		seed      = fs.Int64("seed", 1, "random seed")
 		rounds    = fs.Int("rounds", 1, "repetitions with re-derived seeds (1 = single verbose run)")
@@ -79,38 +70,17 @@ func parseFlags(args []string, stderr io.Writer) (options, error) {
 		return options{}, err
 	}
 
-	dev, ok := device.ByName(*devName)
-	if !ok {
-		return options{}, fmt.Errorf("unknown device %q", *devName)
+	run := experiments.RunSpec{
+		Device: *devName, Scenario: *scenario, Scheme: *scheme, BGCase: *bgCase,
+		NumBG: *numBG, ZramCodec: *zramCodec, DurationSec: *duration,
+		Rounds: *rounds, Seed: *seed,
 	}
-	if _, err := zram.Preset(*zramCodec); err != nil {
-		return options{}, err
-	}
-	// The codec rides on the device profile: device.Apply resolves it
-	// when the simulation builds the zram tier.
-	dev.ZramCodec = *zramCodec
-	sch, err := policy.ByName(*scheme)
+	cfg, err := run.Resolve()
 	if err != nil {
 		return options{}, err
 	}
-	var bc workload.BGCase
-	switch *bgCase {
-	case "null":
-		bc = workload.BGNull
-	case "apps":
-		bc = workload.BGApps
-	case "cputester":
-		bc = workload.BGCputester
-	case "memtester":
-		bc = workload.BGMemtester
-	default:
-		return options{}, fmt.Errorf("unknown case %q", *bgCase)
-	}
-
 	return options{
-		dev: dev, sch: sch, bc: bc,
-		scenario: *scenario, numBG: *numBG, duration: *duration,
-		seed: *seed, rounds: *rounds, workers: *workers,
+		run: run, cfg: cfg, workers: *workers,
 		series: *series, traceN: *traceN, traceOut: *traceOut, stats: *stats,
 	}, nil
 }
@@ -125,8 +95,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	if o.rounds > 1 {
-		runRounds(o.dev, o.sch, o.bc, o.scenario, o.numBG, o.duration, o.seed, o.rounds, o.workers)
+	if o.run.Rounds > 1 {
+		if err := runRounds(os.Stdout, o); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -137,19 +110,12 @@ func main() {
 		traceCap = 1 << 17
 	}
 
-	res := workload.RunScenario(workload.ScenarioConfig{
-		Scenario: o.scenario,
-		Device:   o.dev,
-		Scheme:   o.sch,
-		BGCase:   o.bc,
-		NumBG:    o.numBG,
-		Duration: sim.Time(o.duration) * sim.Second,
-		Seed:     o.seed,
-		TraceCap: traceCap,
-	})
+	cfg := o.cfg
+	cfg.TraceCap = traceCap
+	res := workload.RunScenario(cfg)
 
-	fmt.Printf("device    : %s\n", o.dev)
-	fmt.Printf("scenario  : %s (%s), scheme %s, %v\n", o.scenario, o.bc, o.sch.Name(), res.Config.Duration)
+	fmt.Printf("device    : %s\n", cfg.Device)
+	fmt.Printf("scenario  : %s (%s), scheme %s, %v\n", cfg.Scenario, cfg.BGCase, o.run.Scheme, res.Config.Duration)
 	fmt.Printf("frames    : %s\n", res.Frames)
 	fmt.Printf("memory    : reclaimed=%d refaulted=%d (FG %d / BG %d, 4KiB-eq x16)\n",
 		res.Mem.Total.Reclaimed, res.Mem.Total.Refaulted, res.Mem.RefaultFG, res.Mem.RefaultBG)
@@ -205,63 +171,26 @@ func main() {
 	}
 }
 
-// runRounds repeats the configured scenario over the harness pool and
-// prints per-round plus aggregate outcomes.
-func runRounds(dev device.Profile, sch policy.Scheme, bc workload.BGCase,
-	scenario string, numBG, duration int, seed int64, rounds, workers int) {
-	cells := make([]harness.Cell, rounds)
-	for r := range cells {
-		cells[r] = harness.Cell{
-			Device: dev.Name, Scheme: sch.Name(), Scenario: scenario,
-			Variant: bc.String(), Round: r,
-		}
-	}
-	type sample struct {
-		fps, ria             float64
-		reclaimed, refaulted uint64
-	}
-	runs, err := harness.Map(harness.Config{BaseSeed: seed, Workers: workers}, cells,
-		func(c harness.Cell) sample {
-			// Each round needs its own scheme instance: policies carry
-			// per-run framework state.
-			s, err := policy.ByName(c.Scheme)
-			if err != nil {
-				panic(err)
-			}
-			res := workload.RunScenario(workload.ScenarioConfig{
-				Scenario: c.Scenario,
-				Device:   dev,
-				Scheme:   s,
-				BGCase:   bc,
-				NumBG:    numBG,
-				Duration: sim.Time(duration) * sim.Second,
-				Seed:     c.Seed,
-			})
-			return sample{
-				fps:       res.Frames.AvgFPS(),
-				ria:       res.Frames.RIA(),
-				reclaimed: res.Mem.Total.Reclaimed,
-				refaulted: res.Mem.Total.Refaulted,
-			}
-		})
+// runRounds runs the resolved spec's rounds over the harness pool and
+// writes the per-round plus aggregate outcomes to w.
+func runRounds(w io.Writer, o options) error {
+	out, err := experiments.RunRounds(o.run, experiments.Options{Workers: o.workers})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-
-	fmt.Printf("device    : %s\n", dev)
-	fmt.Printf("scenario  : %s (%s), scheme %s, %d rounds (workers %d)\n",
-		scenario, bc, sch.Name(), rounds, workers)
-	var fps, ria harness.Agg
+	fmt.Fprintf(w, "device    : %s\n", o.cfg.Device)
+	fmt.Fprintf(w, "scenario  : %s (%s), scheme %s, %d rounds (workers %d)\n",
+		o.run.Scenario, o.cfg.BGCase, o.run.Scheme, o.run.Rounds, o.workers)
+	var fps harness.Agg
 	var reclaimed, refaulted harness.Counter
-	for r, s := range runs {
-		fmt.Printf("round %-3d : fps=%.1f ria=%.1f%% reclaimed=%d refaulted=%d\n",
-			r, s.fps, 100*s.ria, s.reclaimed, s.refaulted)
-		fps.Add(s.fps)
-		ria.Add(s.ria)
-		reclaimed.Add(s.reclaimed)
-		refaulted.Add(s.refaulted)
+	for _, c := range out.Cells {
+		fmt.Fprintf(w, "round %-3d : fps=%.1f ria=%.1f%% reclaimed=%d refaulted=%d\n",
+			c.Round, c.FPS, 100*c.RIA, c.Reclaimed, c.Refaulted)
+		fps.Add(c.FPS)
+		reclaimed.Add(c.Reclaimed)
+		refaulted.Add(c.Refaulted)
 	}
-	fmt.Printf("mean      : fps=%.1f (p50=%.1f) ria=%.1f%% reclaimed=%d refaulted=%d\n",
-		fps.Mean(), fps.Percentile(50), 100*ria.Mean(), reclaimed.Mean(), refaulted.Mean())
+	fmt.Fprintf(w, "mean      : fps=%.1f (p50=%.1f) ria=%.1f%% reclaimed=%d refaulted=%d\n",
+		out.MeanFPS, fps.Percentile(50), 100*out.MeanRIA, reclaimed.Mean(), refaulted.Mean())
+	return nil
 }

@@ -322,3 +322,27 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Fatalf("same seed diverged: %v/%d vs %v/%d", l1, r1, l2, r2)
 	}
 }
+
+// TestWorkPoolNoAllocs: once a stream's pool holds a recycled Work, a
+// post and the run that completes it allocate nothing.
+func TestWorkPoolNoAllocs(t *testing.T) {
+	sys := newTestSystem(t)
+	p := sys.Procs.NewProcess("pooled", 1000, proc.KindService, -800)
+	task := sys.Procs.NewTask(p, "pooled", proc.DefaultWeight)
+	sys.Sched.Register(task)
+	pool := &workPool{sched: sys.Sched, name: "pooled"}
+	// Warm-up: the first post allocates the stream's one Work, and the
+	// run grows the engine's and the scheduler's scratch.
+	pool.post(task, sim.Millisecond)
+	sys.Run(sim.Second)
+	allocs := testing.AllocsPerRun(200, func() {
+		pool.post(task, sim.Millisecond)
+		sys.Run(20 * sim.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state post allocated %.1f objects, want 0", allocs)
+	}
+	if len(pool.free) != 1 {
+		t.Fatalf("pool holds %d free Works after the runs, want 1", len(pool.free))
+	}
+}

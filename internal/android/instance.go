@@ -349,9 +349,15 @@ func (in *Instance) startTimers() {
 		if !spec.BGSweep {
 			gcPeriod *= 3
 		}
-		// Completed GC Works recycle through a free list (the Setup closure
-		// reads only stream-invariant state, so one closure serves them all).
-		var free []*proc.Work
+		gc := &workPool{sched: sys.Sched, name: "gc", setup: func() (sim.Time, sim.Time) {
+			var cost mm.Cost
+			n := int(float64(len(in.javaPages)) * spec.GCTouchFrac)
+			in.scratch = in.scratch[:0]
+			in.scratch = in.pick(in.javaPages, n, in.scratch)
+			cost.Add(sys.MM.Touch(in.MainPID(), in.scratch))
+			cost.Add(in.churnJava(spec.GCChurn))
+			return cost.Stall, cost.BlockUntil
+		}}
 		sys.Eng.Every(rng.Jitter(gcPeriod, 0.2), func() bool {
 			if seq != in.launchSeq || !in.main.Alive() {
 				return false
@@ -365,28 +371,7 @@ func (in *Instance) startTimers() {
 				// and ICE never needs to freeze them.
 				return true
 			}
-			var w *proc.Work
-			if n := len(free); n > 0 {
-				w, free = free[n-1], free[:n-1]
-			} else {
-				w = &proc.Work{
-					Name: "gc",
-					Setup: func() (sim.Time, sim.Time) {
-						var cost mm.Cost
-						n := int(float64(len(in.javaPages)) * spec.GCTouchFrac)
-						in.scratch = in.scratch[:0]
-						in.scratch = in.pick(in.javaPages, n, in.scratch)
-						cost.Add(sys.MM.Touch(in.MainPID(), in.scratch))
-						cost.Add(in.churnJava(spec.GCChurn))
-						return cost.Stall, cost.BlockUntil
-					},
-				}
-				w.OnDone = func(_, _ sim.Time) { free = append(free, w) }
-			}
-			w.CPU = rng.Jitter(scaleCPU(20*sim.Millisecond, sys), 0.4)
-			if !sys.Sched.Post(in.gcTask, w) {
-				free = append(free, w)
-			}
+			gc.post(in.gcTask, rng.Jitter(scaleCPU(20*sim.Millisecond, sys), 0.4))
 			return true
 		})
 	}
@@ -396,7 +381,10 @@ func (in *Instance) startTimers() {
 	// freezes at application grain.
 	if spec.HasService && spec.ServicePeriod > 0 {
 		rng := in.rng.Split()
-		var free []*proc.Work
+		svc := &workPool{sched: sys.Sched, name: "service", setup: func() (sim.Time, sim.Time) {
+			c := in.touchMix(spec.ServiceTouch)
+			return c.Stall, c.BlockUntil
+		}}
 		sys.Eng.Every(rng.Jitter(spec.ServicePeriod, 0.25), func() bool {
 			if seq != in.launchSeq || in.svc == nil || !in.svc.Alive() {
 				return false
@@ -404,23 +392,7 @@ func (in *Instance) startTimers() {
 			if in.svc.Frozen() {
 				return true
 			}
-			var w *proc.Work
-			if n := len(free); n > 0 {
-				w, free = free[n-1], free[:n-1]
-			} else {
-				w = &proc.Work{
-					Name: "service",
-					Setup: func() (sim.Time, sim.Time) {
-						c := in.touchMix(spec.ServiceTouch)
-						return c.Stall, c.BlockUntil
-					},
-				}
-				w.OnDone = func(_, _ sim.Time) { free = append(free, w) }
-			}
-			w.CPU = rng.Jitter(scaleCPU(spec.ServiceCPU, sys), 0.3)
-			if !sys.Sched.Post(in.svcTask, w) {
-				free = append(free, w)
-			}
+			svc.post(in.svcTask, rng.Jitter(scaleCPU(spec.ServiceCPU, sys), 0.3))
 			return true
 		})
 	}
@@ -599,29 +571,16 @@ func (in *Instance) StartUsage() {
 		touch = 4
 	}
 	cpu := in.Spec.Render.BaseCPU / 3
-	var free []*proc.Work
+	monkey := &workPool{sched: sys.Sched, name: "monkey", setup: func() (sim.Time, sim.Time) {
+		c := in.touchMix(touch)
+		return c.Stall, c.BlockUntil
+	}}
 	sys.Eng.Every(66*sim.Millisecond, func() bool {
 		if seq != in.launchSeq || !in.usageActive || in.state != StateForeground {
 			in.usageActive = false
 			return false
 		}
-		var w *proc.Work
-		if n := len(free); n > 0 {
-			w, free = free[n-1], free[:n-1]
-		} else {
-			w = &proc.Work{
-				Name: "monkey",
-				Setup: func() (sim.Time, sim.Time) {
-					c := in.touchMix(touch)
-					return c.Stall, c.BlockUntil
-				},
-			}
-			w.OnDone = func(_, _ sim.Time) { free = append(free, w) }
-		}
-		w.CPU = rng.Jitter(scaleCPU(cpu, sys), 0.3)
-		if !sys.Sched.Post(in.uiTask, w) {
-			free = append(free, w)
-		}
+		monkey.post(in.uiTask, rng.Jitter(scaleCPU(cpu, sys), 0.3))
 		return true
 	})
 }

@@ -220,23 +220,39 @@ func (sys *System) startServiceStream(t *proc.Task, s serviceStream) {
 	rng := sys.rng.Split()
 	cpu := sim.Time(float64(s.cpu) * sys.Dev.CPUFactor)
 	// Service streams post pure-CPU work every few hundred simulated
-	// milliseconds for the whole run; recycling completed Work items
-	// through a per-stream free list keeps this loop allocation-free.
-	var free []*proc.Work
+	// milliseconds for the whole run.
+	pool := &workPool{sched: sys.Sched, name: s.task}
 	sys.Eng.Every(rng.Jitter(s.period, 0.3), func() bool {
-		var w *proc.Work
-		if n := len(free); n > 0 {
-			w, free = free[n-1], free[:n-1]
-		} else {
-			w = &proc.Work{Name: s.task}
-			w.OnDone = func(_, _ sim.Time) { free = append(free, w) }
-		}
-		w.CPU = rng.Jitter(cpu, s.jitter)
-		if !sys.Sched.Post(t, w) {
-			free = append(free, w)
-		}
+		pool.post(t, rng.Jitter(cpu, s.jitter))
 		return true
 	})
+}
+
+// workPool recycles the proc.Work items of one periodic stream: a Work
+// returns to the pool when it completes or when Post refuses it, so a
+// stream allocates only as many Works as it ever has queued at once and
+// its steady state allocates nothing. Every Work of a pool shares one
+// name and one Setup, so Setup must not depend on which post queued it.
+type workPool struct {
+	sched *sched.Scheduler
+	name  string
+	setup func() (stall, blockUntil sim.Time)
+	free  []*proc.Work
+}
+
+// post queues a Work of the given CPU cost on t.
+func (p *workPool) post(t *proc.Task, cpu sim.Time) {
+	var w *proc.Work
+	if n := len(p.free); n > 0 {
+		w, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		w = &proc.Work{Name: p.name, Setup: p.setup}
+		w.OnDone = func(_, _ sim.Time) { p.free = append(p.free, w) }
+	}
+	w.CPU = cpu
+	if !p.sched.Post(t, w) {
+		p.free = append(p.free, w)
+	}
 }
 
 // KswapdQueued reports whether a kswapd work chain is pending (debug).

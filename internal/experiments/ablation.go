@@ -73,7 +73,7 @@ func ablationVariants() []struct {
 
 // Ablations runs each ICE variant on the video-call scenario (P20).
 func Ablations(o Options) (AblationResult, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	variants := ablationVariants()
 	names := make([]string, len(variants))
 	for i, v := range variants {

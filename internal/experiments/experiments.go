@@ -55,18 +55,22 @@ type Options struct {
 	Hooks harness.ExecHooks
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults fills the unset scale options: Seed 0, and Rounds or
+// Duration at or below 0, take the paper's (or Fast's) values. Every
+// runner applies it, and the icesimd daemon applies it to experiment
+// jobs so their cache key hashes the effective rounds and seed.
+func (o Options) WithDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 20230509 // EuroSys'23 opening day
 	}
-	if o.Rounds == 0 {
+	if o.Rounds <= 0 {
 		if o.Fast {
 			o.Rounds = 2
 		} else {
 			o.Rounds = 10
 		}
 	}
-	if o.Duration == 0 {
+	if o.Duration <= 0 {
 		if o.Fast {
 			o.Duration = 15 * sim.Second
 		} else {

@@ -19,16 +19,20 @@ func fastOpts() Options {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := Options{}.WithDefaults()
 	if o.Rounds != 10 {
 		t.Fatalf("default rounds %d", o.Rounds)
 	}
-	fast := Options{Fast: true}.withDefaults()
+	fast := Options{Fast: true}.WithDefaults()
 	if fast.Rounds != 2 || fast.Duration >= o.Duration {
 		t.Fatalf("fast options not reduced: %+v", fast)
 	}
 	if o.Seed == 0 {
 		t.Fatal("no default seed")
+	}
+	// Any count at or below zero is unset, never a slice length.
+	if neg := (Options{Rounds: -1}).WithDefaults(); neg.Rounds != 10 {
+		t.Fatalf("Rounds -1 kept as %d, want the default 10", neg.Rounds)
 	}
 }
 
@@ -288,7 +292,7 @@ func TestRealPagesScale(t *testing.T) {
 // fidelity — combined. The retired `seed + d*7919 + s*389` arithmetic
 // invited silent collisions exactly here.
 func TestSeedHygiene(t *testing.T) {
-	o := Options{}.withDefaults() // full scale: 10 rounds
+	o := Options{}.WithDefaults() // full scale: 10 rounds
 	var cells []harness.Cell
 	cells = append(cells, matrixSpec(o,
 		[]device.Profile{device.Pixel3, device.P20},

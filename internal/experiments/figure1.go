@@ -56,7 +56,7 @@ func figure1Cases() []workload.BGCase {
 // §2.2 and collects FPS timelines plus the reclaim/refault totals of
 // Figure 2(a).
 func Figure1(o Options) (Figure1Result, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	cases := figure1Cases()
 	caseNames := make([]string, len(cases))
 	for i, c := range cases {

@@ -26,7 +26,7 @@ func (r *Figure10Result) Cell(scenario, scheme string) *Figure8Cell {
 // Figure10 measures reclaim/refault per scheme (including the vendor power
 // manager of Table 5) across the four scenarios on the P20.
 func Figure10(o Options) (Figure10Result, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	schemes := []string{"LRU+CFS", "UCSG", "Acclaim", "Ice", "PowerManager"}
 	cells, err := runMatrix(o, []device.Profile{device.P20}, schemes, workload.Scenarios())
 	if err != nil {

@@ -37,7 +37,7 @@ type Figure11Result struct {
 // 6 GB cache ~7-8 of the 20 apps under the stock system, as the paper
 // reports), plus the worst-case hot-launch probe.
 func Figure11(o Options) (Figure11Result, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	rounds, dwell := 10, 30*sim.Second
 	apps := app.Catalog()
 	if o.Fast {

@@ -22,7 +22,7 @@ type Figure2bResult struct {
 // captures; the simulated runs use 10 s windows so that the default
 // duration still yields enough samples per decile.
 func Figure2b(o Options) (Figure2bResult, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	const window = 10 // seconds
 	spec := harness.Spec{
 		Devices:   []string{device.P20.Name},

@@ -30,7 +30,7 @@ type Figure3Result struct {
 // one month; the simulation compresses each day into a fixed number of
 // usage sessions (Fast: 2 days × 4 sessions; default: 5 days × 8).
 func Figure3(o Options) (Figure3Result, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	days, sessions := 5, 8
 	if o.Fast {
 		days, sessions = 2, 4

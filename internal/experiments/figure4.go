@@ -28,7 +28,7 @@ type Figure4Result struct {
 // arms deliberately share the base seed so the GC toggle is the only
 // difference between them (a paired comparison).
 func Figure4(o Options) (Figure4Result, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	apps := app.Catalog40()
 	if o.Fast {
 		apps = app.Catalog()

@@ -129,7 +129,7 @@ func runMatrix(o Options, devices []device.Profile, schemes []string, scenarios 
 // Figure8 runs the full scheme × scenario × device matrix with the
 // device-default background population (6 on Pixel3, 8 on P20).
 func Figure8(o Options) (Figure8Result, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	schemes := policy.Headline()
 	cells, err := runMatrix(o, []device.Profile{device.Pixel3, device.P20}, schemes, workload.Scenarios())
 	if err != nil {

@@ -71,7 +71,7 @@ func figure9Matrix(o Options) []harness.Cell {
 // Figure9 sweeps the number of cached applications on both devices for
 // LRU+CFS and Ice, averaging FPS/RIA across the four scenarios.
 func Figure9(o Options) (Figure9Result, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	// Exported fields: cell results cross process boundaries as JSON
 	// when the daemon shards a matrix (harness.ExecHooks).
 	type sample struct{ FPS, RIA float64 }

@@ -54,7 +54,7 @@ var policySweepCodecs = []string{"lz4", "zstd"}
 // automatically) over the memory-size axis (Pixel3 4 GB vs P20 6 GB) and
 // the base-codec axis, on the scrolling scenario S-C.
 func PolicySweep(o Options) (PolicySweepResult, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	schemes := policy.Names()
 	devices := []device.Profile{device.Pixel3, device.P20}
 	profiles := make(map[string]device.Profile, len(devices))

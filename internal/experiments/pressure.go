@@ -18,7 +18,7 @@ type PressureResult struct {
 // BG-apps) for LRU+CFS vs Ice, reproducing §6.2.2's "I/O size reduced by
 // 9.2%" and "CPU utilisation 55.8% → 47.3%".
 func SystemPressure(o Options) (PressureResult, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	cells, err := runMatrix(o, []device.Profile{device.P20}, []string{"LRU+CFS", "Ice"}, workload.Scenarios())
 	if err != nil {
 		return PressureResult{}, err

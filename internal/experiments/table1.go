@@ -23,7 +23,7 @@ type Table1Result struct {
 
 // Table1 runs the CPU-utilisation study for N ∈ {0, 2, 4, 6, 8}.
 func Table1(o Options) (Table1Result, error) {
-	o = o.withDefaults()
+	o = o.WithDefaults()
 	window := 10 * sim.Second // the paper's ten-second observation
 	counts := []int{0, 2, 4, 6, 8}
 	cells := make([]harness.Cell, len(counts))

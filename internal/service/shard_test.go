@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/eurosys23/ice/internal/experiments"
 	"github.com/eurosys23/ice/internal/harness"
 )
 
@@ -260,7 +261,7 @@ func TestExecCellRangeValidation(t *testing.T) {
 	if len(cells) != 1 || !json.Valid(cells[0]) {
 		t.Fatalf("bad payloads: %d cells", len(cells))
 	}
-	var rc RunCell
+	var rc experiments.RunCell
 	if err := json.Unmarshal(cells[0], &rc); err != nil {
 		t.Fatalf("cell payload is not a RunCell: %v\n%s", err, cells[0])
 	}

@@ -16,11 +16,7 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"github.com/eurosys23/ice/internal/device"
 	"github.com/eurosys23/ice/internal/experiments"
-	"github.com/eurosys23/ice/internal/policy"
-	"github.com/eurosys23/ice/internal/workload"
-	"github.com/eurosys23/ice/internal/zram"
 )
 
 // Job kinds.
@@ -76,45 +72,12 @@ func (s *JobSpec) normalize() error {
 		if s.Experiment != "" {
 			return fmt.Errorf("run job must not name an experiment")
 		}
-		if s.Device == "" {
-			s.Device = "P20"
-		}
-		if _, ok := device.ByName(s.Device); !ok {
-			return fmt.Errorf("unknown device %q", s.Device)
-		}
-		if s.Scenario == "" {
-			s.Scenario = "S-A"
-		}
-		if !validScenario(s.Scenario) {
-			return fmt.Errorf("unknown scenario %q (have %v)", s.Scenario, workload.Scenarios())
-		}
-		if s.Scheme == "" {
-			s.Scheme = "LRU+CFS"
-		}
-		if _, err := policy.ByName(s.Scheme); err != nil {
+		run := s.run()
+		if _, err := run.Resolve(); err != nil {
 			return err
 		}
-		if s.BGCase == "" {
-			s.BGCase = "apps"
-		}
-		if _, err := parseBGCase(s.BGCase); err != nil {
-			return err
-		}
-		if s.ZramCodec == "" {
-			s.ZramCodec = zram.DefaultCodec
-		}
-		if _, err := zram.Preset(s.ZramCodec); err != nil {
-			return err
-		}
-		if s.DurationSec < 0 {
-			return fmt.Errorf("negative duration %d", s.DurationSec)
-		}
-		if s.DurationSec == 0 {
-			s.DurationSec = 60
-		}
-		if s.Rounds <= 0 {
-			s.Rounds = 1
-		}
+		s.Device, s.Scenario, s.Scheme, s.BGCase = run.Device, run.Scenario, run.Scheme, run.BGCase
+		s.ZramCodec, s.DurationSec, s.Rounds = run.ZramCodec, run.DurationSec, run.Rounds
 		if s.Seed == 0 {
 			s.Seed = 1
 		}
@@ -135,18 +98,10 @@ func (s *JobSpec) normalize() error {
 		if s.DurationSec < 0 {
 			return fmt.Errorf("negative duration %d", s.DurationSec)
 		}
-		// Mirror experiments.Options.withDefaults so the key hashes the
-		// effective repetition count and seed.
-		if s.Rounds <= 0 {
-			if s.Fast {
-				s.Rounds = 2
-			} else {
-				s.Rounds = 10
-			}
-		}
-		if s.Seed == 0 {
-			s.Seed = 20230509
-		}
+		// The key hashes the effective repetition count and seed; an
+		// unset duration stays 0, as the runner reads it.
+		o := experiments.Options{Fast: s.Fast, Rounds: s.Rounds, Seed: s.Seed}.WithDefaults()
+		s.Rounds, s.Seed = o.Rounds, o.Seed
 	case "":
 		return fmt.Errorf("missing job kind (%q or %q)", KindRun, KindExperiment)
 	default:
@@ -163,27 +118,14 @@ func (s *JobSpec) normalize() error {
 	return nil
 }
 
-func validScenario(name string) bool {
-	for _, s := range workload.Scenarios() {
-		if s == name {
-			return true
-		}
+// run is the spec's run configuration, in the form the shared run path
+// resolves and executes.
+func (s JobSpec) run() experiments.RunSpec {
+	return experiments.RunSpec{
+		Device: s.Device, Scenario: s.Scenario, Scheme: s.Scheme, BGCase: s.BGCase,
+		NumBG: s.NumBG, ZramCodec: s.ZramCodec, DurationSec: s.DurationSec,
+		Rounds: s.Rounds, Seed: s.Seed, Trace: s.Trace,
 	}
-	return false
-}
-
-func parseBGCase(name string) (workload.BGCase, error) {
-	switch name {
-	case "null":
-		return workload.BGNull, nil
-	case "apps":
-		return workload.BGApps, nil
-	case "cputester":
-		return workload.BGCputester, nil
-	case "memtester":
-		return workload.BGMemtester, nil
-	}
-	return 0, fmt.Errorf("unknown bg_case %q (null, apps, cputester, memtester)", name)
 }
 
 // cacheKeySchema versions the key derivation itself: bump it whenever

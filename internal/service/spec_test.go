@@ -86,12 +86,28 @@ func TestNormalizeDefaults(t *testing.T) {
 	if CacheKey(minimal, "v") != CacheKey(explicit, "v") {
 		t.Fatalf("defaults normalise inconsistently:\n%+v\n%+v", minimal, explicit)
 	}
+	// A scheme alias or another letter case runs the same simulation, so
+	// it normalises to the canonical name and the same key.
+	alias := JobSpec{Kind: KindRun, Scheme: "baseline"}
+	if err := alias.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if CacheKey(alias, "v") != CacheKey(minimal, "v") {
+		t.Fatalf("scheme alias normalises to %+v, not %+v", alias, minimal)
+	}
+	lower := JobSpec{Kind: KindRun, Scheme: "ice"}
+	if err := lower.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if lower.Scheme != "Ice" {
+		t.Fatalf("scheme %q not canonicalised to Ice", lower.Scheme)
+	}
 
 	exp := JobSpec{Kind: KindExperiment, Experiment: "fig8"}
 	if err := exp.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	// Mirrors experiments.Options.withDefaults.
+	// The defaults of experiments.Options.WithDefaults.
 	if exp.Rounds != 10 || exp.Seed != 20230509 {
 		t.Fatalf("experiment defaults: %+v", exp)
 	}
@@ -110,6 +126,8 @@ func TestNormalizeRejects(t *testing.T) {
 		{Kind: KindRun, Scenario: "S-Z"},                          // unknown scenario
 		{Kind: KindRun, Scheme: "FIFO"},                           // unknown scheme
 		{Kind: KindRun, BGCase: "dogs"},                           // unknown bg case
+		{Kind: KindRun, NumBG: -1},                                // negative bg count
+		{Kind: KindRun, NumBG: 20},                                // more bg apps than the catalog holds
 		{Kind: KindRun, ZramCodec: "lzma"},                        // unknown codec
 		{Kind: KindRun, DurationSec: -1},                          // negative duration
 		{Kind: KindRun, Fast: true},                               // fast is experiment-only

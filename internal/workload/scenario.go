@@ -55,6 +55,22 @@ func (c BGCase) String() string {
 	}
 }
 
+// ParseBGCase resolves a background case by its name on the command line
+// and the wire: null, apps, cputester or memtester.
+func ParseBGCase(name string) (BGCase, error) {
+	switch name {
+	case "null":
+		return BGNull, nil
+	case "apps":
+		return BGApps, nil
+	case "cputester":
+		return BGCputester, nil
+	case "memtester":
+		return BGMemtester, nil
+	}
+	return 0, fmt.Errorf("unknown background case %q (have [null apps cputester memtester])", name)
+}
+
 // DefaultBGCount returns the paper's background population for a device:
 // six on the Pixel3, eight on the P20 ("to fully fill the memory").
 func DefaultBGCount(dev device.Profile) int {
