@@ -28,7 +28,9 @@
 #   auth smoke test (a token-file daemon must 401 unauthenticated
 #   submits, round-trip an authenticated job, and 429 a submit that
 #   overruns the principal's max-queued quota — while health and
-#   metrics stay open).
+#   metrics stay open), and a code-version leg (two unstamped builds of
+#   one tree that differ only in link flags must not share stored
+#   results or fleet membership).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -149,16 +151,18 @@ else
     trap 'rm -rf "$smokedir"' EXIT
 fi
 go build -o "$smokedir/icesimd" ./cmd/icesimd
+icesimd_bin=$smokedir/icesimd
 
-# boot_icesimd LOG [ARGS...] — start a daemon on a random port, wait for
-# the definite port line, set $daemon (pid) and $addr (host:port).
+# boot_icesimd LOG [ARGS...] — start $icesimd_bin on a random port, wait
+# for the definite port line, set $daemon (pid) and $addr (host:port).
 boot_icesimd() {
     local log=$1; shift
-    "$smokedir/icesimd" -addr 127.0.0.1:0 "$@" >"$log" &
+    "$icesimd_bin" -addr 127.0.0.1:0 "$@" >"$log" &
     daemon=$!
     addr=""
     for _ in $(seq 1 50); do
-        addr=$(sed -n 's/^icesimd listening on //p' "$log")
+        # The backgrounded daemon may not have created its log yet.
+        addr=$(sed -n 's/^icesimd listening on //p' "$log" 2>/dev/null || true)
         [ -n "$addr" ] && break
         sleep 0.1
     done
@@ -412,5 +416,37 @@ curl -sf "http://$addr/metrics" | grep 'service.tenant.rejected.bob' | grep ' 1$
 
 kill -TERM "$authpid"
 wait "$authpid" || { echo "auth daemon did not drain cleanly" >&2; cat "$smokedir/auth.log" >&2; exit 1; }
+
+# Code-version leg: two unstamped builds of one tree that differ only
+# in their link flags are different programs, so neither may serve the
+# other's stored results or join the other's fleet. B, booted on A's
+# state dir, must load none of A's entries; A, as coordinator, must
+# answer a join carrying B's version with 409.
+go build -buildvcs=false -ldflags=-X=main.buildNote=a -o "$smokedir/icesimd-a" ./cmd/icesimd
+go build -buildvcs=false -ldflags=-X=main.buildNote=b -o "$smokedir/icesimd-b" ./cmd/icesimd
+if cmp -s "$smokedir/icesimd-a" "$smokedir/icesimd-b"; then
+    echo "version-leg builds are byte-identical" >&2; exit 1
+fi
+icesimd_bin=$smokedir/icesimd-a
+boot_icesimd "$smokedir/va.log" -state-dir "$smokedir/vstate"
+curl -sf -X POST "http://$addr/jobs" -d "$spec" >/dev/null
+wait_done "http://$addr" job-1
+kill -TERM "$daemon"
+wait "$daemon" || { echo "build A did not drain cleanly" >&2; cat "$smokedir/va.log" >&2; exit 1; }
+icesimd_bin=$smokedir/icesimd-b
+boot_icesimd "$smokedir/vb.log" -state-dir "$smokedir/vstate"
+vb=$addr; vbpid=$daemon
+curl -sf "http://$vb/metrics" | grep 'service.store.loaded_at_boot' | grep ' 0$' >/dev/null \
+    || { echo "build B loaded build A's stored entries" >&2; curl -sf "http://$vb/metrics" >&2; exit 1; }
+vbversion=$(curl -sf "http://$vb/healthz" | sed -n 's/.*"version": "\([^"]*\)".*/\1/p')
+icesimd_bin=$smokedir/icesimd-a
+boot_icesimd "$smokedir/va2.log" -role coordinator
+vapid=$daemon
+[ "$(status POST "http://$addr/internal/join" -d "{\"addr\":\"$vb\",\"version\":\"$vbversion\"}")" = 409 ] \
+    || { echo "build A's coordinator did not refuse build B's join with 409" >&2; exit 1; }
+for pid in "$vapid" "$vbpid"; do
+    kill -TERM "$pid"
+    wait "$pid" || { echo "version-leg daemon $pid did not drain cleanly" >&2; exit 1; }
+done
 
 echo "ci.sh: all checks passed"

@@ -8,13 +8,19 @@
 //	icesim -scheme Ice -rounds 10 -workers 4   # repeated, pooled rounds
 //	icesim -zram-codec zstd                    # denser, slower zram tier
 //
-// Schemes: LRU+CFS, UCSG, Acclaim, Ice, PowerManager.
+// Schemes: LRU+CFS, UCSG, Acclaim, Ice, PowerManager, SWAM, Ariadne
+// (case-insensitive, or a registered alias).
 // Cases: null, apps, cputester, memtester.
+// Cached BG apps (-bg): 0-19, 0 = the device default.
 // Zram codecs: lz4 (default), zstd, snappy.
 //
-// With -rounds > 1, the rounds run through the internal/harness bounded
-// worker pool with seeds derived per round, and the per-round and mean
-// FPS/RIA/memory outcomes are reported.
+// The flags resolve through the run path icesimd's run jobs share
+// (internal/experiments RunSpec): the same defaults and validation, and
+// an unknown name or out-of-range count exits 2 with a one-line error.
+// With -rounds > 1, experiments.RunRounds runs the rounds through the
+// internal/harness bounded worker pool with seeds derived per round,
+// and the per-round and mean FPS/RIA/memory outcomes are reported; they
+// equal the cells of an icesimd run job with the same spec.
 package main
 
 import (

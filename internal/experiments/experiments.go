@@ -12,6 +12,9 @@
 // per-cell timing and progress reporting. Results are reduced from the
 // harness's matrix-ordered output, so they are byte-identical at any
 // worker count.
+//
+// Beside the registry, run.go holds the run path that cmd/icesim and the
+// icesimd daemon's run jobs share: RunSpec.Resolve and RunRounds.
 package experiments
 
 import (

@@ -114,12 +114,13 @@ type RunCell struct {
 
 // RunOutcome is a run reduced: one cell per round, the FPS and RIA means
 // over the rounds and, for a traced spec, round 0's Chrome trace-event
-// JSON (loadable in Perfetto).
+// JSON (loadable in Perfetto). Its JSON form is the body of icesimd's
+// run-job payload; the trace is served apart.
 type RunOutcome struct {
-	Cells   []RunCell
-	MeanFPS float64
-	MeanRIA float64
-	Trace   []byte
+	Cells   []RunCell `json:"cells"`
+	MeanFPS float64   `json:"mean_fps"`
+	MeanRIA float64   `json:"mean_ria"`
+	Trace   []byte    `json:"-"`
 }
 
 // RunRounds resolves the spec and runs its rounds through the harness,

@@ -10,12 +10,11 @@ import (
 	"github.com/eurosys23/ice/internal/sim"
 )
 
-// RunResult is a KindRun job's payload.
+// RunResult is a KindRun job's payload: the normalised spec, then the
+// run's per-round cells and means.
 type RunResult struct {
-	Spec    JobSpec               `json:"spec"`
-	Cells   []experiments.RunCell `json:"cells"`
-	MeanFPS float64               `json:"mean_fps"`
-	MeanRIA float64               `json:"mean_ria"`
+	Spec JobSpec `json:"spec"`
+	experiments.RunOutcome
 }
 
 // ExperimentResult is a KindExperiment job's payload: the registry ID,
@@ -48,7 +47,7 @@ func execute(ctx context.Context, spec JobSpec, slots chan struct{}, progress fu
 		}
 		// json.Marshal is deterministic (struct field order, sorted map
 		// keys), so a cache miss re-computation is byte-identical too.
-		result, err = json.Marshal(RunResult{Spec: spec, Cells: out.Cells, MeanFPS: out.MeanFPS, MeanRIA: out.MeanRIA})
+		result, err = json.Marshal(RunResult{Spec: spec, RunOutcome: out})
 		return result, out.Trace, err
 	case KindExperiment:
 		runner, _ := experiments.ByID(spec.Experiment) // validated by normalize

@@ -290,8 +290,8 @@ type routeInstruments struct {
 }
 
 // NewManager builds a Manager with its own instrument registry. It
-// panics if Config.StateDir is set but cannot be initialised; daemons
-// should use OpenManager and handle the error.
+// panics where OpenManager fails; daemons should use OpenManager and
+// handle the error.
 func NewManager(cfg Config) *Manager {
 	m, err := OpenManager(cfg)
 	if err != nil {
@@ -301,8 +301,13 @@ func NewManager(cfg Config) *Manager {
 }
 
 // OpenManager builds a Manager, opening (and scanning) the persistent
-// result store when Config.StateDir is set.
+// result store when Config.StateDir is set. It fails when the running
+// build's code version cannot be derived: an unstamped or modified
+// build whose executable cannot be read.
 func OpenManager(cfg Config) (*Manager, error) {
+	if _, err := buildVersion(); err != nil {
+		return nil, err
+	}
 	if cfg.MaxWorkers <= 0 {
 		cfg.MaxWorkers = runtime.GOMAXPROCS(0)
 	}

@@ -13,6 +13,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"runtime/debug"
 	"sync"
 
@@ -44,7 +46,7 @@ type JobSpec struct {
 	Scenario    string `json:"scenario,omitempty"`     // default S-A
 	Scheme      string `json:"scheme,omitempty"`       // default LRU+CFS
 	BGCase      string `json:"bg_case,omitempty"`      // null|apps|cputester|memtester (default apps)
-	NumBG       int    `json:"num_bg,omitempty"`       // 0 = device default
+	NumBG       int    `json:"num_bg,omitempty"`       // 0-19 (0 = device default)
 	ZramCodec   string `json:"zram_codec,omitempty"`   // lz4|zstd|snappy (default lz4)
 	DurationSec int    `json:"duration_sec,omitempty"` // default 60 (run jobs)
 	Trace       bool   `json:"trace,omitempty"`        // record round 0 for Perfetto export
@@ -157,19 +159,71 @@ func CacheKey(spec JobSpec, version string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// codeVersion identifies the running build for cache addressing: the
-// VCS revision when the binary carries one, else "dev". Two processes
-// built from the same revision share cache keys.
-var codeVersion = sync.OnceValue(func() string {
-	if bi, ok := debug.ReadBuildInfo(); ok {
+// buildVersion derives the running build's code version once per
+// process (see versionOf), hashing the executable at most once.
+var buildVersion = sync.OnceValues(func() (string, error) {
+	bi, _ := debug.ReadBuildInfo()
+	return versionOf(bi, executableSHA256)
+})
+
+// codeVersion identifies the running build for cache addressing, the
+// disk store's boot scan, the peer-cache check and fleet membership.
+// OpenManager fails when the version cannot be derived, so every caller
+// past start-up sees a real one.
+func codeVersion() string {
+	v, _ := buildVersion()
+	return v
+}
+
+// versionOf derives a code version from build info (nil when the binary
+// carries none). A clean VCS build is its revision and a module build
+// its module version; a modified build, or one with neither, appends
+// the SHA-256 of the running executable that exeHash returns, so two
+// different builds never share a version while clean builds of one
+// commit still do.
+func versionOf(bi *debug.BuildInfo, exeHash func() (string, error)) (string, error) {
+	base, clean := "dev", false
+	if bi != nil {
+		rev, modified := "", false
 		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" && s.Value != "" {
-				return s.Value
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value == "true"
 			}
 		}
-		if v := bi.Main.Version; v != "" && v != "(devel)" {
-			return v
+		switch {
+		case rev != "":
+			base, clean = rev, !modified
+		case bi.Main.Version != "" && bi.Main.Version != "(devel)":
+			base, clean = bi.Main.Version, true
 		}
 	}
-	return "dev"
-})
+	if clean {
+		return base, nil
+	}
+	sum, err := exeHash()
+	if err != nil {
+		return "", fmt.Errorf("code version of an unstamped or modified build: %w", err)
+	}
+	return base + "+" + sum, nil
+}
+
+// executableSHA256 is the hex SHA-256 of the running executable's file.
+func executableSHA256() (string, error) {
+	path, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}

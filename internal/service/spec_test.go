@@ -1,6 +1,8 @@
 package service
 
 import (
+	"errors"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -180,5 +182,44 @@ func TestBadSpecErrorWraps(t *testing.T) {
 	_, err := m.Submit(spec)
 	if err == nil || !strings.Contains(err.Error(), "unknown job kind") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestVersionOf: a clean revision or module version is the version as
+// stamped; a modified build, or one with no revision, appends the
+// executable's hash, so two different builds never share a version.
+func TestVersionOf(t *testing.T) {
+	exe := func() (string, error) { return "feedface", nil }
+	noExe := func() (string, error) {
+		t.Error("executable hashed for a clean build")
+		return "", nil
+	}
+	vcs := func(modified string) *debug.BuildInfo {
+		return &debug.BuildInfo{Main: debug.Module{Version: "(devel)"}, Settings: []debug.BuildSetting{
+			{Key: "vcs.revision", Value: "a8ed45c"}, {Key: "vcs.modified", Value: modified},
+		}}
+	}
+	for _, tc := range []struct {
+		name string
+		bi   *debug.BuildInfo
+		hash func() (string, error)
+		want string
+	}{
+		{"clean revision", vcs("false"), noExe, "a8ed45c"},
+		{"modified revision", vcs("true"), exe, "a8ed45c+feedface"},
+		{"no revision", &debug.BuildInfo{Main: debug.Module{Version: "(devel)"}}, exe, "dev+feedface"},
+		{"no build info", nil, exe, "dev+feedface"},
+		{"module version", &debug.BuildInfo{Main: debug.Module{Version: "v1.2.3"}}, noExe, "v1.2.3"},
+	} {
+		got, err := versionOf(tc.bi, tc.hash)
+		if err != nil || got != tc.want {
+			t.Errorf("%s: version %q, %v; want %q", tc.name, got, err, tc.want)
+		}
+	}
+	// An unreadable executable is an error, never a version another
+	// build could share.
+	unreadable := func() (string, error) { return "", errors.New("permission denied") }
+	if v, err := versionOf(vcs("true"), unreadable); err == nil {
+		t.Errorf("unreadable executable gave version %q", v)
 	}
 }
