@@ -439,6 +439,10 @@ vb=$addr; vbpid=$daemon
 curl -sf "http://$vb/metrics" | grep 'service.store.loaded_at_boot' | grep ' 0$' >/dev/null \
     || { echo "build B loaded build A's stored entries" >&2; curl -sf "http://$vb/metrics" >&2; exit 1; }
 vbversion=$(curl -sf "http://$vb/healthz" | sed -n 's/.*"version": "\([^"]*\)".*/\1/p')
+case "$vbversion" in
+    dev+*) ;;
+    *) echo "unstamped build B reports version \"$vbversion\", want dev+<executable hash>" >&2; exit 1 ;;
+esac
 icesimd_bin=$smokedir/icesimd-a
 boot_icesimd "$smokedir/va2.log" -role coordinator
 vapid=$daemon
