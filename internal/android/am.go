@@ -74,11 +74,6 @@ func (am *ActivityManager) Apps() []*Instance { return am.order }
 // Foreground returns the current foreground instance (nil when home).
 func (am *ActivityManager) Foreground() *Instance { return am.fg }
 
-// CachedApps returns the cached-app list, most recently used first.
-func (am *ActivityManager) CachedApps() []*Instance {
-	return append([]*Instance(nil), am.cachedMRU...)
-}
-
 // LaunchIdle reports whether no launch sequence is in flight. Workloads
 // poll this between app switches.
 func (am *ActivityManager) LaunchIdle() bool { return !am.launchInFlight }

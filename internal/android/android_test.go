@@ -6,6 +6,7 @@ import (
 	"github.com/eurosys23/ice/internal/app"
 	"github.com/eurosys23/ice/internal/device"
 	"github.com/eurosys23/ice/internal/metrics"
+	"github.com/eurosys23/ice/internal/mm"
 	"github.com/eurosys23/ice/internal/proc"
 	"github.com/eurosys23/ice/internal/sim"
 )
@@ -157,10 +158,15 @@ func TestInertAppStaysQuiet(t *testing.T) {
 	for _, p := range pp.Processes() {
 		sys.MM.ReclaimProcess(p.PID)
 	}
-	sys.MM.ResetStats()
+	var refaults int
+	sys.MM.OnRefault(func(ev mm.RefaultEvent) {
+		if ev.UID == pp.UID {
+			refaults++
+		}
+	})
 	sys.Run(10 * sim.Second)
-	if got := sys.MM.PerUID(pp.UID).Refaulted; got != 0 {
-		t.Fatalf("inert app refaulted %d pages", got)
+	if refaults != 0 {
+		t.Fatalf("inert app refaulted %d pages", refaults)
 	}
 }
 
@@ -208,6 +214,9 @@ func TestLMKKillsHighestAdj(t *testing.T) {
 	sys.LMK.KillForTest(victim)
 	if victim.Running() {
 		t.Fatal("killed app still running")
+	}
+	if got := sys.LMK.Kills(); got != 1 {
+		t.Fatalf("LMK counted %d kills, want 1", got)
 	}
 	if victim.ResidentPages() != 0 {
 		t.Fatal("killed app kept memory")

@@ -13,9 +13,6 @@ import (
 type LMK struct {
 	sys *System
 
-	// Kills counts applications killed since the last reset.
-	Kills int
-
 	// lastKill throttles kill storms: one kill per cooldown window.
 	lastKill sim.Time
 
@@ -47,9 +44,12 @@ func (l *LMK) onPressure() {
 		return
 	}
 	l.lastKill = now
-	l.Kills++
 	l.kill(victim)
 }
+
+// Kills reports the applications killed since the last measurement
+// reset: the "lmk.kills" counter.
+func (l *LMK) Kills() int { return int(l.sys.ins.lmkKills.Value()) }
 
 // kill tears an application down and reindexes the cached list.
 func (l *LMK) kill(victim *Instance) {
@@ -95,7 +95,6 @@ func (l *LMK) RequestKill() *Instance {
 		return nil
 	}
 	l.lastKill = l.sys.Eng.Now()
-	l.Kills++
 	l.kill(victim)
 	return victim
 }

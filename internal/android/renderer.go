@@ -52,9 +52,6 @@ func NewRenderer(sys *System) *Renderer {
 	}
 }
 
-// Active reports whether a render session is running.
-func (r *Renderer) Active() bool { return r.active }
-
 // Start begins a 60 Hz render session on the given (foreground) app. Any
 // previous session stops. Frame statistics restart from now.
 func (r *Renderer) Start(in *Instance) {

@@ -12,7 +12,6 @@ package android
 
 import (
 	"github.com/eurosys23/ice/internal/device"
-	"github.com/eurosys23/ice/internal/metrics"
 	"github.com/eurosys23/ice/internal/mm"
 	"github.com/eurosys23/ice/internal/proc"
 	"github.com/eurosys23/ice/internal/sched"
@@ -63,12 +62,6 @@ type System struct {
 	// emit paths are nil-safe and free.
 	Trace *trace.Buffer
 
-	// freezeGate, when set, is consulted before any application freeze —
-	// the freeze decision point schemes compose through (a vendor
-	// whitelist, a predictor sparing the likely-next app). Returning
-	// false vetoes the freeze.
-	freezeGate func(uid int) bool
-
 	rng *sim.Rand
 	ins sysInstruments
 
@@ -76,9 +69,6 @@ type System struct {
 	kswapdTask   *proc.Task
 	kswapdQueued bool
 	kswapdWork   *proc.Work
-
-	// KswapdSteps counts reclaim quanta executed (debug/tests).
-	KswapdSteps uint64
 }
 
 // FGWeightBoost is the scheduling weight multiplier the stock framework
@@ -90,7 +80,7 @@ const FGWeightBoost = 2
 func NewSystem(seed int64, dev device.Profile) *System {
 	eng := sim.NewEngine(seed)
 	disk := storage.New(eng, dev.Storage)
-	z := zram.New(dev.ZramConfig())
+	z := zram.New(dev.ZramConfig(), eng.Obs())
 	m := mm.New(eng, dev.MMConfig(), z, disk)
 	sys := &System{
 		Eng:         eng,
@@ -103,7 +93,6 @@ func NewSystem(seed int64, dev device.Profile) *System {
 		ThawLatency: 40 * sim.Millisecond,
 		rng:         eng.Rand().Split(),
 	}
-	z.Instrument(eng.Obs())
 	sys.ins.register(eng.Obs())
 	sys.bootKernel()
 	sys.bootServices()
@@ -144,7 +133,6 @@ func (sys *System) postKswapdStep() {
 		sys.kswapdWork = &proc.Work{
 			Name: "kswapd",
 			Setup: func() (sim.Time, sim.Time) {
-				sys.KswapdSteps++
 				cpu, reclaimed, m := sys.MM.KswapdStep()
 				more = m
 				starved = reclaimed == 0 && sys.MM.BelowHigh()
@@ -255,9 +243,6 @@ func (p *workPool) post(t *proc.Task, cpu sim.Time) {
 	}
 }
 
-// KswapdQueued reports whether a kswapd work chain is pending (debug).
-func (sys *System) KswapdQueued() bool { return sys.kswapdQueued }
-
 // Kick re-arms the scheduler; schemes call it after thawing processes.
 func (sys *System) Kick() { sys.Sched.WakeAll() }
 
@@ -312,19 +297,9 @@ func (sys *System) ThawApp(uid int) int {
 	return n
 }
 
-// SetFreezeGate installs a predicate consulted before every FreezeApp;
-// returning false vetoes the freeze. Nil (the default) allows all.
-// Installing a gate composes with any scheme that freezes: the caller
-// still decides *whom* to freeze, the gate decides *whether*.
-func (sys *System) SetFreezeGate(fn func(uid int) bool) { sys.freezeGate = fn }
-
-// FreezeApp freezes every alive process of an application UID, unless
-// the installed freeze gate vetoes it. Returns how many processes were
-// frozen.
+// FreezeApp freezes every alive process of an application UID. Returns
+// how many processes were frozen.
 func (sys *System) FreezeApp(uid int) int {
-	if sys.freezeGate != nil && !sys.freezeGate(uid) {
-		return 0
-	}
 	now := sys.Eng.Now()
 	n := 0
 	for _, p := range sys.Procs.AliveByUID(uid) {
@@ -343,12 +318,12 @@ func (sys *System) FreezeApp(uid int) int {
 }
 
 // ResetMeasurement zeroes every statistics domain (memory, CPU, I/O,
-// launches) at the current instant; experiments call it after warm-up.
+// launches, kills) at the current instant; experiments call it after
+// warm-up.
 func (sys *System) ResetMeasurement() {
 	sys.MM.ResetStats()
 	sys.Sched.ResetStats()
 	sys.AM.Launches.Reset()
-	sys.LMK.Kills = 0
 	frozen := sys.ins.frozenApps.Value()
 	sys.Eng.Obs().Reset()
 	// Level gauges survive the reset: they describe current state, not
@@ -375,6 +350,3 @@ func (sys *System) RunUntil(cond func() bool, timeout, poll sim.Time) bool {
 	}
 	return cond()
 }
-
-// LaunchStatsRef returns the launch-statistics accumulator.
-func (sys *System) LaunchStatsRef() *metrics.LaunchStats { return &sys.AM.Launches }

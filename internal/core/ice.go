@@ -49,13 +49,6 @@ type Config struct {
 	// application is frozen it is thawed ahead of time, hiding the thaw
 	// (and part of the refault) latency from the next hot launch.
 	PredictiveThaw bool
-
-	// Predictor, when non-nil, is the app-switch model PredictiveThaw
-	// uses instead of constructing its own. Injecting one lets a scheme
-	// share a single model between ICE's pre-thaw and its other decision
-	// points (policy.ObserveSwitches wires the same seam for non-ICE
-	// schemes). Ignored unless PredictiveThaw is set.
-	Predictor *predict.Markov
 }
 
 // DefaultConfig returns the paper's parameterisation.
@@ -182,10 +175,7 @@ func Attach(sys *android.System, cfg Config) *Framework {
 	// stream; when the likely next app is in the frozen set, thaw it
 	// before the user asks for it.
 	if cfg.PredictiveThaw {
-		f.predictor = cfg.Predictor
-		if f.predictor == nil {
-			f.predictor = predict.NewMarkov()
-		}
+		f.predictor = predict.NewMarkov()
 		sys.Hooks.FGChange = append(sys.Hooks.FGChange, func(_, cur *android.Instance) {
 			if cur == nil {
 				return
@@ -251,9 +241,6 @@ func (f *Framework) FrozenSet() []int {
 
 // CurrentEf returns the current freeze period.
 func (f *Framework) CurrentEf() sim.Time { return f.ef }
-
-// InThawPeriod reports whether the heartbeat is in a thaw period.
-func (f *Framework) InThawPeriod() bool { return f.inThaw }
 
 // WhitelistUID adds a vendor-managed offline whitelist entry (§4.4:
 // antivirus trackers, call/message receivers).

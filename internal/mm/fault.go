@@ -59,7 +59,6 @@ func (m *Manager) Touch(pid int, ids []PageID) Cost {
 		thrashW := m.thrashStall()
 		if wait := lockW + thrashW; wait > 0 {
 			cost.Stall += wait
-			m.stats.ContentionStall += wait
 			if lockW > 0 {
 				m.ins.lockWait.Observe(int64(lockW))
 			}
@@ -110,27 +109,15 @@ func (m *Manager) refault(id PageID, fileReads *int) Cost {
 	m.addToLRU(id, inactiveList(p.class))
 
 	fg := int(p.uid) == m.fgUID
-	m.stats.Total.Refaulted++
-	m.stats.RefaultByClass[p.class]++
-	m.stats.RefaultDistanceSum += distance
 	m.ins.refaultPages.Inc()
 	m.ins.refaultByClass[p.class].Inc()
 	if fg {
-		m.stats.RefaultFG++
 		m.ins.refaultFG.Inc()
 	} else {
-		m.stats.RefaultBG++
 		m.ins.refaultBG.Inc()
 	}
-	c := m.perUID[int(p.uid)]
-	if c == nil {
-		c = &Counter{}
-		m.perUID[int(p.uid)] = c
-	}
-	c.Refaulted++
 	m.series.noteRefault(m.second(), fg)
 	m.thrash.note(m.eng.Now(), m.cfg.ThrashWindow, 35)
-	m.refaultMeter.note(m.eng.Now(), m.cfg.ThrashWindow, 10)
 
 	ev := RefaultEvent{
 		PID:        int(p.pid),

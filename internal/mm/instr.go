@@ -6,8 +6,9 @@ import (
 )
 
 // instruments caches the manager's registry handles so hot paths pay one
-// pointer dereference, not a map lookup. All fields may be nil (registry
-// absent); obs instruments are nil-safe.
+// pointer dereference, not a map lookup. They are the only store of the
+// counts Manager.Stats reports. All fields may be nil (registry absent);
+// obs instruments are nil-safe.
 type instruments struct {
 	reclaimPages   *obs.Counter
 	reclaimScans   *obs.Counter
@@ -41,6 +42,21 @@ func (in *instruments) register(reg *obs.Registry) {
 	in.directStall = reg.Histogram("mm.direct_reclaim.stall_us")
 	in.lockWait = reg.Histogram("mm.lock.wait_us")
 	in.thrashStall = reg.Histogram("mm.thrash.stall_us")
+}
+
+// reset zeroes every counter and histogram (a no-op on nil).
+func (in *instruments) reset() {
+	for _, c := range [...]*obs.Counter{
+		in.reclaimPages, in.reclaimScans, in.kswapdWakeups, in.writebackPages,
+		in.zramRejects, in.refaultPages, in.refaultFG, in.refaultBG,
+		in.refaultByClass[File], in.refaultByClass[AnonNative], in.refaultByClass[AnonJava],
+		in.directEpisodes,
+	} {
+		c.Reset()
+	}
+	in.directStall.Reset()
+	in.lockWait.Reset()
+	in.thrashStall.Reset()
 }
 
 // SetTrace attaches a trace buffer; the manager emits CatMM spans for

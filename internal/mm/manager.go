@@ -121,7 +121,9 @@ type Counter struct {
 	Refaulted uint64
 }
 
-// Stats aggregates memory-management activity.
+// Stats aggregates memory-management activity. Manager.Stats reads it
+// back from the manager's registry instruments; only the reclaim splits
+// by class and by path have no instrument and are counted directly.
 type Stats struct {
 	Total Counter
 	// RefaultFG / RefaultBG split refaults by who demanded the page.
@@ -242,13 +244,15 @@ type Manager struct {
 	// type assertion would otherwise run once per scanned page.
 	aggressive AggressivePolicy
 
-	thrash       thrashMeter
-	refaultMeter thrashMeter
-	distances    DistanceHistogram
+	thrash    thrashMeter
+	distances DistanceHistogram
 
-	stats   Stats
+	// The Stats fields no instrument carries.
+	reclaimByClass  [numClasses]uint64
+	kswapdReclaimed uint64
+	directReclaimed uint64
+
 	series  seriesRecorder
-	perUID  map[int]*Counter
 	started sim.Time
 
 	ins instruments
@@ -273,7 +277,6 @@ func New(eng *sim.Engine, cfg Config, z *zram.Zram, disk *storage.Device) *Manag
 		byPID:     make(map[int][]PageID),
 		deadByPID: make(map[int][]PageID),
 		deadInPID: make(map[int]int),
-		perUID:    make(map[int]*Counter),
 		fgUID:     -1,
 	}
 	for i := range m.lists {
@@ -287,23 +290,37 @@ func New(eng *sim.Engine, cfg Config, z *zram.Zram, disk *storage.Device) *Manag
 func (m *Manager) Config() Config { return m.cfg }
 
 // Stats returns a snapshot of the accumulated statistics.
-func (m *Manager) Stats() Stats { return m.stats }
-
-// PerUID returns the reclaim/refault counter for uid (zero value if none).
-func (m *Manager) PerUID(uid int) Counter {
-	if c := m.perUID[uid]; c != nil {
-		return *c
+func (m *Manager) Stats() Stats {
+	in := &m.ins
+	s := Stats{
+		Total:                 Counter{Reclaimed: in.reclaimPages.Value(), Refaulted: in.refaultPages.Value()},
+		RefaultFG:             in.refaultFG.Value(),
+		RefaultBG:             in.refaultBG.Value(),
+		ReclaimByClass:        m.reclaimByClass,
+		KswapdReclaimed:       m.kswapdReclaimed,
+		DirectReclaimed:       m.directReclaimed,
+		DirectReclaimEpisodes: in.directEpisodes.Value(),
+		WritebackPages:        in.writebackPages.Value(),
+		ZramRejects:           in.zramRejects.Value(),
+		KswapdWakeups:         in.kswapdWakeups.Value(),
+		ContentionStall:       sim.Time(in.lockWait.Sum() + in.thrashStall.Sum()),
+		RefaultDistanceSum:    m.distances.Sum,
 	}
-	return Counter{}
+	for c, ctr := range in.refaultByClass {
+		s.RefaultByClass[c] = ctr.Value()
+	}
+	return s
 }
 
-// ResetStats zeroes counters and series; memory contents are preserved.
+// ResetStats zeroes counters, instruments and series, and those of the
+// ZRAM partition and flash device; memory contents are preserved.
 // Experiments call this after the warm-up/caching phase.
 func (m *Manager) ResetStats() {
-	m.stats = Stats{}
+	m.ins.reset()
+	m.reclaimByClass = [numClasses]uint64{}
+	m.kswapdReclaimed, m.directReclaimed = 0, 0
 	m.distances = DistanceHistogram{}
 	m.series.reset()
-	m.perUID = make(map[int]*Counter)
 	m.started = m.eng.Now()
 	m.z.ResetStats()
 	m.disk.ResetStats()
@@ -413,7 +430,6 @@ func (m *Manager) wakeKswapd() {
 		return
 	}
 	m.kswapdWanted = true
-	m.stats.KswapdWakeups++
 	m.ins.kswapdWakeups.Inc()
 	if m.kswapdWaker != nil {
 		m.kswapdWaker()
@@ -466,7 +482,6 @@ func (m *Manager) lockWait(hold sim.Time, charge bool) sim.Time {
 	}
 	m.lockBusyUntil += hold
 	if charge && wait > 0 {
-		m.stats.ContentionStall += wait
 		m.ins.lockWait.Observe(int64(wait))
 	}
 	if !charge {
@@ -565,13 +580,13 @@ func (m *Manager) chargeAlloc(n int) Cost {
 			if target < m.cfg.DirectReclaimBatch {
 				target = m.cfg.DirectReclaimBatch
 			}
-			before := m.stats.Total.Reclaimed
+			before := m.ins.reclaimPages.Value()
 			cost.Add(m.directReclaim(target))
 			free = m.FreePages() - n
 			if free >= m.cfg.MinWatermark/2 {
 				break
 			}
-			if m.stats.Total.Reclaimed == before {
+			if m.ins.reclaimPages.Value() == before {
 				// Reclaim is out of supply (ZRAM full, caches dropped):
 				// only now is killing justified.
 				for _, fn := range m.pressureHooks {

@@ -14,7 +14,7 @@ import (
 func newTestManager(seed int64) (*sim.Engine, *Manager) {
 	eng := sim.NewEngine(seed)
 	disk := storage.New(eng, storage.UFS21)
-	z := zram.New(zram.DefaultConfig(1024))
+	z := zram.New(zram.DefaultConfig(1024), eng.Obs())
 	cfg := DefaultConfig()
 	cfg.TotalPages = 4096
 	cfg.ReservedPages = 256
@@ -53,7 +53,7 @@ func TestMapMakesPagesResident(t *testing.T) {
 func TestWatermarkOrderingEnforced(t *testing.T) {
 	eng := sim.NewEngine(1)
 	disk := storage.New(eng, storage.UFS21)
-	z := zram.New(zram.DefaultConfig(64))
+	z := zram.New(zram.DefaultConfig(64), eng.Obs())
 	cfg := DefaultConfig()
 	cfg.TotalPages = 1000
 	cfg.HighWatermark = 10
@@ -314,7 +314,7 @@ func (protectFG) Protect(uid int, _ Class, fgUID int) bool {
 func TestZramFullFallsBackToFile(t *testing.T) {
 	eng := sim.NewEngine(16)
 	disk := storage.New(eng, storage.UFS21)
-	z := zram.New(zram.DefaultConfig(5)) // tiny
+	z := zram.New(zram.DefaultConfig(5), eng.Obs()) // tiny
 	cfg := DefaultConfig()
 	cfg.TotalPages = 2048
 	cfg.ReservedPages = 0
@@ -359,7 +359,7 @@ func TestDirtyFileWriteback(t *testing.T) {
 func TestPressureHookOnReclaimFailure(t *testing.T) {
 	eng := sim.NewEngine(18)
 	disk := storage.New(eng, storage.UFS21)
-	z := zram.New(zram.DefaultConfig(1)) // nearly no swap space
+	z := zram.New(zram.DefaultConfig(1), eng.Obs()) // nearly no swap space
 	cfg := DefaultConfig()
 	cfg.TotalPages = 256
 	cfg.ReservedPages = 0
@@ -377,6 +377,40 @@ func TestPressureHookOnReclaimFailure(t *testing.T) {
 	m.Map(1, 10001, AnonNative, 20) // below min, direct reclaim fails
 	if fired == 0 {
 		t.Fatal("pressure hook not fired when reclaim failed")
+	}
+}
+
+// TestResetStatsZeroesEveryCount: Stats is read back from the registry
+// instruments, so ResetStats must zero each of them, and those of the
+// ZRAM partition and the flash device, while memory stays as it was.
+func TestResetStatsZeroesEveryCount(t *testing.T) {
+	_, m := newTestManager(22)
+	m.cfg.DirtyFileFraction = 1.0
+	file, _ := m.Map(1, 10001, File, 30)
+	anon, _ := m.Map(2, 10002, AnonJava, 20)
+	m.ReclaimProcess(1)
+	m.ReclaimProcess(2)
+	m.Touch(1, file)
+	m.Touch(2, anon)
+	m.Map(3, 10003, AnonNative, m.FreePages()) // below min: direct reclaim
+	st := m.Stats()
+	if st.Total.Refaulted != 50 || st.WritebackPages != 30 || st.DirectReclaimEpisodes == 0 ||
+		st.ContentionStall == 0 || st.RefaultDistanceSum == 0 {
+		t.Fatalf("workload left counts unset: %+v", st)
+	}
+	resident := m.ResidentPages()
+	m.ResetStats()
+	if st := m.Stats(); st != (Stats{}) {
+		t.Fatalf("mm stats survived ResetStats: %+v", st)
+	}
+	if st := m.z.Stats(); st != (zram.Stats{}) {
+		t.Fatalf("zram stats survived ResetStats: %+v", st)
+	}
+	if st := m.disk.Stats(); st != (storage.Stats{}) {
+		t.Fatalf("flash stats survived ResetStats: %+v", st)
+	}
+	if m.ResidentPages() != resident {
+		t.Fatal("ResetStats disturbed memory")
 	}
 }
 
@@ -405,19 +439,6 @@ func TestAvailablePagesAtLeastOne(t *testing.T) {
 	m.Map(1, 10001, AnonNative, m.FreePages()+100) // overcommit hard
 	if m.AvailablePages() < 1 {
 		t.Fatal("AvailablePages must stay positive for MDT's division")
-	}
-}
-
-func TestPerUIDCounters(t *testing.T) {
-	_, m := newTestManager(21)
-	ids, _ := m.Map(1, 10001, AnonJava, 8)
-	m.ReclaimProcess(1)
-	m.Touch(1, ids)
-	if got := m.PerUID(10001).Refaulted; got != 8 {
-		t.Fatalf("per-UID refaults %d", got)
-	}
-	if got := m.PerUID(99999); got.Refaulted != 0 {
-		t.Fatal("unknown UID should report zero")
 	}
 }
 

@@ -173,7 +173,6 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 			if !ok {
 				// ZRAM full: anonymous reclaim is off the table. Rotate and
 				// remember the rejection; file pages may still be viable.
-				m.stats.ZramRejects++
 				m.ins.zramRejects.Inc()
 				m.noteSwapFull()
 				m.addToLRU(id, activeList(p.class))
@@ -207,7 +206,6 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 		// reclaim path waits for them, but they occupy the device queue
 		// (delaying foreground reads — interference source two in §2.2.3).
 		m.disk.Write(res.writeback, nil)
-		m.stats.WritebackPages += uint64(res.writeback)
 		m.ins.writebackPages.Add(uint64(res.writeback))
 	}
 	// Reclaim holds the LRU/zone lock while it isolates and unmaps pages;
@@ -220,8 +218,7 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 }
 
 func (m *Manager) noteReclaim(c Class, cheap bool) {
-	m.stats.Total.Reclaimed++
-	m.stats.ReclaimByClass[c]++
+	m.reclaimByClass[c]++
 	m.ins.reclaimPages.Inc()
 	m.series.noteReclaim(m.second())
 	// Weights in tenths: dropping clean file cache is cheap; unmapping and
@@ -243,7 +240,7 @@ func (m *Manager) KswapdStep() (cpu sim.Time, reclaimed int, more bool) {
 	}
 	res := m.reclaimPages(m.cfg.KswapdBatch)
 	m.fireSwapFull()
-	m.stats.KswapdReclaimed += uint64(res.reclaimed)
+	m.kswapdReclaimed += uint64(res.reclaimed)
 	m.tr.Span(m.eng.Now(), trace.CatMM, "kswapd-reclaim", 0, res.cpu,
 		int64(res.reclaimed), int64(res.scanned))
 	if res.reclaimed == 0 {
@@ -259,11 +256,10 @@ func (m *Manager) KswapdStep() (cpu sim.Time, reclaimed int, more bool) {
 // returned cost stalls the caller — including a foreground render task,
 // which is precisely the priority inversion the paper identifies.
 func (m *Manager) directReclaim(target int) Cost {
-	m.stats.DirectReclaimEpisodes++
 	m.ins.directEpisodes.Inc()
 	res := m.reclaimPages(target)
 	m.fireSwapFull()
-	m.stats.DirectReclaimed += uint64(res.reclaimed)
+	m.directReclaimed += uint64(res.reclaimed)
 	var cost Cost
 	cost.Stall = res.cpu
 	cost.Stall += m.lockWait(m.cfg.LockHoldPerOp, true)
@@ -317,7 +313,7 @@ func (m *Manager) ReclaimProcess(pid int) int {
 	}
 	if writeback > 0 {
 		m.disk.Write(writeback, nil)
-		m.stats.WritebackPages += uint64(writeback)
+		m.ins.writebackPages.Add(uint64(writeback))
 	}
 	m.fireSwapFull()
 	return n

@@ -138,25 +138,6 @@ func TestReclaimRespectsZramCompression(t *testing.T) {
 	}
 }
 
-func TestRefaultRateMeter(t *testing.T) {
-	eng, m := newTestManager(38)
-	ids, _ := m.Map(1, 10001, AnonJava, 50)
-	m.ReclaimProcess(1)
-	if m.RefaultRate() != 0 {
-		t.Fatal("rate before refaults")
-	}
-	m.Touch(1, ids)
-	r := m.RefaultRate()
-	// 50 refaults within a 2-second window → 25/s.
-	if r < 20 || r > 30 {
-		t.Fatalf("refault rate %v, want ≈25", r)
-	}
-	eng.RunFor(3 * m.cfg.ThrashWindow)
-	if m.RefaultRate() != 0 {
-		t.Fatal("rate did not decay")
-	}
-}
-
 func TestDistanceHistogram(t *testing.T) {
 	var h DistanceHistogram
 	for _, d := range []uint64{0, 1, 3, 7, 100, 1000} {

@@ -72,14 +72,6 @@ func (m *Manager) ThrashRate() float64 {
 	return m.thrash.rate(m.eng.Now(), m.cfg.ThrashWindow)
 }
 
-// RefaultRate reports the recent refault rate in pages per second. The
-// low-memory killer's PSI-style trigger reads it: refault churn is the
-// memory-stall pressure lmkd reacts to, distinct from cold-start reclaim
-// volume.
-func (m *Manager) RefaultRate() float64 {
-	return m.refaultMeter.rate(m.eng.Now(), m.cfg.ThrashWindow)
-}
-
 // thrashStall prices one memory phase against the current thrash rate.
 //
 // The mean stall follows a sub-linear power law, mean = K·rate^e with

@@ -5,12 +5,16 @@
 // reclaim/refault accounting, stall distributions, queue depths — kept
 // allocation-free on the hot paths so it can stay enabled for every run.
 //
+// The registry is also the only store of those counts: a subsystem's
+// Stats (mm, zram, storage) are read back from its instruments, and its
+// ResetStats resets them.
+//
 // Instruments are plain (non-atomic) because a simulation is
 // single-threaded by design; each simulated device owns its own engine
 // and therefore its own registry. All instrument methods and the
-// registry accessors are safe on nil receivers, so uninstrumented
-// components (e.g. a Zram constructed directly in a unit test) pay one
-// nil check and nothing else.
+// registry accessors are safe on nil receivers, so an uninstrumented
+// component (e.g. a Zram built on a nil registry in a unit test) pays
+// one nil check and records nothing.
 package obs
 
 import (
@@ -47,6 +51,13 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v
+}
+
+// Reset zeroes the count.
+func (c *Counter) Reset() {
+	if c != nil {
+		c.v = 0
+	}
 }
 
 // Gauge is an instantaneous level (queue depth, set size, intensity).
@@ -129,6 +140,13 @@ func (h *Histogram) Absorb(s HistSample) {
 	h.sum += s.Sum
 	if s.Max > h.max {
 		h.max = s.Max
+	}
+}
+
+// Reset empties the distribution.
+func (h *Histogram) Reset() {
+	if h != nil {
+		*h = Histogram{name: h.name}
 	}
 }
 
@@ -248,13 +266,13 @@ func (r *Registry) Reset() {
 		return
 	}
 	for _, c := range r.counters {
-		c.v = 0
+		c.Reset()
 	}
 	for _, g := range r.gauges {
 		g.v = 0
 	}
 	for _, h := range r.hists {
-		*h = Histogram{name: h.name}
+		h.Reset()
 	}
 }
 

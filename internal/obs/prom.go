@@ -73,8 +73,8 @@ func (o PromOptions) prefix() string {
 }
 
 // promHelp is the help registry: instrument name (or PromRule family
-// base name) → HELP text. SetPromHelp extends it; unknown names fall
-// back to the instrument name itself.
+// base name) → HELP text. Unknown names fall back to the instrument
+// name itself.
 var promHelp = map[string]string{
 	// Simulator series (per-device registries, aggregated by the daemon
 	// under the "sim." prefix).
@@ -181,10 +181,6 @@ var promHelp = map[string]string{
 	"process.gc_pause_us":                "Stop-the-world GC pause duration.",
 	"peer_up":                            "Whether the last fleet scrape of the peer succeeded.",
 }
-
-// SetPromHelp registers (or overrides) the HELP text for an instrument
-// name, or for a PromRule family's base name.
-func SetPromHelp(name, help string) { promHelp[name] = help }
 
 // helpFor resolves the HELP text for a source instrument/family name.
 // Daemon-aggregated simulator series carry a "sim." prefix over the

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/eurosys23/ice/internal/android"
@@ -28,6 +29,17 @@ func swapOutCached(t *testing.T, sys *android.System, names []string) {
 	t.Fatal("no cached app left running to swap out")
 }
 
+// codecStores reads the per-codec "zram.stores.<codec>" counters.
+func codecStores(sys *android.System) map[string]uint64 {
+	stores := map[string]uint64{}
+	for _, c := range sys.Eng.Obs().Snapshot().Counters {
+		if codec, ok := strings.CutPrefix(c.Name, "zram.stores."); ok {
+			stores[codec] = c.Value
+		}
+	}
+	return stores
+}
+
 // TestAriadneSplitsCodecsByHeat: pressure reclaim stores the cold LRU
 // tail, a whole-app swap-out stores that app's warm core too — Ariadne
 // must route the two populations through different codecs. Per-page
@@ -44,7 +56,7 @@ func TestAriadneSplitsCodecsByHeat(t *testing.T) {
 	if sys.Zram.Stats().StoredTotal == 0 {
 		t.Fatal("no reclaim to ZRAM happened; test exerts no pressure")
 	}
-	stores := sys.Zram.StoresByCodec()
+	stores := codecStores(sys)
 	if stores["base"] != 0 {
 		t.Fatalf("pages bypassed the codec selector: %v", stores)
 	}
@@ -66,7 +78,7 @@ func TestAriadneCustomThreshold(t *testing.T) {
 	cacheApps(t, sys, names)
 	sys.Run(5 * sim.Second)
 	swapOutCached(t, sys, names)
-	stores := sys.Zram.StoresByCodec()
+	stores := codecStores(sys)
 	if stores["snappy"] == 0 {
 		t.Fatalf("no warm pages took the fast codec: %v", stores)
 	}

@@ -30,10 +30,9 @@ type PowerManager struct {
 	// MaxTargets is how many energy-hungry apps are frozen per cycle.
 	MaxTargets int
 
-	sys      *android.System
-	frozen   map[int]bool
-	lastCPU  map[int]sim.Time
-	inFreeze bool
+	sys     *android.System
+	frozen  map[int]bool
+	lastCPU map[int]sim.Time
 }
 
 // Name implements Scheme.
@@ -72,7 +71,6 @@ func (p *PowerManager) Attach(sys *android.System) {
 }
 
 func (p *PowerManager) freezeCycle() {
-	p.inFreeze = true
 	if !p.Charging {
 		p.freezeHungriest()
 	}
@@ -80,7 +78,6 @@ func (p *PowerManager) freezeCycle() {
 }
 
 func (p *PowerManager) thawCycle() {
-	p.inFreeze = false
 	// Thaw in UID order, not map order: the same-instant thaw spans must
 	// land in the trace in a reproducible order for a seed's trace bytes
 	// to be identical across runs.

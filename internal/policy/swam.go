@@ -59,7 +59,11 @@ func (s *SWAM) Attach(sys *android.System) {
 	s.sys = sys
 	s.markov = predict.NewMarkov()
 	s.lastKill = -s.KillCooldown
-	ObserveSwitches(sys, s.markov)
+	sys.Hooks.FGChange = append(sys.Hooks.FGChange, func(_, cur *android.Instance) {
+		if cur != nil {
+			s.markov.Observe(cur.UID)
+		}
+	})
 	sys.LMK.SetVictimFn(s.pickVictim)
 	sys.MM.OnSwapFull(s.onSwapFull)
 }

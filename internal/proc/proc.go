@@ -262,11 +262,6 @@ func (p *Process) Kill() {
 	}
 }
 
-// Revive is used when an application is cold-launched again after an LMK
-// kill: the Table allocates a fresh process instead, so Revive only exists
-// for tests that re-use a Process value.
-func (p *Process) Revive() { p.alive = true }
-
 // TotalCPU sums CPU consumed by the process's tasks.
 func (p *Process) TotalCPU() sim.Time {
 	var total sim.Time

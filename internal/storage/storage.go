@@ -42,7 +42,8 @@ var (
 )
 
 // Stats aggregates device activity. Requests correspond to bio instances in
-// the kernel: one request may cover several pages.
+// the kernel: one request may cover several pages. The page and read
+// counts are read back from the device's registry instruments.
 type Stats struct {
 	ReadRequests  uint64
 	WriteRequests uint64
@@ -73,7 +74,10 @@ type Device struct {
 	readBusyUntil  sim.Time
 	writeBusyUntil sim.Time
 
-	stats Stats
+	// writeRequests and busyTime are the Stats fields no instrument
+	// carries; readWait counts the read requests.
+	writeRequests uint64
+	busyTime      sim.Time
 
 	pagesRead    *obs.Counter
 	pagesWritten *obs.Counter
@@ -117,10 +121,24 @@ func (d *Device) SetTrace(b *trace.Buffer) { d.tr = b }
 func (d *Device) Params() Params { return d.params }
 
 // Stats returns a snapshot of the accumulated statistics.
-func (d *Device) Stats() Stats { return d.stats }
+func (d *Device) Stats() Stats {
+	return Stats{
+		ReadRequests:  d.readWait.Count(),
+		WriteRequests: d.writeRequests,
+		PagesRead:     d.pagesRead.Value(),
+		PagesWritten:  d.pagesWritten.Value(),
+		BusyTime:      d.busyTime,
+	}
+}
 
-// ResetStats zeroes the statistics counters (the queue state is preserved).
-func (d *Device) ResetStats() { d.stats = Stats{} }
+// ResetStats zeroes the statistics counters (the queue state and the
+// write-backlog gauge are preserved).
+func (d *Device) ResetStats() {
+	d.writeRequests, d.busyTime = 0, 0
+	d.pagesRead.Reset()
+	d.pagesWritten.Reset()
+	d.readWait.Reset()
+}
 
 // ReadQueueDelay reports how long a read submitted now would wait before
 // entering service, including write-backlog interference and the NCQ
@@ -181,9 +199,7 @@ func (d *Device) read(n int, perPage sim.Time, name string, done func()) sim.Tim
 	if end > d.readBusyUntil {
 		d.readBusyUntil = end
 	}
-	d.stats.BusyTime += service
-	d.stats.ReadRequests++
-	d.stats.PagesRead += uint64(n)
+	d.busyTime += service
 	d.pagesRead.Add(uint64(n))
 	d.readWait.Observe(int64(wait))
 	d.tr.Span(start, trace.CatIO, name, 0, service, int64(n), int64(wait))
@@ -206,9 +222,8 @@ func (d *Device) Write(n int, done func()) sim.Time {
 	}
 	service := sim.Time(n) * d.params.WriteLatency
 	d.writeBusyUntil = start + service
-	d.stats.BusyTime += service
-	d.stats.WriteRequests++
-	d.stats.PagesWritten += uint64(n)
+	d.busyTime += service
+	d.writeRequests++
 	d.pagesWritten.Add(uint64(n))
 	d.writeBacklog.Set(int64(d.writeBusyUntil - now))
 	d.tr.Span(start, trace.CatIO, "flash-write", 0, service, int64(n), int64(start-now))

@@ -114,8 +114,8 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("totals %+v", st)
 	}
 	d.ResetStats()
-	if d.Stats().TotalRequests() != 0 {
-		t.Fatal("ResetStats did not clear")
+	if st := d.Stats(); st != (Stats{}) {
+		t.Fatalf("ResetStats did not clear: %+v", st)
 	}
 }
 

@@ -108,7 +108,7 @@ func RunLaunchLoop(cfg LaunchLoopConfig) LaunchLoopResult {
 		res.HotPerRound = append(res.HotPerRound, hot)
 		res.ColdPerRound = append(res.ColdPerRound, cold)
 	}
-	res.LMKKills = sys.LMK.Kills
+	res.LMKKills = sys.LMK.Kills()
 	res.Mem = sys.MM.Stats()
 	res.CPU = sys.Sched.Stats()
 	res.IO = sys.Disk.Stats()

@@ -273,7 +273,7 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	res.CPU = sys.Sched.Stats()
 	res.IO = sys.Disk.Stats()
 	res.Zram = sys.Zram.Stats()
-	res.LMKKills = sys.LMK.Kills
+	res.LMKKills = sys.LMK.Kills()
 	res.Trace = sys.Trace
 	if sys.Trace != nil {
 		res.Subjects = sys.TraceSubjects()

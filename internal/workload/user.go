@@ -133,7 +133,7 @@ func RunUser(cfg UserConfig) UserResult {
 		prev = st
 	}
 	res.Final = sys.MM.Stats()
-	res.LMKKills = sys.LMK.Kills
+	res.LMKKills = sys.LMK.Kills()
 	return res
 }
 

@@ -1,6 +1,10 @@
 package zram
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/eurosys23/ice/internal/obs"
+)
 
 // hotCold is the canonical CodecFn shape: hot pages fast, cold dense.
 func hotCold(info PageInfo) Codec {
@@ -15,7 +19,8 @@ func hotCold(info PageInfo) Codec {
 func TestCodecFnSelectsPerPage(t *testing.T) {
 	cfg := DefaultConfig(1000)
 	cfg.LatencyScale = 2
-	z := New(cfg)
+	reg := obs.NewRegistry()
+	z := New(cfg, reg)
 	z.SetCodecFn(hotCold)
 
 	_, hotRef, ok := z.Store(PageInfo{Java: true, Heat: 5})
@@ -33,9 +38,9 @@ func TestCodecFnSelectsPerPage(t *testing.T) {
 		t.Fatal("codecFn page landed on the base-config ref")
 	}
 
-	stores := z.StoresByCodec()
-	if stores["lz4"] != 1 || stores["zstd"] != 1 {
-		t.Fatalf("StoresByCodec = %v", stores)
+	lz4Stores, zstdStores := reg.Counter("zram.stores.lz4").Value(), reg.Counter("zram.stores.zstd").Value()
+	if lz4Stores != 1 || zstdStores != 1 {
+		t.Fatalf("stores: lz4 %d, zstd %d", lz4Stores, zstdStores)
 	}
 
 	// Latencies are preset × LatencyScale.
@@ -59,8 +64,8 @@ func TestCodecFnSelectsPerPage(t *testing.T) {
 // than the same pages through the base config, and mixed-codec Drop must
 // unwind the exact per-codec fractions.
 func TestCodecFnFootprintUsesCodecRatio(t *testing.T) {
-	base := New(DefaultConfig(1000))
-	dense := New(DefaultConfig(1000))
+	base := New(DefaultConfig(1000), nil)
+	dense := New(DefaultConfig(1000), nil)
 	dense.SetCodecFn(func(PageInfo) Codec { c, _ := Preset("zstd"); return c })
 	refs := make([]CodecRef, 0, 100)
 	for i := 0; i < 100; i++ {
@@ -86,7 +91,7 @@ func TestCodecFnFootprintUsesCodecRatio(t *testing.T) {
 func TestNoCodecFnIsBaseBehaviour(t *testing.T) {
 	cfg := DefaultConfig(100)
 	cfg.LatencyScale = 3 // must NOT touch the base path
-	z := New(cfg)
+	z := New(cfg, nil)
 	cost, ref, ok := z.Store(PageInfo{Java: false, Heat: 9})
 	if !ok || ref != 0 {
 		t.Fatalf("base store: cost=%v ref=%d ok=%v", cost, ref, ok)

@@ -12,7 +12,7 @@ import (
 // representable ref un-truncated before refusing the first codec past the
 // limit — never wrapping to a stale entry.
 func TestCodecRefFullRangeNoTruncation(t *testing.T) {
-	z := New(DefaultConfig(10000))
+	z := New(DefaultConfig(10000), nil)
 	var name string
 	z.SetCodecFn(func(PageInfo) Codec {
 		return Codec{

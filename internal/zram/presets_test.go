@@ -72,7 +72,7 @@ func TestCodecApply(t *testing.T) {
 	}
 
 	// A denser codec stores the same pages in a smaller footprint.
-	dense, loose := New(cfg), New(DefaultConfig(500))
+	dense, loose := New(cfg, nil), New(DefaultConfig(500), nil)
 	for i := 0; i < 100; i++ {
 		dense.Store(PageInfo{Java: true})
 		loose.Store(PageInfo{Java: true})

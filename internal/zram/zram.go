@@ -72,7 +72,8 @@ func DefaultConfig(capacityPages int) Config {
 	return codec.Apply(Config{CapacityPages: capacityPages})
 }
 
-// Stats aggregates ZRAM activity.
+// Stats aggregates ZRAM activity. It is read back from the partition's
+// registry instruments.
 type Stats struct {
 	StoredTotal    uint64 // pages ever stored
 	LoadedTotal    uint64 // pages ever decompressed back
@@ -95,18 +96,13 @@ type Zram struct {
 	// base Config parameters for everything (ref 0).
 	codecFn CodecFn
 	// codecs is the interned codec table indexed by CodecRef; entry 0 is
-	// the base Config. storesByRef counts lifetime stores per entry;
-	// storeCtrs is the parallel per-codec "zram.stores.<name>" counter
-	// table (nil entries until Instrument is called).
-	codecs      []Codec
-	codecRefs   map[string]CodecRef
-	storesByRef []uint64
-	storeCtrs   []*obs.Counter
+	// the base Config. storeCtrs is the parallel per-codec
+	// "zram.stores.<name>" counter table.
+	codecs    []Codec
+	codecRefs map[string]CodecRef
+	storeCtrs []*obs.Counter
 
-	stats Stats
-
-	// reg is kept so codecs interned after Instrument get their
-	// per-codec store counter too (nil for uninstrumented partitions).
+	// reg registers the store counter of each codec interned later.
 	reg          *obs.Registry
 	storedCtr    *obs.Counter
 	loadedCtr    *obs.Counter
@@ -117,8 +113,9 @@ type Zram struct {
 	decompressUs *obs.Histogram
 }
 
-// New creates a ZRAM partition.
-func New(cfg Config) *Zram {
+// New creates a ZRAM partition whose instruments register on reg. A nil
+// registry (unit tests) records nothing, so Stats reads zero.
+func New(cfg Config, reg *obs.Registry) *Zram {
 	if cfg.CapacityPages <= 0 {
 		panic(fmt.Sprintf("zram: non-positive capacity %d", cfg.CapacityPages))
 	}
@@ -133,11 +130,18 @@ func New(cfg Config) *Zram {
 		DecompressLatency: cfg.DecompressLatency,
 	}
 	return &Zram{
-		cfg:         cfg,
-		codecs:      []Codec{base},
-		codecRefs:   map[string]CodecRef{base.Name: 0},
-		storesByRef: []uint64{0},
-		storeCtrs:   []*obs.Counter{nil},
+		cfg:          cfg,
+		codecs:       []Codec{base},
+		codecRefs:    map[string]CodecRef{base.Name: 0},
+		storeCtrs:    []*obs.Counter{reg.Counter("zram.stores." + base.Name)},
+		reg:          reg,
+		storedCtr:    reg.Counter("zram.stored.pages"),
+		loadedCtr:    reg.Counter("zram.loaded.pages"),
+		rejectedCtr:  reg.Counter("zram.rejected.full"),
+		storedGauge:  reg.Gauge("zram.stored_pages"),
+		footGauge:    reg.Gauge("zram.footprint_pages"),
+		compressUs:   reg.Histogram("zram.compress_us"),
+		decompressUs: reg.Histogram("zram.decompress_us"),
 	}
 }
 
@@ -172,49 +176,38 @@ func (z *Zram) selectRef(info PageInfo) CodecRef {
 	c.DecompressLatency = sim.Time(float64(c.DecompressLatency) * scale)
 	ref := CodecRef(len(z.codecs))
 	z.codecs = append(z.codecs, c)
-	z.storesByRef = append(z.storesByRef, 0)
 	z.storeCtrs = append(z.storeCtrs, z.reg.Counter("zram.stores."+c.Name))
 	z.codecRefs[c.Name] = ref
 	return ref
-}
-
-// StoresByCodec reports lifetime stores per codec name (tests and the
-// policy-sweep tables; the "base" entry is the no-CodecFn path).
-func (z *Zram) StoresByCodec() map[string]uint64 {
-	out := make(map[string]uint64, len(z.codecs))
-	for i, c := range z.codecs {
-		out[c.Name] = z.storesByRef[i]
-	}
-	return out
-}
-
-// Instrument registers the partition's instruments on reg. The
-// constructor has no engine handle, so the owning system calls this once
-// at wiring time; an uninstrumented Zram (unit tests) records nothing.
-func (z *Zram) Instrument(reg *obs.Registry) {
-	z.reg = reg
-	z.storedCtr = reg.Counter("zram.stored.pages")
-	z.loadedCtr = reg.Counter("zram.loaded.pages")
-	z.rejectedCtr = reg.Counter("zram.rejected.full")
-	z.storedGauge = reg.Gauge("zram.stored_pages")
-	z.footGauge = reg.Gauge("zram.footprint_pages")
-	z.compressUs = reg.Histogram("zram.compress_us")
-	z.decompressUs = reg.Histogram("zram.decompress_us")
-	// Backfill per-codec store counters for codecs interned before
-	// instrumentation (entry 0, the base config, always exists).
-	for i := range z.codecs {
-		z.storeCtrs[i] = reg.Counter("zram.stores." + z.codecs[i].Name)
-	}
 }
 
 // Config returns the partition configuration.
 func (z *Zram) Config() Config { return z.cfg }
 
 // Stats returns a snapshot of the accumulated statistics.
-func (z *Zram) Stats() Stats { return z.stats }
+func (z *Zram) Stats() Stats {
+	return Stats{
+		StoredTotal:    z.storedCtr.Value(),
+		LoadedTotal:    z.loadedCtr.Value(),
+		RejectedFull:   z.rejectedCtr.Value(),
+		CompressTime:   sim.Time(z.compressUs.Sum()),
+		DecompressTime: sim.Time(z.decompressUs.Sum()),
+	}
+}
 
-// ResetStats zeroes the statistics (contents are preserved).
-func (z *Zram) ResetStats() { z.stats = Stats{} }
+// ResetStats zeroes the partition's counters and latency histograms,
+// the per-codec store counters included; contents and the occupancy
+// gauges are preserved.
+func (z *Zram) ResetStats() {
+	for _, c := range z.storeCtrs {
+		c.Reset()
+	}
+	z.storedCtr.Reset()
+	z.loadedCtr.Reset()
+	z.rejectedCtr.Reset()
+	z.compressUs.Reset()
+	z.decompressUs.Reset()
+}
 
 // Stored reports the number of logical pages currently held.
 func (z *Zram) Stored() int { return z.stored }
@@ -239,7 +232,6 @@ func (z *Zram) Full() bool { return z.stored >= z.cfg.CapacityPages }
 // (the page then cannot be reclaimed to ZRAM).
 func (z *Zram) Store(info PageInfo) (cost sim.Time, ref CodecRef, ok bool) {
 	if z.Full() {
-		z.stats.RejectedFull++
 		z.rejectedCtr.Inc()
 		return 0, 0, false
 	}
@@ -247,10 +239,7 @@ func (z *Zram) Store(info PageInfo) (cost sim.Time, ref CodecRef, ok bool) {
 	c := &z.codecs[ref]
 	z.stored++
 	z.compressedPages += 1 / c.ratio(info.Java)
-	z.storesByRef[ref]++
 	z.storeCtrs[ref].Inc()
-	z.stats.StoredTotal++
-	z.stats.CompressTime += c.CompressLatency
 	z.storedCtr.Inc()
 	z.compressUs.Observe(int64(c.CompressLatency))
 	z.noteLevels()
@@ -276,8 +265,6 @@ func (z *Zram) Load(ref CodecRef, info PageInfo) sim.Time {
 	if z.compressedPages < 0 || z.stored == 0 {
 		z.compressedPages = 0
 	}
-	z.stats.LoadedTotal++
-	z.stats.DecompressTime += c.DecompressLatency
 	z.loadedCtr.Inc()
 	z.decompressUs.Observe(int64(c.DecompressLatency))
 	z.noteLevels()

@@ -3,10 +3,12 @@ package zram
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/eurosys23/ice/internal/obs"
 )
 
 func TestStoreLoadRoundTrip(t *testing.T) {
-	z := New(DefaultConfig(100))
+	z := New(DefaultConfig(100), nil)
 	cost, _, ok := z.Store(PageInfo{Java: true})
 	if !ok || cost <= 0 {
 		t.Fatalf("Store failed: cost=%v ok=%v", cost, ok)
@@ -24,7 +26,7 @@ func TestStoreLoadRoundTrip(t *testing.T) {
 }
 
 func TestCapacityEnforced(t *testing.T) {
-	z := New(DefaultConfig(3))
+	z := New(DefaultConfig(3), obs.NewRegistry())
 	for i := 0; i < 3; i++ {
 		if _, _, ok := z.Store(PageInfo{Java: false}); !ok {
 			t.Fatalf("Store %d rejected below capacity", i)
@@ -43,7 +45,7 @@ func TestCapacityEnforced(t *testing.T) {
 
 func TestCompressionFootprint(t *testing.T) {
 	cfg := DefaultConfig(1000)
-	z := New(cfg)
+	z := New(cfg, nil)
 	for i := 0; i < 100; i++ {
 		z.Store(PageInfo{Java: true}) // java, ratio 2.8
 	}
@@ -55,8 +57,8 @@ func TestCompressionFootprint(t *testing.T) {
 }
 
 func TestNativeCompressesWorseThanJava(t *testing.T) {
-	zj := New(DefaultConfig(1000))
-	zn := New(DefaultConfig(1000))
+	zj := New(DefaultConfig(1000), nil)
+	zn := New(DefaultConfig(1000), nil)
 	for i := 0; i < 50; i++ {
 		zj.Store(PageInfo{Java: true})
 		zn.Store(PageInfo{Java: false})
@@ -67,7 +69,7 @@ func TestNativeCompressesWorseThanJava(t *testing.T) {
 }
 
 func TestDropFreesWithoutDecompression(t *testing.T) {
-	z := New(DefaultConfig(10))
+	z := New(DefaultConfig(10), obs.NewRegistry())
 	z.Store(PageInfo{Java: true})
 	z.Drop(0, PageInfo{Java: true})
 	if z.Stored() != 0 {
@@ -87,7 +89,7 @@ func TestLoadEmptyPanics(t *testing.T) {
 			t.Fatal("Load on empty did not panic")
 		}
 	}()
-	New(DefaultConfig(10)).Load(0, PageInfo{Java: true})
+	New(DefaultConfig(10), nil).Load(0, PageInfo{Java: true})
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
@@ -96,11 +98,11 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Fatal("zero capacity did not panic")
 		}
 	}()
-	New(Config{CapacityPages: 0, JavaRatio: 2, NativeRatio: 2})
+	New(Config{CapacityPages: 0, JavaRatio: 2, NativeRatio: 2}, nil)
 }
 
 func TestStatsTotals(t *testing.T) {
-	z := New(DefaultConfig(100))
+	z := New(DefaultConfig(100), obs.NewRegistry())
 	for i := 0; i < 10; i++ {
 		z.Store(PageInfo{Java: i%2 == 0})
 	}
@@ -115,8 +117,8 @@ func TestStatsTotals(t *testing.T) {
 		t.Fatal("time accounting missing")
 	}
 	z.ResetStats()
-	if z.Stats().StoredTotal != 0 {
-		t.Fatal("ResetStats did not clear")
+	if st := z.Stats(); st != (Stats{}) {
+		t.Fatalf("ResetStats did not clear: %+v", st)
 	}
 	if z.Stored() != 6 {
 		t.Fatal("ResetStats must preserve contents")
@@ -127,7 +129,7 @@ func TestStatsTotals(t *testing.T) {
 // footprint never exceeds the logical count nor goes negative.
 func TestOccupancyInvariant(t *testing.T) {
 	f := func(ops []uint8) bool {
-		z := New(DefaultConfig(64))
+		z := New(DefaultConfig(64), nil)
 		logical := 0
 		var kinds []bool
 		for _, op := range ops {
