@@ -179,8 +179,8 @@ func (s *Scheduler) SetSpeedFn(fn func(*proc.Task) float64) {
 // Cores returns the core count.
 func (s *Scheduler) Cores() int { return s.cores }
 
-// Register adds a task to the scheduler's purview. Tasks are never removed;
-// dead processes simply stop being runnable.
+// Register adds a task to the scheduler's purview. Dead processes stop
+// being runnable, and compactTasks later drops their tasks.
 func (s *Scheduler) Register(t *proc.Task) {
 	// Dead tasks normally compact out of s.tasks when tick meets one on
 	// the candidate queue — but a task killed while off the queue (frozen
@@ -190,19 +190,8 @@ func (s *Scheduler) Register(t *proc.Task) {
 	// depends only on the registration sequence, so it cannot perturb
 	// event order.
 	if len(s.tasks) >= s.compactAt {
-		live := s.tasks[:0]
-		for _, old := range s.tasks {
-			if !old.Proc.Alive() {
-				delete(s.unblockFns, old)
-				continue
-			}
-			live = append(live, old)
-		}
-		for i := len(live); i < len(s.tasks); i++ {
-			s.tasks[i] = nil
-		}
-		s.tasks = live
-		s.compactAt = 2*len(live) + 64
+		s.compactTasks()
+		s.compactAt = 2*len(s.tasks) + 64
 	}
 	s.tasks = append(s.tasks, t)
 	s.enqueue(t)
@@ -213,6 +202,21 @@ func (s *Scheduler) Register(t *proc.Task) {
 			s.Kick()
 		}
 	}
+}
+
+// compactTasks drops dead tasks, and their unblock callbacks, from the
+// task list. Survivors keep their order.
+func (s *Scheduler) compactTasks() {
+	live := s.tasks[:0]
+	for _, t := range s.tasks {
+		if !t.Proc.Alive() {
+			delete(s.unblockFns, t)
+			continue
+		}
+		live = append(live, t)
+	}
+	clear(s.tasks[len(live):])
+	s.tasks = live
 }
 
 // enqueue puts t on the runnable-candidate queue (idempotent).
@@ -377,18 +381,7 @@ func (s *Scheduler) tick() {
 	}
 	s.runq = keep
 	if dead > 0 {
-		live := s.tasks[:0]
-		for _, t := range s.tasks {
-			if !t.Proc.Alive() {
-				delete(s.unblockFns, t)
-				continue
-			}
-			live = append(live, t)
-		}
-		for i := len(live); i < len(s.tasks); i++ {
-			s.tasks[i] = nil
-		}
-		s.tasks = live
+		s.compactTasks()
 	}
 	s.scratch = runnable
 	s.runqueue.Set(int64(len(runnable)))
