@@ -3,8 +3,9 @@
 #   gofmt (no unformatted files), go vet, build, the full test suite
 #   under the race detector (the harness worker pool must stay
 #   race-free at any -workers setting), a flake guard re-running the
-#   concurrency-heavy packages, a 10 s fuzz of the cached-entry trust
-#   check (FuzzDecodeEntry), a one-iteration benchmark smoke pass
+#   concurrency-heavy packages, 10 s fuzzes of the cached-entry trust
+#   check (FuzzDecodeEntry) and of the job-spec path (FuzzNormalize:
+#   decode, normalise, cache key), a one-iteration benchmark smoke pass
 #   (benchmarks must at least run; their cells/sec, allocs/cell and
 #   p50/p99 per-cell latency metrics are written to BENCH_<n>.json —
 #   n derived from the highest committed snapshot, no hand edit per
@@ -60,6 +61,11 @@ go test -race -count=2 -timeout 20m ./internal/harness/ ./internal/service/
 # network; the fuzzer writes only to the Go cache (and, on a failure,
 # the failing input under internal/service/testdata/fuzz/).
 go test -run='^$' -fuzz='^FuzzDecodeEntry$' -fuzztime=10s ./internal/service/
+
+# The same for the spec path every submitted job takes (decode,
+# normalize, CacheKey): no panic, and a normalised spec normalises to
+# itself with the same key, directly and after a JSON round trip.
+go test -run='^$' -fuzz='^FuzzNormalize$' -fuzztime=10s ./internal/service/
 
 # Benchmarks stay runnable: one iteration each, no timing claims — and
 # their cells/sec + allocs/cell + per-cell latency percentile metrics

@@ -80,6 +80,11 @@ func (s *JobSpec) normalize() error {
 		}
 		s.Device, s.Scenario, s.Scheme, s.BGCase = run.Device, run.Scenario, run.Scheme, run.BGCase
 		s.ZramCodec, s.DurationSec, s.Rounds = run.ZramCodec, run.DurationSec, run.Rounds
+		// Only the apps case caches background apps; any other case
+		// runs the same simulation whatever num_bg says.
+		if s.BGCase != "apps" {
+			s.NumBG = 0
+		}
 		if s.Seed == 0 {
 			s.Seed = 1
 		}

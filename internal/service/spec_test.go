@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"github.com/eurosys23/ice/internal/harness"
 )
 
 // TestCacheKeyStableAcrossProcesses pins one key byte-for-byte. The key
@@ -103,6 +108,26 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 	if lower.Scheme != "Ice" {
 		t.Fatalf("scheme %q not canonicalised to Ice", lower.Scheme)
+	}
+	// Only the apps case reads num_bg, so any other case drops it: one
+	// simulation, one key, one payload.
+	var payloads [][]byte
+	for _, numBG := range []int{0, 5} {
+		s := JobSpec{Kind: KindRun, Device: "Pixel3", Scenario: "S-C", BGCase: "null", NumBG: numBG, DurationSec: 2, Rounds: 2}
+		if err := s.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if s.NumBG != 0 {
+			t.Fatalf("num_bg %d kept on a null-case run", s.NumBG)
+		}
+		res, _, err := execute(context.Background(), s, nil, nil, harness.ExecHooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, res)
+	}
+	if !bytes.Equal(payloads[0], payloads[1]) {
+		t.Fatal("null-case runs differing only in num_bg returned different payloads")
 	}
 
 	exp := JobSpec{Kind: KindExperiment, Experiment: "fig8"}
@@ -222,4 +247,52 @@ func TestVersionOf(t *testing.T) {
 	if v, err := versionOf(vcs("true"), unreadable); err == nil {
 		t.Errorf("unreadable executable gave version %q", v)
 	}
+}
+
+// FuzzNormalize fuzzes the path every submitted spec takes: JSON decode,
+// normalize, CacheKey. Nothing may panic, and a spec that normalises is
+// a fixed point: normalising it again, directly or after a JSON round
+// trip, gives the same spec and the same key.
+func FuzzNormalize(f *testing.F) {
+	for _, spec := range []string{
+		// The run and experiment goldens.
+		`{"kind":"run","device":"Pixel3","scenario":"S-C","scheme":"Ice","duration_sec":2,"rounds":1,"seed":11}`,
+		`{"kind":"run","device":"Pixel3","scenario":"S-C","scheme":"Ice","duration_sec":2,"rounds":6,"seed":23,"trace":true}`,
+		`{"kind":"experiment","experiment":"table1","fast":true}`,
+		`{"kind":"experiment","experiment":"fig8"}`,
+		`{"kind":"experiment","experiment":"fig4","fast":true,"duration_sec":5,"rounds":-3}`,
+		// An alias-spelled scheme and a num_bg the case ignores.
+		`{"kind":"run","scheme":"baseline","priority":"batch","workers":3}`,
+		`{"kind":"run","bg_case":"memtester","num_bg":7}`,
+	} {
+		f.Add([]byte(spec))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var spec JobSpec
+		if json.Unmarshal(raw, &spec) != nil || spec.normalize() != nil {
+			return
+		}
+		key := CacheKey(spec, "fuzz")
+		again := spec
+		if err := again.normalize(); err != nil {
+			t.Fatalf("normalised spec %+v rejected on a second pass: %v", spec, err)
+		}
+		if again != spec || CacheKey(again, "fuzz") != key {
+			t.Fatalf("normalize is not idempotent: %+v became %+v", spec, again)
+		}
+		wire, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded JobSpec
+		if err := json.Unmarshal(wire, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		if err := decoded.normalize(); err != nil {
+			t.Fatalf("normalised spec %s rejected after a JSON round trip: %v", wire, err)
+		}
+		if decoded != spec || CacheKey(decoded, "fuzz") != key {
+			t.Fatalf("JSON round trip moved the spec: %+v became %+v", spec, decoded)
+		}
+	})
 }
