@@ -28,6 +28,7 @@ import (
 	"github.com/eurosys23/ice/internal/sched"
 	"github.com/eurosys23/ice/internal/sim"
 	"github.com/eurosys23/ice/internal/storage"
+	"github.com/eurosys23/ice/internal/trace"
 	"github.com/eurosys23/ice/internal/workload"
 	"github.com/eurosys23/ice/internal/zram"
 )
@@ -82,6 +83,12 @@ func schemeResultHash(t *testing.T, name string) string {
 		Duration: 2 * sim.Second,
 		Seed:     42,
 	})
+	return resultHash(t, res)
+}
+
+// resultHash hashes the goldenResult surface of res.
+func resultHash(t *testing.T, res workload.ScenarioResult) string {
+	t.Helper()
 	blob, err := json.Marshal(goldenResult{
 		Frames:          res.Frames,
 		Mem:             res.Mem,
@@ -129,6 +136,71 @@ func TestSchemeGolden(t *testing.T) {
 			if want := schemeGolden[name]; got != want {
 				t.Errorf("scheme %q result hash changed:\n  got  %s\n  want %s\n"+
 					"(if this change is intended, update schemeGolden)", name, got, want)
+			}
+		})
+	}
+}
+
+// thawGolden pins freezer-heavy runs: per scheme, the thaw count and the
+// SHA-256 of the goldenResult surface and of the Chrome trace JSON.
+// TestSchemeGolden's 2 s runs thaw only before measurement; these 40 s
+// P20 runs cross three ICE MDT epochs, and the trace holds one span per
+// executed quantum, so the schedule around every thaw is pinned quantum
+// by quantum.
+var thawGolden = map[string]struct {
+	thaws         int
+	result, trace string
+}{
+	"Ice":          {11, "138f13b8760773190bed15d0bf96b9a77e5163d2227926cfa5ab904989ccbe42", "b9da6cb194d72ff3c1895b1981238165c55ceaabcb58aa597e2ee66b88e133fd"},
+	"PowerManager": {3, "7c280640c307205deda2467b48d4ec97564eaf05d5b766e2be7095a925204f13", "cd45a95961559c540fd7c355b865b7c01071a97f385e25eaaf3397fb382cf5d5"},
+}
+
+// thawTraceCap holds every event of a thawGolden run, so the ring never
+// wraps and the trace hash covers the whole run.
+const thawTraceCap = 1 << 19
+
+// TestThawGolden runs Ice and PowerManager on the P20, scenario S-A with
+// cached background apps, for 40 simulated seconds at seed 7 with tracing
+// on, and asserts the thawGolden hashes.
+func TestThawGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40 s traced simulations")
+	}
+	for _, name := range []string{"Ice", "PowerManager"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			sch, err := policy.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := workload.RunScenario(workload.ScenarioConfig{
+				Scenario: "S-A",
+				Device:   device.P20,
+				Scheme:   sch,
+				BGCase:   workload.BGApps,
+				Duration: 40 * sim.Second,
+				Seed:     7,
+				TraceCap: thawTraceCap,
+			})
+			if res.Trace.Recorded != uint64(res.Trace.Len()) {
+				t.Fatalf("trace ring wrapped: kept %d of %d events", res.Trace.Len(), res.Trace.Recorded)
+			}
+			thaws := 0
+			for _, ev := range res.Trace.Filter(trace.CatFreezer) {
+				if ev.Name == "thaw" {
+					thaws++
+				}
+			}
+			h := sha256.New()
+			if err := trace.ExportChrome(h, res.Trace.Events(), res.Subjects); err != nil {
+				t.Fatal(err)
+			}
+			traceHash := hex.EncodeToString(h.Sum(nil))
+			want := thawGolden[name]
+			if got := resultHash(t, res); thaws != want.thaws || got != want.result || traceHash != want.trace {
+				t.Errorf("%s thaw run changed:\n  got  %d thaws, result %s, trace %s\n  want %d thaws, result %s, trace %s\n"+
+					"(if this change is intended, update thawGolden)",
+					name, thaws, got, traceHash, want.thaws, want.result, want.trace)
 			}
 		})
 	}
