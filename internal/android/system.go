@@ -243,9 +243,6 @@ func (p *workPool) post(t *proc.Task, cpu sim.Time) {
 	}
 }
 
-// Kick re-arms the scheduler; schemes call it after thawing processes.
-func (sys *System) Kick() { sys.Sched.WakeAll() }
-
 // EnableTracing attaches a Systrace-like ring buffer of the given capacity
 // (0 = default) and wires the framework's emit points.
 func (sys *System) EnableTracing(capacity int) *trace.Buffer {
@@ -269,26 +266,35 @@ func (sys *System) EnableTracing(capacity int) *trace.Buffer {
 	return sys.Trace
 }
 
-// ThawApp thaws every process of an application UID and arranges for the
-// scheduler to notice once the thaw latency elapses. Returns how many
-// processes were thawed.
+// ThawApp thaws every process of an application UID and wakes exactly
+// those processes in the scheduler once the thaw latency elapses. Returns
+// how many processes were thawed.
 func (sys *System) ThawApp(uid int) int {
 	now := sys.Eng.Now()
+	// Filter the fresh slice in place down to the processes thawed here.
+	thawed := sys.Procs.AliveByUID(uid)
 	n := 0
-	for _, p := range sys.Procs.AliveByUID(uid) {
+	for _, p := range thawed {
 		since := p.FrozenSince()
 		if p.Thaw(now, sys.ThawLatency) {
+			thawed[n] = p
 			n++
 			sys.ins.frozenUs.Observe(int64(now - since))
 		}
 	}
 	if n > 0 {
+		thawed = thawed[:n]
 		sys.ins.thawProcs.Add(uint64(n))
 		sys.ins.frozenApps.Add(-1)
-		// WakeAll, not Kick: the thawed tasks left the scheduler's
-		// candidate queue while frozen, and thawing is the one
-		// runnability transition the scheduler cannot see itself.
-		sys.Eng.After(sys.ThawLatency, sys.Sched.WakeAll)
+		// The thawed tasks left the scheduler's candidate queue while
+		// frozen, and thawing is the one runnability transition the
+		// scheduler cannot see itself, so wake them: one engine event per
+		// thaw, one kick per process.
+		sys.Eng.After(sys.ThawLatency, func() {
+			for _, p := range thawed {
+				sys.Sched.Wake(p)
+			}
+		})
 		// The thaw is a span: the app stays unrunnable for ThawLatency
 		// after the un-freeze (the paper's "tens of milliseconds").
 		sys.Trace.Span(now, trace.CatFreezer, "thaw", uid,

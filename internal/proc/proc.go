@@ -94,10 +94,14 @@ type Task struct {
 	// DroppedWork counts items rejected because the queue was full.
 	DroppedWork uint64
 
-	// InRunq is scheduler bookkeeping: whether the task currently sits on
-	// the scheduler's runnable-candidate queue. Owned by internal/sched;
-	// nothing else may touch it.
-	InRunq bool
+	// InRunq and UnblockFn are scheduler bookkeeping, owned by
+	// internal/sched; nothing else may touch them. InRunq records whether
+	// the task sits on the scheduler's runnable-candidate queue, its only
+	// record of tasks. UnblockFn is the I/O-completion callback the
+	// scheduler builds once at registration and arms whenever the task
+	// blocks, so no completion allocates a closure.
+	InRunq    bool
+	UnblockFn func()
 }
 
 // DefaultWeight is the CFS nice-0 load weight.

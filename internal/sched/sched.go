@@ -95,43 +95,29 @@ type Scheduler struct {
 	// policy is installed (the common case outside UCSG).
 	speedDefault bool
 
-	tasks []*proc.Task
-
-	// runq is a superset of the runnable tasks: every task that might be
-	// runnable is on it (flagged via Task.InRunq), and tick filters it with
-	// Task.Runnable. Tasks found non-runnable are dropped and re-added by
-	// the event that could make them runnable again — Post for new work,
-	// the unblock callback for I/O completion, WakeAll for thaws (the one
-	// runnability transition the scheduler cannot observe directly). The
-	// superset invariant makes the per-tick filter produce exactly the set
-	// a full task-list scan would, at O(candidates) instead of O(tasks).
+	// runq is the scheduler's only record of tasks: a superset of the
+	// runnable ones, each flagged via Task.InRunq. Every event that can
+	// make a task runnable puts it on the queue: Register, Post for new
+	// work, the task's UnblockFn for I/O completion, and Wake for a thaw
+	// (the one runnability transition the scheduler cannot observe
+	// itself). tick filters runq in place down to the runnable set and
+	// selects from it there, so after a round runq holds that round's
+	// runnable set plus every task enqueued mid-round. A task found not
+	// runnable, dead ones included, leaves the queue and with it the
+	// scheduler.
 	runq []*proc.Task
 
 	tickArmed   bool
 	nextAllowed sim.Time
 	minV        int64
-	// compactAt is the task-list length that triggers the next dead-task
-	// compaction from Register.
-	compactAt int
 
 	busy       [numCPUClasses]sim.Time
 	busyPerSec []sim.Time
 	started    sim.Time
 
-	// scratch avoids per-tick allocation.
-	scratch []*proc.Task
-	// inTick marks that a scheduling round is executing; Posts arriving
-	// from OnDone/Setup callbacks are recorded in posted so the end-of-round
-	// re-arm check can consider exactly the tasks that may have become
-	// runnable mid-round instead of re-scanning the whole task list.
-	inTick bool
-	posted []*proc.Task
 	// tickFn is the bound tick method, captured once so re-arming the
 	// tick does not allocate a fresh method value per event.
 	tickFn func()
-	// unblockFns holds one prebuilt unblock-and-kick callback per
-	// registered task, so I/O completions never allocate a closure.
-	unblockFns map[*proc.Task]func()
 
 	quanta   [numCPUClasses]*obs.Counter
 	runqueue *obs.Gauge
@@ -148,8 +134,6 @@ func New(eng *sim.Engine, cores int) *Scheduler {
 	s.speed = func(*proc.Task) float64 { return 1 }
 	s.speedDefault = true
 	s.tickFn = s.tick
-	s.unblockFns = make(map[*proc.Task]func())
-	s.compactAt = 64
 	reg := eng.Obs()
 	s.quanta[CPUKernel] = reg.Counter("sched.quanta.kernel")
 	s.quanta[CPUService] = reg.Counter("sched.quanta.service")
@@ -179,44 +163,17 @@ func (s *Scheduler) SetSpeedFn(fn func(*proc.Task) float64) {
 // Cores returns the core count.
 func (s *Scheduler) Cores() int { return s.cores }
 
-// Register adds a task to the scheduler's purview. Dead processes stop
-// being runnable, and compactTasks later drops their tasks.
+// Register adds a task to the scheduler's purview: it becomes a runnable
+// candidate and gets its prebuilt I/O-completion callback. The scheduler
+// keeps no other record of it: a task that dies while queued leaves at the
+// next tick, and one that dies off the queue has already left.
 func (s *Scheduler) Register(t *proc.Task) {
-	// Dead tasks normally compact out of s.tasks when tick meets one on
-	// the candidate queue — but a task killed while off the queue (frozen
-	// or idle) is never seen there, so launch loops would grow the list
-	// and the unblock-callback table without bound. Compacting whenever
-	// registrations double the list keeps both O(live); the trigger
-	// depends only on the registration sequence, so it cannot perturb
-	// event order.
-	if len(s.tasks) >= s.compactAt {
-		s.compactTasks()
-		s.compactAt = 2*len(s.tasks) + 64
+	t.UnblockFn = func() {
+		t.Unblock()
+		s.enqueue(t)
+		s.kick()
 	}
-	s.tasks = append(s.tasks, t)
 	s.enqueue(t)
-	if _, ok := s.unblockFns[t]; !ok {
-		s.unblockFns[t] = func() {
-			t.Unblock()
-			s.enqueue(t)
-			s.Kick()
-		}
-	}
-}
-
-// compactTasks drops dead tasks, and their unblock callbacks, from the
-// task list. Survivors keep their order.
-func (s *Scheduler) compactTasks() {
-	live := s.tasks[:0]
-	for _, t := range s.tasks {
-		if !t.Proc.Alive() {
-			delete(s.unblockFns, t)
-			continue
-		}
-		live = append(live, t)
-	}
-	clear(s.tasks[len(live):])
-	s.tasks = live
 }
 
 // enqueue puts t on the runnable-candidate queue (idempotent).
@@ -228,16 +185,15 @@ func (s *Scheduler) enqueue(t *proc.Task) {
 	s.runq = append(s.runq, t)
 }
 
-// WakeAll re-enqueues every live task as a runnable candidate and kicks the
-// scheduler. Callers use it after runnability changed outside the
-// scheduler's sight — thawing frozen processes is the one such transition.
-func (s *Scheduler) WakeAll() {
-	for _, t := range s.tasks {
-		if t.Proc.Alive() {
-			s.enqueue(t)
-		}
+// Wake re-enqueues p's tasks as runnable candidates and kicks the
+// scheduler. Thawing is the one runnability transition the scheduler cannot
+// observe, and a frozen task has left the queue, so whoever thaws a process
+// wakes it once the thaw latency has elapsed.
+func (s *Scheduler) Wake(p *proc.Process) {
+	for _, t := range p.Tasks {
+		s.enqueue(t)
 	}
-	s.Kick()
+	s.kick()
 }
 
 // SetForegroundUID tells the scheduler which UID is foreground, for CPU
@@ -271,10 +227,9 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// Kick ensures a scheduling tick is pending. Posting and unblocking call
-// it automatically; after thawing processes use WakeAll instead, which
-// both re-enqueues the thawed tasks and kicks.
-func (s *Scheduler) Kick() {
+// kick ensures a scheduling tick is pending. Post, Wake and the unblock
+// callbacks call it.
+func (s *Scheduler) kick() {
 	if s.tickArmed {
 		return
 	}
@@ -288,10 +243,7 @@ func (s *Scheduler) Post(t *proc.Task, w *proc.Work) bool {
 	ok := t.Post(s.eng.Now(), w)
 	if ok {
 		s.enqueue(t)
-		if s.inTick {
-			s.posted = append(s.posted, t)
-		}
-		s.Kick()
+		s.kick()
 	}
 	return ok
 }
@@ -344,7 +296,7 @@ func (s *Scheduler) tick() {
 	// At most one execution round per quantum: work posted mid-round (e.g.
 	// by an OnDone callback) must wait for the next boundary, otherwise a
 	// single instant could dispense unbounded CPU. tickArmed stays true
-	// throughout: Kicks issued while executing must not enqueue duplicate
+	// throughout: kicks issued while executing must not enqueue duplicate
 	// tick events.
 	if now < s.nextAllowed {
 		s.eng.At(s.nextAllowed, s.tickFn)
@@ -352,45 +304,28 @@ func (s *Scheduler) tick() {
 	}
 	s.nextAllowed = now + Quantum
 
-	// One pass filters the candidate queue down to the runnable set.
-	// Candidates found non-runnable leave the queue — whatever event could
-	// make them runnable again re-enqueues them (see the runq field).
-	// Seeing a dead task triggers a (rare) compaction of the full task
-	// list: killed applications relaunch with fresh processes and tasks,
-	// so a dead task can never become runnable again, and scan-heavy
-	// scenarios (launch loops, per-process reclaim studies) would
-	// otherwise grow the list without bound.
-	runnable := s.scratch[:0]
-	keep := s.runq[:0]
-	dead := 0
+	// One pass filters the candidate queue, in place, down to the
+	// runnable set. Candidates found not runnable leave the queue: a dead
+	// task can never run again, and whatever event could make a live one
+	// runnable re-enqueues it (see the runq field). The cleared tail keeps
+	// no pointer to a task that left.
+	queued := len(s.runq)
+	runnable := s.runq[:0]
 	for _, t := range s.runq {
-		if !t.Proc.Alive() {
-			t.InRunq = false
-			dead++
-			continue
-		}
 		if t.Runnable(now) {
-			keep = append(keep, t)
 			runnable = append(runnable, t)
 		} else {
 			t.InRunq = false
 		}
 	}
-	for i := len(keep); i < len(s.runq); i++ {
-		s.runq[i] = nil
-	}
-	s.runq = keep
-	if dead > 0 {
-		s.compactTasks()
-	}
-	s.scratch = runnable
+	clear(s.runq[len(runnable):queued])
+	s.runq = runnable
 	s.runqueue.Set(int64(len(runnable)))
 
 	if len(runnable) == 0 {
 		s.tickArmed = false
 		return
 	}
-	s.inTick = true
 
 	// Normalise virtual runtimes so long sleepers don't monopolise cores.
 	min := runnable[0].VRuntime
@@ -413,7 +348,9 @@ func (s *Scheduler) tick() {
 	// quantum, so selecting them in order (O(cores·n), allocation-free)
 	// replaces a full reflect-driven sort. (VRuntime, TID) is a strict
 	// total order — TIDs are unique — so the selected prefix is exactly
-	// the prefix a full sort would produce.
+	// the prefix a full sort would produce, whatever order the queue
+	// held the candidates in. Selection swaps within runq; tasks enqueued
+	// while the selected ones execute append past this round's set.
 	n := len(runnable)
 	if n > s.cores {
 		n = s.cores
@@ -472,40 +409,22 @@ func (s *Scheduler) tick() {
 				coreTime, int64(used), int64(t.Proc.UID))
 		}
 		if blockedUntil > 0 {
-			s.eng.At(blockedUntil, s.unblockFns[t])
+			s.eng.At(blockedUntil, t.UnblockFn)
 		}
 	}
 
 	// Re-arm while anything can still run; otherwise disarm so the next
-	// Kick restarts the loop. A task is runnable here iff it was in this
-	// round's runnable set and still is, or had work posted mid-round (the
-	// only way a task gains runnability inside a round — unfreezes, thaw
-	// expiries and I/O unblocks arrive as separate engine events, and
-	// simulated time does not advance within a round). Checking those two
-	// small sets is exactly equivalent to re-scanning every task.
-	s.inTick = false
-	rearm := false
-	for _, t := range runnable {
+	// kick restarts the loop. runq now holds this round's runnable set
+	// plus every task enqueued mid-round. Post from an OnDone or Setup
+	// callback is the only way a task gains runnability inside a round:
+	// thaws and I/O unblocks arrive as separate engine events, and
+	// simulated time does not advance within a round. So scanning runq
+	// decides exactly as a scan of every task would.
+	for _, t := range s.runq {
 		if t.Runnable(now) {
-			rearm = true
-			break
+			s.eng.At(s.nextAllowed, s.tickFn)
+			return
 		}
-	}
-	if !rearm {
-		for _, t := range s.posted {
-			if t.Runnable(now) {
-				rearm = true
-				break
-			}
-		}
-	}
-	for i := range s.posted {
-		s.posted[i] = nil
-	}
-	s.posted = s.posted[:0]
-	if rearm {
-		s.eng.At(s.nextAllowed, s.tickFn)
-		return
 	}
 	s.tickArmed = false
 }

@@ -94,8 +94,8 @@ func TestFrozenTaskGetsNoCPU(t *testing.T) {
 	}
 	p.Thaw(eng.Now(), 0)
 	// Thawing happens outside the scheduler's sight, so the wake-up must
-	// go through WakeAll (as the android layer's thaw path does).
-	s.WakeAll()
+	// go through Wake (as the android layer's thaw path does).
+	s.Wake(p)
 	eng.RunFor(50 * sim.Millisecond)
 	if task.CPUTime != 10*sim.Millisecond {
 		t.Fatalf("thawed task got %v", task.CPUTime)
@@ -241,5 +241,50 @@ func TestWakeupBonusPreventsStarvation(t *testing.T) {
 	eng.RunFor(100 * sim.Millisecond)
 	if done == 0 || done-start > 20*sim.Millisecond {
 		t.Fatalf("sleeper waited %v for its first quantum", done-start)
+	}
+}
+
+// TestDeadTaskLeavesQueue guards what a dead-task compaction of a
+// separate task list once did. Launch loops kill tasks while they sit
+// off the candidate queue (idle, blocked on I/O or frozen) and register
+// fresh ones on every relaunch. runq is the scheduler's only record of
+// tasks, so a killed task must leave it, backing array included, at the
+// next tick, and the queue must stay as small as the live set however
+// many tasks die.
+func TestDeadTaskLeavesQueue(t *testing.T) {
+	eng, s, tb := newSched(2)
+	for i := 0; i < 500; i++ {
+		p := tb.NewProcess("app", tb.AllocUID(), proc.KindApp, 900)
+		idle := tb.NewTask(p, "idle", 0)
+		busy := tb.NewTask(p, "busy", 0)
+		io := tb.NewTask(p, "io", 0)
+		for _, task := range []*proc.Task{idle, busy, io} {
+			s.Register(task)
+		}
+		wake := eng.Now() + 5*sim.Millisecond
+		s.Post(idle, &proc.Work{CPU: sim.Millisecond})
+		s.Post(busy, &proc.Work{CPU: sim.Hour})
+		s.Post(io, &proc.Work{Setup: func() (sim.Time, sim.Time) { return 0, wake }, CPU: sim.Millisecond})
+		if i%2 == 1 {
+			// Frozen: every task leaves the queue before the kill.
+			p.Freeze(eng.Now())
+		}
+		eng.RunFor(3 * sim.Millisecond)
+		p.Kill()
+		tb.Remove(p)
+		// The blocked task's pending unblock re-enqueues it after the
+		// kill; the tick after that drops it.
+		eng.RunFor(5 * sim.Millisecond)
+		if len(s.runq) != 0 {
+			t.Fatalf("cycle %d: %d tasks queued after every task died", i, len(s.runq))
+		}
+		for _, task := range s.runq[:cap(s.runq)] {
+			if task != nil {
+				t.Fatalf("cycle %d: queue's backing array still holds %s (pid %d)", i, task.Name, task.Proc.PID)
+			}
+		}
+	}
+	if c := cap(s.runq); c > 8 {
+		t.Fatalf("candidate queue grew to capacity %d with at most 3 live tasks", c)
 	}
 }
