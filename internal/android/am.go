@@ -29,9 +29,6 @@ type ActivityManager struct {
 	// drives adj assignment and LMK victim selection.
 	cachedMRU []*Instance
 
-	// Launches accumulates launch measurements since the last reset.
-	Launches metrics.LaunchStats
-
 	// launchInFlight guards against overlapping launch sequences.
 	launchInFlight bool
 }
@@ -130,7 +127,6 @@ func (am *ActivityManager) RequestForeground(name string, onDone func(metrics.La
 
 	finish := func(_, end sim.Time) {
 		rec := metrics.LaunchRecord{App: name, Cold: cold, Latency: end - requested}
-		am.Launches.Add(rec)
 		am.launchInFlight = false
 		style := "launch-hot"
 		if cold {

@@ -112,12 +112,19 @@ func TestRelaunchSameAppIsNoop(t *testing.T) {
 	sys := newTestSystem(t)
 	sys.AM.InstallAll(app.Catalog())
 	launchWait(t, sys, "WhatsApp")
-	n := len(sys.AM.Launches.Records)
+	reg := sys.Eng.Obs()
+	launches := func() uint64 {
+		return reg.Histogram("launch.cold_us").Count() + reg.Histogram("launch.hot_us").Count()
+	}
+	n := launches()
+	if n == 0 {
+		t.Fatal("the first launch was not recorded")
+	}
 	rec := launchWait(t, sys, "WhatsApp")
 	if rec.Latency != 0 {
 		t.Fatal("re-foregrounding the FG app should be free")
 	}
-	if len(sys.AM.Launches.Records) != n {
+	if launches() != n {
 		t.Fatal("no-op switch recorded a launch")
 	}
 }

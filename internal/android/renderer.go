@@ -40,7 +40,6 @@ type Renderer struct {
 	// Debug accounting: cumulative frame-path costs by source.
 	DbgStall sim.Time // synchronous memory stalls (faults, locks, reclaim)
 	DbgBlock sim.Time // I/O block time
-	DbgCPU   sim.Time // pure render CPU
 }
 
 // NewRenderer creates a renderer for the system.

@@ -65,10 +65,9 @@ type System struct {
 	rng *sim.Rand
 	ins sysInstruments
 
-	kswapdProc   *proc.Process
-	kswapdTask   *proc.Task
-	kswapdQueued bool
-	kswapdWork   *proc.Work
+	kswapdProc *proc.Process
+	kswapdTask *proc.Task
+	kswapdWork *proc.Work
 }
 
 // FGWeightBoost is the scheduling weight multiplier the stock framework
@@ -107,26 +106,21 @@ func (sys *System) bootKernel() {
 	sys.kswapdProc = sys.Procs.NewProcess("kswapd0", 0, proc.KindKernel, -1000)
 	sys.kswapdTask = sys.Procs.NewTask(sys.kswapdProc, "kswapd0", proc.DefaultWeight)
 	sys.Sched.Register(sys.kswapdTask)
-	sys.MM.SetKswapdWaker(sys.wakeKswapd)
+	sys.MM.SetKswapdWaker(sys.postKswapdStep)
 }
 
-// wakeKswapd posts a reclaim quantum unless one is already pending. Each
-// quantum reclaims one batch and reposts itself while free memory stays
-// below the high watermark — mirroring kswapd's balance loop.
-func (sys *System) wakeKswapd() {
-	if sys.kswapdQueued {
-		return
-	}
-	sys.kswapdQueued = true
-	sys.postKswapdStep()
-}
-
+// postKswapdStep posts one reclaim quantum. Each quantum reclaims one
+// batch and reposts itself while free memory stays below the high
+// watermark, mirroring kswapd's balance loop. The memory manager wakes
+// the loop only while its kswapdWanted flag is clear, sets the flag as it
+// does, and the loop clears it (KswapdSleep) only when it stops, so at
+// most one chain runs.
 func (sys *System) postKswapdStep() {
 	// Reclaim quanta are strictly sequential (the next step is posted only
-	// from the previous step's OnDone, and wakeKswapd is absorbed by
-	// kswapdQueued while a chain runs), so one reusable Work serves the
-	// whole balance loop instead of allocating a Work plus two closures
-	// per reclaimed batch.
+	// from the previous step's OnDone, and the manager's kswapdWanted flag
+	// absorbs wake-ups while a chain runs), so one reusable Work serves
+	// the whole balance loop instead of allocating a Work plus two
+	// closures per reclaimed batch.
 	if sys.kswapdWork == nil {
 		var more bool
 		var starved bool
@@ -144,8 +138,8 @@ func (sys *System) postKswapdStep() {
 					return
 				}
 				// Memory may have been consumed while the last step ran (a
-				// wake-up attempted meanwhile was absorbed by kswapdQueued, so
-				// re-check the watermark ourselves). A starved kswapd stops
+				// wake-up attempted meanwhile was absorbed by the manager's
+				// kswapdWanted flag, so re-check the watermark ourselves). A starved kswapd stops
 				// regardless — there is nothing left to reclaim and spinning
 				// would burn the CPU the foreground needs.
 				if !starved && sys.MM.NeedKswapd() {
@@ -155,7 +149,6 @@ func (sys *System) postKswapdStep() {
 				// Going to sleep: clear the manager's wanted flag so the next
 				// below-low allocation delivers a fresh wake-up.
 				sys.MM.KswapdSleep()
-				sys.kswapdQueued = false
 			},
 		}
 	}
@@ -329,7 +322,6 @@ func (sys *System) FreezeApp(uid int) int {
 func (sys *System) ResetMeasurement() {
 	sys.MM.ResetStats()
 	sys.Sched.ResetStats()
-	sys.AM.Launches.Reset()
 	frozen := sys.ins.frozenApps.Value()
 	sys.Eng.Obs().Reset()
 	// Level gauges survive the reset: they describe current state, not

@@ -91,9 +91,6 @@ type Task struct {
 	blocked  bool
 	maxQueue int
 
-	// DroppedWork counts items rejected because the queue was full.
-	DroppedWork uint64
-
 	// InRunq and UnblockFn are scheduler bookkeeping, owned by
 	// internal/sched; nothing else may touch them. InRunq records whether
 	// the task sits on the scheduler's runnable-candidate queue, its only
@@ -112,14 +109,9 @@ const DefaultWeight = 1024
 const defaultMaxQueue = 64
 
 // Post appends a work item to the task's queue. Items posted to a dead task
-// or beyond the queue bound are dropped (and counted).
+// or beyond the queue bound are refused.
 func (t *Task) Post(now sim.Time, w *Work) bool {
-	if !t.Proc.Alive() {
-		t.DroppedWork++
-		return false
-	}
-	if len(t.queue) >= t.maxQueue {
-		t.DroppedWork++
+	if !t.Proc.Alive() || len(t.queue) >= t.maxQueue {
 		return false
 	}
 	w.posted = now
@@ -202,11 +194,6 @@ type Process struct {
 	frozen      bool
 	frozenSince sim.Time
 	thawReadyAt sim.Time
-
-	// FreezeCount and ThawCount record freezer activity for the overhead
-	// analysis of §6.4.
-	FreezeCount uint64
-	ThawCount   uint64
 }
 
 // Alive reports whether the process exists (LMK kills clear this).
@@ -238,7 +225,6 @@ func (p *Process) Freeze(now sim.Time) bool {
 	}
 	p.frozen = true
 	p.frozenSince = now
-	p.FreezeCount++
 	return true
 }
 
@@ -251,7 +237,6 @@ func (p *Process) Thaw(now, latency sim.Time) bool {
 	p.frozen = false
 	p.frozenSince = 0
 	p.thawReadyAt = now + latency
-	p.ThawCount++
 	return true
 }
 

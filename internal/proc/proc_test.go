@@ -103,9 +103,6 @@ func TestKillStopsEverything(t *testing.T) {
 	if task.Post(0, &Work{CPU: 1}) {
 		t.Fatal("posting to a dead process succeeded")
 	}
-	if task.DroppedWork == 0 {
-		t.Fatal("dropped work not counted")
-	}
 }
 
 func TestQueueBound(t *testing.T) {
@@ -294,17 +291,5 @@ func TestFreezerInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFreezeThawCounters(t *testing.T) {
-	tb := NewTable()
-	p, _ := newAppProcess(tb)
-	p.Freeze(0)
-	p.Thaw(1, 0)
-	p.Freeze(2)
-	p.Thaw(3, 0)
-	if p.FreezeCount != 2 || p.ThawCount != 2 {
-		t.Fatalf("counters %d/%d", p.FreezeCount, p.ThawCount)
 	}
 }
