@@ -95,7 +95,8 @@ func (s *JobSpec) normalize() error {
 		if s.Experiment == "" {
 			return fmt.Errorf("experiment job needs an experiment ID (try GET /experiments)")
 		}
-		if _, ok := experiments.ByID(s.Experiment); !ok {
+		runner, ok := experiments.ByID(s.Experiment)
+		if !ok {
 			return fmt.Errorf("unknown experiment %q (try GET /experiments)", s.Experiment)
 		}
 		if s.Device != "" || s.Scenario != "" || s.Scheme != "" || s.BGCase != "" ||
@@ -104,6 +105,14 @@ func (s *JobSpec) normalize() error {
 		}
 		if s.DurationSec < 0 {
 			return fmt.Errorf("negative duration %d", s.DurationSec)
+		}
+		// A scale option the runner does not read cannot change the
+		// payload, so it is keyed as if unset.
+		if runner.Reads&experiments.ScaleDuration == 0 {
+			s.DurationSec = 0
+		}
+		if runner.Reads&experiments.ScaleRounds == 0 {
+			s.Rounds = 0
 		}
 		// The key hashes the effective repetition count and seed; an
 		// unset duration stays 0, as the runner reads it.

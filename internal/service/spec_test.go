@@ -145,6 +145,60 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
+// TestExperimentKeyIgnoresUnreadScale runs experiment jobs that differ
+// only in scale options their runner never reads: table1 ignores the
+// duration, fig3, fig4 and fig11 ignore duration and rounds. Each group
+// must share one key and return byte-identical payloads, so one result
+// is simulated and stored once.
+func TestExperimentKeyIgnoresUnreadScale(t *testing.T) {
+	for _, group := range [][]string{
+		{
+			`{"kind":"experiment","experiment":"fig4","fast":true}`,
+			`{"kind":"experiment","experiment":"fig4","fast":true,"duration_sec":5}`,
+			`{"kind":"experiment","experiment":"fig4","fast":true,"rounds":7}`,
+		},
+		{
+			`{"kind":"experiment","experiment":"table1","fast":true}`,
+			`{"kind":"experiment","experiment":"table1","fast":true,"duration_sec":5}`,
+		},
+		{
+			`{"kind":"experiment","experiment":"fig3","fast":true}`,
+			`{"kind":"experiment","experiment":"fig3","fast":true,"duration_sec":5,"rounds":7}`,
+		},
+		{
+			`{"kind":"experiment","experiment":"fig11","fast":true}`,
+			`{"kind":"experiment","experiment":"fig11","fast":true,"duration_sec":5,"rounds":7}`,
+		},
+	} {
+		var key string
+		var payload []byte
+		for i, raw := range group {
+			var spec JobSpec
+			if err := json.Unmarshal([]byte(raw), &spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := spec.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			spec.Workers = 2
+			res, _, err := execute(context.Background(), spec, nil, nil, harness.ExecHooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				key, payload = CacheKey(spec, "v"), res
+				continue
+			}
+			if got := CacheKey(spec, "v"); got != key {
+				t.Errorf("%s keys to %s, want %s as %s", raw, got, key, group[0])
+			}
+			if !bytes.Equal(res, payload) {
+				t.Errorf("%s returned a payload that differs from %s's", raw, group[0])
+			}
+		}
+	}
+}
+
 func TestNormalizeRejects(t *testing.T) {
 	bad := []JobSpec{
 		{},                                                        // no kind
