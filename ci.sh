@@ -4,8 +4,11 @@
 #   under the race detector (the harness worker pool must stay
 #   race-free at any -workers setting), a flake guard re-running the
 #   concurrency-heavy packages, 10 s fuzzes of the cached-entry trust
-#   check (FuzzDecodeEntry) and of the job-spec path (FuzzNormalize:
-#   decode, normalise, cache key), a one-iteration benchmark smoke pass
+#   check (FuzzDecodeEntry), of the job-spec path (FuzzNormalize:
+#   decode, normalise, cache key) and of the Prometheus exposition
+#   parser a coordinator runs on peer metrics (FuzzParseProm: no panic,
+#   and an accepted input re-renders to the same families), a
+#   one-iteration benchmark smoke pass
 #   (benchmarks must at least run; their cells/sec, allocs/cell and
 #   p50/p99 per-cell latency metrics are written to BENCH_<n>.json —
 #   n derived from the highest committed snapshot, no hand edit per
@@ -66,6 +69,13 @@ go test -run='^$' -fuzz='^FuzzDecodeEntry$' -fuzztime=10s ./internal/service/
 # normalize, CacheKey): no panic, and a normalised spec normalises to
 # itself with the same key, directly and after a JSON round trip.
 go test -run='^$' -fuzz='^FuzzNormalize$' -fuzztime=10s ./internal/service/
+
+# And for the exposition parser the coordinator runs on every peer's
+# /metrics?format=prom body: no panic, and an accepted input re-rendered
+# with WriteFamilies parses back to the same families. Minimising a new
+# input derived from the 3.5 KB golden seed can take the fuzzer's
+# default 60 s, which would eat the whole budget; 1 s keeps it fuzzing.
+go test -run='^$' -fuzz='^FuzzParseProm$' -fuzztime=10s -fuzzminimizetime=1s ./internal/obs/
 
 # Benchmarks stay runnable: one iteration each, no timing claims — and
 # their cells/sec + allocs/cell + per-cell latency percentile metrics

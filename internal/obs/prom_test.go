@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -289,19 +291,53 @@ func TestPromLabelEscaping(t *testing.T) {
 
 // TestParsePromRejects checks the parser enforces the grammar rather
 // than skipping malformed lines.
+// parsePromRejects are expositions ParseProm must refuse.
+var parsePromRejects = map[string]string{
+	"sample without TYPE":   "orphan_series 1\n",
+	"non-numeric value":     "# TYPE x gauge\nx pizza\n",
+	"foreign histogram kid": "# TYPE x gauge\nx_bucket{le=\"1\"} 1\n",
+	"duplicate TYPE":        "# TYPE x gauge\n# TYPE x counter\n",
+	"unterminated labels":   "# TYPE x gauge\nx{a=\"b 1\n",
+}
+
 func TestParsePromRejects(t *testing.T) {
-	cases := map[string]string{
-		"sample without TYPE":   "orphan_series 1\n",
-		"non-numeric value":     "# TYPE x gauge\nx pizza\n",
-		"foreign histogram kid": "# TYPE x gauge\nx_bucket{le=\"1\"} 1\n",
-		"duplicate TYPE":        "# TYPE x gauge\n# TYPE x counter\n",
-		"unterminated labels":   "# TYPE x gauge\nx{a=\"b 1\n",
-	}
-	for name, text := range cases {
+	for name, text := range parsePromRejects {
 		if _, err := ParseProm(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: want parse error for %q", name, text)
 		}
 	}
+}
+
+// FuzzParseProm feeds arbitrary bytes to ParseProm, which a coordinator
+// runs on every peer's exposition. It must not panic, and an accepted
+// input re-rendered with WriteFamilies must parse back to the same
+// families.
+func FuzzParseProm(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "prom_golden.txt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, text := range parsePromRejects {
+		f.Add([]byte(text))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		fams, err := ParseProm(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteFamilies(&out, fams, nil); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ParseProm(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-rendered exposition rejected: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(again, fams) {
+			t.Fatalf("re-rendered exposition parsed differently:\n%q\n%+v\n%+v", out.Bytes(), fams, again)
+		}
+	})
 }
 
 // TestMergeFamilies checks first-TYPE-wins dedup and sample append
