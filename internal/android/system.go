@@ -139,9 +139,10 @@ func (sys *System) postKswapdStep() {
 				}
 				// Memory may have been consumed while the last step ran (a
 				// wake-up attempted meanwhile was absorbed by the manager's
-				// kswapdWanted flag, so re-check the watermark ourselves). A starved kswapd stops
-				// regardless — there is nothing left to reclaim and spinning
-				// would burn the CPU the foreground needs.
+				// kswapdWanted flag, so re-check the watermark ourselves).
+				// A starved kswapd stops regardless — there is nothing left
+				// to reclaim and spinning would burn the CPU the foreground
+				// needs.
 				if !starved && sys.MM.NeedKswapd() {
 					sys.postKswapdStep()
 					return
@@ -264,7 +265,9 @@ func (sys *System) EnableTracing(capacity int) *trace.Buffer {
 // how many processes were thawed.
 func (sys *System) ThawApp(uid int) int {
 	now := sys.Eng.Now()
-	// Filter the fresh slice in place down to the processes thawed here.
+	// AliveByUID returns a fresh slice; filtering it in place down to the
+	// processes thawed here gives the wake-up its list without another
+	// allocation.
 	thawed := sys.Procs.AliveByUID(uid)
 	n := 0
 	for _, p := range thawed {

@@ -289,8 +289,6 @@ func TestPromLabelEscaping(t *testing.T) {
 	}
 }
 
-// TestParsePromRejects checks the parser enforces the grammar rather
-// than skipping malformed lines.
 // parsePromRejects are expositions ParseProm must refuse.
 var parsePromRejects = map[string]string{
 	"sample without TYPE":   "orphan_series 1\n",
@@ -300,6 +298,8 @@ var parsePromRejects = map[string]string{
 	"unterminated labels":   "# TYPE x gauge\nx{a=\"b 1\n",
 }
 
+// TestParsePromRejects checks the parser enforces the grammar rather
+// than skipping malformed lines.
 func TestParsePromRejects(t *testing.T) {
 	for name, text := range parsePromRejects {
 		if _, err := ParseProm(strings.NewReader(text)); err == nil {

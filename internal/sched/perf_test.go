@@ -8,8 +8,8 @@ import (
 )
 
 // TestTickNoAllocs pins the steady-state scheduling round at zero
-// allocations: with the candidate queue, scratch slices and the engine's
-// event heap warmed up, ticking must not touch the heap at all. This is
+// allocations: with the candidate queue and the engine's event heap
+// warmed up, ticking must not touch the heap at all. This is
 // one of the three hot paths the PR's optimisation pass covers; a
 // regression here silently costs every simulated millisecond.
 func TestTickNoAllocs(t *testing.T) {
@@ -19,8 +19,8 @@ func TestTickNoAllocs(t *testing.T) {
 		s.Register(task)
 		s.Post(task, &proc.Work{CPU: sim.Hour})
 	}
-	// Warm-up: grow the runnable scratch, the candidate queue and the
-	// event heap to their steady-state capacities.
+	// Warm-up: grow the candidate queue and the event heap to their
+	// steady-state capacities.
 	eng.RunFor(100 * sim.Millisecond)
 	allocs := testing.AllocsPerRun(200, func() {
 		eng.RunFor(Quantum)

@@ -147,9 +147,10 @@ func TestNormalizeDefaults(t *testing.T) {
 
 // TestExperimentKeyIgnoresUnreadScale runs experiment jobs that differ
 // only in scale options their runner never reads: table1 ignores the
-// duration, fig3, fig4 and fig11 ignore duration and rounds. Each group
-// must share one key and return byte-identical payloads, so one result
-// is simulated and stored once.
+// duration, fig3, fig4 and fig11 ignore duration and rounds. Each job
+// runs as written, so the payloads show that the runner ignores what its
+// registry entry says it does. Each group must share one key and return
+// byte-identical payloads, so one result is simulated and stored once.
 func TestExperimentKeyIgnoresUnreadScale(t *testing.T) {
 	for _, group := range [][]string{
 		{
@@ -177,12 +178,12 @@ func TestExperimentKeyIgnoresUnreadScale(t *testing.T) {
 			if err := json.Unmarshal([]byte(raw), &spec); err != nil {
 				t.Fatal(err)
 			}
-			if err := spec.normalize(); err != nil {
-				t.Fatal(err)
-			}
 			spec.Workers = 2
 			res, _, err := execute(context.Background(), spec, nil, nil, harness.ExecHooks{})
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := spec.normalize(); err != nil {
 				t.Fatal(err)
 			}
 			if i == 0 {
