@@ -5,9 +5,11 @@
 #   race-free at any -workers setting), a flake guard re-running the
 #   concurrency-heavy packages, 10 s fuzzes of the cached-entry trust
 #   check (FuzzDecodeEntry), of the job-spec path (FuzzNormalize:
-#   decode, normalise, cache key) and of the Prometheus exposition
+#   decode, normalise, cache key), of the Prometheus exposition
 #   parser a coordinator runs on peer metrics (FuzzParseProm: no panic,
-#   and an accepted input re-renders to the same families), a
+#   and an accepted input re-renders to the same families) and of the
+#   tenant token file (FuzzParseTokens: no panic, and every accepted
+#   line's token resolves to its principal), a
 #   one-iteration benchmark smoke pass
 #   (benchmarks must at least run; their cells/sec, allocs/cell and
 #   p50/p99 per-cell latency metrics are written to BENCH_<n>.json —
@@ -76,6 +78,11 @@ go test -run='^$' -fuzz='^FuzzNormalize$' -fuzztime=10s ./internal/service/
 # input derived from the 3.5 KB golden seed can take the fuzzer's
 # default 60 s, which would eat the whole budget; 1 s keeps it fuzzing.
 go test -run='^$' -fuzz='^FuzzParseProm$' -fuzztime=10s -fuzzminimizetime=1s ./internal/obs/
+
+# And for the token file icesimd -auth-tokens reads at boot: no panic,
+# and in an accepted file each line's token authenticates to the
+# principal that line names, with a weight of at least 1.
+go test -run='^$' -fuzz='^FuzzParseTokens$' -fuzztime=10s ./internal/tenant/
 
 # Benchmarks stay runnable: one iteration each, no timing claims — and
 # their cells/sec + allocs/cell + per-cell latency percentile metrics

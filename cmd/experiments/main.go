@@ -149,6 +149,9 @@ func main() {
 		if *run != "all" && !want[r.ID] {
 			continue
 		}
+		if *rounds > 0 && r.Reads&experiments.ScaleRounds == 0 {
+			fmt.Fprintf(os.Stderr, "%s ignores -rounds\n", r.ID)
+		}
 
 		var timings []cellTiming
 		cellUs := &obs.Histogram{}

@@ -2,8 +2,8 @@
 // (version 0.0.4), the lingua franca every scrape-based monitoring
 // stack speaks. The mapping is mechanical and read-only:
 //
-//   - counters export as "<prefix><name>_total" with TYPE counter,
-//   - gauges export as "<prefix><name>" with TYPE gauge,
+//   - counters export as "ice_<name>_total" with TYPE counter,
+//   - gauges export as "ice_<name>" with TYPE gauge,
 //   - log2 histograms export as cumulative le-bucketed Prometheus
 //     histograms: bucket i of a Histogram holds observations v with
 //     upper edge 2^i − 1 exactly (bucket 0 is v == 0), so the le
@@ -16,12 +16,17 @@
 // a component registers per peer, per route, per codec — are folded
 // into one labelled family by PromRules, which is how the label-free
 // hot-path registry meets Prometheus's label model.
+//
+// PromFamily is the one model of an exposition: PromFamilies builds it
+// from a snapshot, ParseProm from text, and WriteFamilies is the one
+// writer of either.
 package obs
 
 import (
 	"fmt"
 	"io"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,7 +35,7 @@ import (
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// promNamePrefix is the default series prefix (PromOptions.Prefix "").
+// promNamePrefix prefixes every exported family name.
 const promNamePrefix = "ice_"
 
 // PromLabel is one label pair. Values are escaped at render time; keys
@@ -56,20 +61,11 @@ type PromRule struct {
 
 // PromOptions configures one exposition rendering.
 type PromOptions struct {
-	// Prefix prepends every exported family name ("" means "ice_").
-	Prefix string
 	// ConstLabels are applied to every sample, in order (role, node).
 	ConstLabels []PromLabel
 	// Rules extract dynamic suffixes into labels; the first matching
 	// rule wins.
 	Rules []PromRule
-}
-
-func (o PromOptions) prefix() string {
-	if o.Prefix == "" {
-		return promNamePrefix
-	}
-	return o.Prefix
 }
 
 // promHelp is the help registry: instrument name (or PromRule family
@@ -179,7 +175,6 @@ var promHelp = map[string]string{
 	"process.heap_bytes":                 "Go heap bytes in use.",
 	"process.gc_cycles":                  "Garbage-collection cycles completed.",
 	"process.gc_pause_us":                "Stop-the-world GC pause duration.",
-	"peer_up":                            "Whether the last fleet scrape of the peer succeeded.",
 }
 
 // helpFor resolves the HELP text for a source instrument/family name.
@@ -212,25 +207,6 @@ func sanitizeName(name string) string {
 	return strings.ReplaceAll(name, ".", "_")
 }
 
-// promFamily is one exported metric family: every sample shares the
-// family name and TYPE.
-type promFamily struct {
-	name    string // final exported name, prefix and _total included
-	kind    string // counter | gauge | histogram
-	help    string
-	samples []promSample
-}
-
-// promSample is one instrument's contribution to a family. label is the
-// rule-extracted label (nil for plain instruments); exactly one of the
-// value fields is meaningful, selected by the family kind.
-type promSample struct {
-	label *PromLabel
-	cval  uint64
-	gval  int64
-	hist  HistSample
-}
-
 // splitRule resolves an instrument name against the rules: the exported
 // base name (pre-sanitation, pre-prefix) and the extracted label, if
 // any.
@@ -243,23 +219,37 @@ func splitRule(name string, rules []PromRule) (base string, label *PromLabel) {
 	return name, nil
 }
 
-// buildFamilies maps a snapshot onto exported families, validating
-// names and detecting collisions. This is the shared front half of
-// WriteProm and PromLint.
-func buildFamilies(snap Snapshot, opts PromOptions) ([]*promFamily, error) {
-	prefix := opts.prefix()
-	byName := map[string]*promFamily{}
+// PromFamilies maps a snapshot onto the families of its exposition, in
+// exactly the form ParseProm reads back from the text WriteProm renders:
+// families sorted by name; each sample with its final series name
+// (histograms add _bucket, _sum and _count), its full label list (the
+// const labels, then the rule label, then le) and its formatted value;
+// Help escaped as written. An error means the snapshot cannot be
+// exported: an instrument name outside the grammar that no rule
+// covers, or two instruments whose series names collide.
+func PromFamilies(snap Snapshot, opts PromOptions) ([]PromFamily, error) {
+	// member is one instrument's samples, ordered within its family by
+	// the rule label's value ("" for a plain instrument).
+	type member struct {
+		key     string
+		samples []PromSample
+	}
+	type family struct {
+		PromFamily
+		members []member
+	}
+	byName := map[string]*family{}
 	// reserved maps every final series name (histogram children
 	// included) to the family that owns it, so cross-kind collisions
 	// ("x" histogram vs "x.count" gauge) are caught too.
 	reserved := map[string]string{}
 
-	add := func(srcName, kind string, fill func(*promSample)) error {
+	add := func(srcName, kind string, render func(name string, labels []PromLabel) []PromSample) error {
 		base, label := splitRule(srcName, opts.Rules)
 		if !instrumentNameRE.MatchString(base) {
 			return fmt.Errorf("obs: instrument %q: name %q is not exportable (want %s or a PromRule)", srcName, base, instrumentNameRE)
 		}
-		final := prefix + sanitizeName(base)
+		final := promNamePrefix + sanitizeName(base)
 		if kind == "counter" {
 			final += "_total"
 		}
@@ -278,63 +268,86 @@ func buildFamilies(snap Snapshot, opts PromOptions) ([]*promFamily, error) {
 				}
 				reserved[n] = final
 			}
-			fam = &promFamily{name: final, kind: kind, help: helpFor(base)}
+			fam = &family{PromFamily: PromFamily{Name: final, Type: kind, Help: escapeHelp(helpFor(base))}}
 			byName[final] = fam
 		}
-		if fam.kind != kind {
-			return fmt.Errorf("obs: series name collision: %q is both %s and %s", final, fam.kind, kind)
+		if fam.Type != kind {
+			return fmt.Errorf("obs: series name collision: %q is both %s and %s", final, fam.Type, kind)
 		}
-		if label == nil && len(fam.samples) > 0 {
+		if label == nil && len(fam.members) > 0 {
 			// Two distinct instruments can only share a family through a
 			// rule (which labels them apart).
 			return fmt.Errorf("obs: series name collision on %q (instrument %q)", final, srcName)
 		}
-		s := promSample{label: label}
-		fill(&s)
-		fam.samples = append(fam.samples, s)
+		labels := append([]PromLabel(nil), opts.ConstLabels...)
+		var key string
+		if label != nil {
+			labels = append(labels, *label)
+			key = label.Value
+		}
+		fam.members = append(fam.members, member{key: key, samples: render(final, labels)})
 		return nil
 	}
 
 	for _, c := range snap.Counters {
-		if err := add(c.Name, "counter", func(s *promSample) { s.cval = c.Value }); err != nil {
+		v := strconv.FormatUint(c.Value, 10)
+		if err := add(c.Name, "counter", func(name string, labels []PromLabel) []PromSample {
+			return []PromSample{{Name: name, Labels: labels, Value: v}}
+		}); err != nil {
 			return nil, err
 		}
 	}
 	for _, g := range snap.Gauges {
-		if err := add(g.Name, "gauge", func(s *promSample) { s.gval = g.Value }); err != nil {
+		v := strconv.FormatInt(g.Value, 10)
+		if err := add(g.Name, "gauge", func(name string, labels []PromLabel) []PromSample {
+			return []PromSample{{Name: name, Labels: labels, Value: v}}
+		}); err != nil {
 			return nil, err
 		}
 	}
 	for _, h := range snap.Hists {
-		if err := add(h.Name, "histogram", func(s *promSample) { s.hist = h }); err != nil {
+		if err := add(h.Name, "histogram", func(name string, labels []PromLabel) []PromSample {
+			return histSamples(name, labels, h)
+		}); err != nil {
 			return nil, err
 		}
 	}
 
-	out := make([]*promFamily, 0, len(byName))
+	var out []PromFamily
 	for _, fam := range byName {
-		sort.SliceStable(fam.samples, func(i, j int) bool {
-			li, lj := "", ""
-			if fam.samples[i].label != nil {
-				li = fam.samples[i].label.Value
-			}
-			if fam.samples[j].label != nil {
-				lj = fam.samples[j].label.Value
-			}
-			return li < lj
-		})
-		out = append(out, fam)
+		sort.SliceStable(fam.members, func(i, j int) bool { return fam.members[i].key < fam.members[j].key })
+		for _, m := range fam.members {
+			fam.Samples = append(fam.Samples, m.samples...)
+		}
+		out = append(out, fam.PromFamily)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
-// PromLint validates that every instrument in the snapshot can be
-// exported under the options: names in grammar (or rule-matched),
-// sanitised series names collision-free. It renders nothing.
-func PromLint(snap Snapshot, opts PromOptions) error {
-	_, err := buildFamilies(snap, opts)
-	return err
+// histSamples expands one histogram into its cumulative le buckets,
+// _sum and _count. Bucket i's exact upper edge is 2^i − 1 (bucket 0
+// holds v == 0). The last bucket clamps, so its edge is not exact and
+// folds into +Inf instead.
+func histSamples(name string, labels []PromLabel, h HistSample) []PromSample {
+	labels = slices.Clip(labels) // each bucket appends its own le
+	out := make([]PromSample, 0, HistBuckets+2)
+	bucket := func(le string, cum uint64) {
+		out = append(out, PromSample{
+			Name:   name + "_bucket",
+			Labels: append(labels, PromLabel{Key: "le", Value: le}),
+			Value:  strconv.FormatUint(cum, 10),
+		})
+	}
+	var cum uint64
+	for i := 0; i < HistBuckets-1; i++ {
+		cum += h.Buckets[i]
+		bucket(strconv.FormatUint(1<<uint(i)-1, 10), cum)
+	}
+	bucket("+Inf", h.Count)
+	return append(out,
+		PromSample{Name: name + "_sum", Labels: labels, Value: strconv.FormatInt(h.Sum, 10)},
+		PromSample{Name: name + "_count", Labels: labels, Value: strconv.FormatUint(h.Count, 10)})
 }
 
 // escapeLabel escapes a label value per the exposition grammar.
@@ -352,61 +365,15 @@ func escapeHelp(v string) string {
 	return v
 }
 
-// renderLabels renders the {...} block for const labels plus the
-// sample's rule label plus an optional trailing le pair. Empty sets
-// render as "".
-func renderLabels(consts []PromLabel, label *PromLabel, le string) string {
-	var parts []string
-	for _, l := range consts {
-		parts = append(parts, l.Key+`="`+escapeLabel(l.Value)+`"`)
-	}
-	if label != nil {
-		parts = append(parts, label.Key+`="`+escapeLabel(label.Value)+`"`)
-	}
-	if le != "" {
-		parts = append(parts, `le="`+le+`"`)
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
-
 // WriteProm renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4). Output is deterministic for a given snapshot
-// and options. An error means the snapshot cannot be exported (invalid
-// instrument name or a series-name collision) and nothing was written.
+// format (version 0.0.4): PromFamilies, written by WriteFamilies.
+// Output is deterministic for a given snapshot and options. An error
+// means the snapshot cannot be exported (invalid instrument name or a
+// series-name collision) and nothing was written.
 func WriteProm(w io.Writer, snap Snapshot, opts PromOptions) error {
-	fams, err := buildFamilies(snap, opts)
+	fams, err := PromFamilies(snap, opts)
 	if err != nil {
 		return err
 	}
-	var b strings.Builder
-	for _, fam := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n", fam.name, escapeHelp(fam.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", fam.name, fam.kind)
-		for _, s := range fam.samples {
-			switch fam.kind {
-			case "counter":
-				fmt.Fprintf(&b, "%s%s %s\n", fam.name, renderLabels(opts.ConstLabels, s.label, ""), strconv.FormatUint(s.cval, 10))
-			case "gauge":
-				fmt.Fprintf(&b, "%s%s %s\n", fam.name, renderLabels(opts.ConstLabels, s.label, ""), strconv.FormatInt(s.gval, 10))
-			case "histogram":
-				// Bucket i's exact upper edge is 2^i − 1 (bucket 0 holds
-				// v == 0). The last bucket clamps, so its edge is not
-				// exact and folds into +Inf instead.
-				var cum uint64
-				for i := 0; i < HistBuckets-1; i++ {
-					cum += s.hist.Buckets[i]
-					le := strconv.FormatUint(1<<uint(i)-1, 10)
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", fam.name, renderLabels(opts.ConstLabels, s.label, le), cum)
-				}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", fam.name, renderLabels(opts.ConstLabels, s.label, "+Inf"), s.hist.Count)
-				fmt.Fprintf(&b, "%s_sum%s %d\n", fam.name, renderLabels(opts.ConstLabels, s.label, ""), s.hist.Sum)
-				fmt.Fprintf(&b, "%s_count%s %d\n", fam.name, renderLabels(opts.ConstLabels, s.label, ""), s.hist.Count)
-			}
-		}
-	}
-	_, err = io.WriteString(w, b.String())
-	return err
+	return WriteFamilies(w, fams)
 }

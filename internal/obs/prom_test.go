@@ -218,13 +218,13 @@ func TestPromHistogram(t *testing.T) {
 }
 
 // TestPromCollisions exercises the collision and grammar failures
-// PromLint must reject.
+// PromFamilies must reject.
 func TestPromCollisions(t *testing.T) {
 	t.Run("dot-underscore collision", func(t *testing.T) {
 		reg := NewRegistry()
 		reg.Counter("a.b")
 		reg.Counter("a_b")
-		if err := PromLint(reg.Snapshot(), PromOptions{}); err == nil {
+		if _, err := PromFamilies(reg.Snapshot(), PromOptions{}); err == nil {
 			t.Fatal("want collision error for a.b vs a_b")
 		}
 	})
@@ -233,7 +233,7 @@ func TestPromCollisions(t *testing.T) {
 		reg.Gauge("x.y")
 		reg.Histogram("x").Observe(1) // reserves x_bucket/x_sum/x_count... but not x_y
 		reg.Gauge("x.sum")            // collides with histogram child x_sum
-		if err := PromLint(reg.Snapshot(), PromOptions{}); err == nil {
+		if _, err := PromFamilies(reg.Snapshot(), PromOptions{}); err == nil {
 			t.Fatal("want collision error for gauge x.sum vs histogram x's _sum child")
 		}
 	})
@@ -241,14 +241,14 @@ func TestPromCollisions(t *testing.T) {
 		reg := NewRegistry()
 		reg.Counter("q")     // exports q_total
 		reg.Gauge("q.total") // exports q_total too
-		if err := PromLint(reg.Snapshot(), PromOptions{}); err == nil {
+		if _, err := PromFamilies(reg.Snapshot(), PromOptions{}); err == nil {
 			t.Fatal("want collision error for counter q vs gauge q.total")
 		}
 	})
 	t.Run("invalid instrument name", func(t *testing.T) {
 		reg := NewRegistry()
 		reg.Counter("service.shard.peer_healthy.127.0.0.1:9001") // ':' invalid, no rule
-		if err := PromLint(reg.Snapshot(), PromOptions{}); err == nil {
+		if _, err := PromFamilies(reg.Snapshot(), PromOptions{}); err == nil {
 			t.Fatal("want grammar error for unruled peer series")
 		}
 	})
@@ -256,12 +256,12 @@ func TestPromCollisions(t *testing.T) {
 		reg := NewRegistry()
 		reg.Counter("service.shard.peer_healthy.127.0.0.1:9001")
 		opts := PromOptions{Rules: []PromRule{{Prefix: "service.shard.peer_healthy.", Label: "peer"}}}
-		if err := PromLint(reg.Snapshot(), opts); err != nil {
+		if _, err := PromFamilies(reg.Snapshot(), opts); err != nil {
 			t.Fatalf("rule-matched series should lint clean: %v", err)
 		}
 	})
 	t.Run("clean registry lints", func(t *testing.T) {
-		if err := PromLint(fixedRegistry().Snapshot(), fixedOptions()); err != nil {
+		if _, err := PromFamilies(fixedRegistry().Snapshot(), fixedOptions()); err != nil {
 			t.Fatalf("fixed registry should lint clean: %v", err)
 		}
 	})
@@ -286,6 +286,50 @@ func TestPromLabelEscaping(t *testing.T) {
 	}
 	if got := fams[0].Samples[0].Label("path"); got != `a\b"c`+"\n" {
 		t.Errorf("round-trip label value: got %q", got)
+	}
+}
+
+// TestPromFamiliesParseBack pins the equivalence the fleet's self
+// section rests on: PromFamilies builds exactly the families ParseProm
+// reads back from WriteProm's text, so the fleet can use them directly
+// instead of rendering and re-parsing its own exposition. The escapes
+// case puts a backslash, a quote and a newline in a const label and in
+// the rule labels of a counter and a histogram.
+func TestPromFamiliesParseBack(t *testing.T) {
+	odd := `a\b"c` + "\n" + "d"
+	escapes := fixedRegistry()
+	escapes.Counter("service.tenant.submitted." + odd).Add(3)
+	escapes.Histogram("service.http.latency_us." + odd).Observe(5)
+	escapesOpts := fixedOptions()
+	escapesOpts.ConstLabels = []PromLabel{{Key: "peer", Value: odd}, {Key: "node", Value: ""}}
+	escapesOpts.Rules = append(escapesOpts.Rules,
+		PromRule{Prefix: "service.tenant.submitted.", Label: "principal"},
+		PromRule{Prefix: "service.http.latency_us.", Label: "route"})
+
+	for name, tc := range map[string]struct {
+		snap Snapshot
+		opts PromOptions
+	}{
+		"fixed":     {fixedRegistry().Snapshot(), fixedOptions()},
+		"escapes":   {escapes.Snapshot(), escapesOpts},
+		"no labels": {fixedRegistry().Snapshot(), PromOptions{Rules: fixedOptions().Rules}},
+		"empty":     {Snapshot{}, fixedOptions()},
+	} {
+		want, err := PromFamilies(tc.snap, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: PromFamilies: %v", name, err)
+		}
+		var b bytes.Buffer
+		if err := WriteProm(&b, tc.snap, tc.opts); err != nil {
+			t.Fatalf("%s: WriteProm: %v", name, err)
+		}
+		got, err := ParseProm(&b)
+		if err != nil {
+			t.Fatalf("%s: exposition does not parse: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: parsed exposition differs from PromFamilies:\n%+v\n%+v", name, got, want)
+		}
 	}
 }
 
@@ -327,7 +371,7 @@ func FuzzParseProm(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteFamilies(&out, fams, nil); err != nil {
+		if err := WriteFamilies(&out, fams); err != nil {
 			t.Fatal(err)
 		}
 		again, err := ParseProm(bytes.NewReader(out.Bytes()))
@@ -356,14 +400,11 @@ func TestMergeFamilies(t *testing.T) {
 		t.Errorf("merge semantics wrong: %+v", got[0])
 	}
 	var out strings.Builder
-	if err := WriteFamilies(&out, got, []PromLabel{{Key: "peer", Value: "w1"}}); err != nil {
+	if err := WriteFamilies(&out, got); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), `m{peer="w1"} 1`) || !strings.Contains(out.String(), `m{peer="w1"} 2`) {
-		t.Errorf("WriteFamilies missing relabelled samples:\n%s", out.String())
-	}
-	if strings.Count(out.String(), "# TYPE m counter") != 1 {
-		t.Errorf("TYPE not deduplicated:\n%s", out.String())
+	if want := "# HELP m first\n# TYPE m counter\nm 1\nm 2\n# TYPE n gauge\nn 3\n"; out.String() != want {
+		t.Errorf("merged exposition:\n%s\nwant:\n%s", out.String(), want)
 	}
 }
 

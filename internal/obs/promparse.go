@@ -16,7 +16,7 @@ import (
 	"strings"
 )
 
-// PromSample is one parsed sample line.
+// PromSample is one sample line of an exposition.
 type PromSample struct {
 	// Name is the full series name ("ice_frame_latency_us_bucket").
 	Name string
@@ -42,11 +42,15 @@ func (s PromSample) FloatValue() (float64, error) {
 	return strconv.ParseFloat(s.Value, 64)
 }
 
-// PromFamily is one parsed metric family: the # TYPE announcement plus
-// every sample that belongs to it.
+// PromFamily is one metric family of an exposition: the # TYPE
+// announcement plus every sample that belongs to it. PromFamilies
+// builds families from a snapshot and ParseProm from text; WriteFamilies
+// renders either.
 type PromFamily struct {
-	Name    string
-	Type    string // counter | gauge | histogram | untyped
+	Name string
+	Type string // counter | gauge | histogram | untyped
+	// Help is the # HELP text as written, escapes included ("" when the
+	// family has none).
 	Help    string
 	Samples []PromSample
 }
@@ -255,13 +259,13 @@ func checkSample(byName map[string]*PromFamily, series, value string, lineNo int
 	return nil
 }
 
-// WriteFamilies re-renders parsed families in the exposition format,
-// prepending extra labels to every sample. Families are emitted in the
-// given order with their samples in source order; passing the slice
-// straight from ParseProm round-trips the exposition (modulo HELP text
-// dropped by lenient parsing). The fleet scraper uses this to re-emit
-// worker expositions under a peer label.
-func WriteFamilies(w io.Writer, fams []PromFamily, extra []PromLabel) error {
+// WriteFamilies renders families in the exposition format, in the
+// given order with their samples in order. It is the one writer:
+// WriteProm renders PromFamilies through it, the fleet scraper renders
+// its merged families, and passing the slice straight from ParseProm
+// round-trips the exposition (modulo HELP text dropped by lenient
+// parsing).
+func WriteFamilies(w io.Writer, fams []PromFamily) error {
 	var b strings.Builder
 	for _, fam := range fams {
 		if fam.Help != "" {
@@ -269,11 +273,8 @@ func WriteFamilies(w io.Writer, fams []PromFamily, extra []PromLabel) error {
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", fam.Name, fam.Type)
 		for _, s := range fam.Samples {
-			labels := make([]PromLabel, 0, len(extra)+len(s.Labels))
-			labels = append(labels, extra...)
-			labels = append(labels, s.Labels...)
 			var parts []string
-			for _, l := range labels {
+			for _, l := range s.Labels {
 				parts = append(parts, l.Key+`="`+escapeLabel(l.Value)+`"`)
 			}
 			block := ""

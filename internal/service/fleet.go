@@ -10,16 +10,11 @@ package service
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net/http"
 	"sync"
 
 	"github.com/eurosys23/ice/internal/obs"
 )
-
-// fleetSelfPeer is the peer label of the scraping node's own series
-// when no node name is configured.
-const fleetSelfPeer = "self"
 
 // labelPeer returns a deep-enough copy of fams with the peer label
 // prepended to every sample.
@@ -42,19 +37,17 @@ func labelPeer(fams []obs.PromFamily, peer string) []obs.PromFamily {
 // under peer=<node name>, every scrapable peer's series under
 // peer=<addr>, and an ice_peer_up gauge per configured peer. Output is
 // deterministic for a given set of scrape results (families sorted by
-// name, samples in self-then-configured-peer order).
+// name, samples in self-then-configured-peer order). This node's
+// families are built from its snapshot with peer as the first const
+// label, which is what labelPeer makes of its parsed /metrics body.
+// NewManager always sets a node name, so that peer value is never
+// empty.
 func (m *Manager) FleetMetrics(ctx context.Context) ([]byte, error) {
-	selfText, err := m.PromMetrics()
+	opts := m.promOptions()
+	opts.ConstLabels = append([]obs.PromLabel{{Key: "peer", Value: m.cfg.Node}}, opts.ConstLabels...)
+	selfFams, err := obs.PromFamilies(m.Metrics(), opts)
 	if err != nil {
 		return nil, err
-	}
-	selfFams, err := obs.ParseProm(bytes.NewReader(selfText))
-	if err != nil {
-		return nil, fmt.Errorf("self exposition does not parse: %w", err)
-	}
-	selfName := m.cfg.Node
-	if selfName == "" {
-		selfName = fleetSelfPeer
 	}
 
 	// Membership is dynamic (runtime joins and pruning mutate m.peers);
@@ -85,7 +78,7 @@ func (m *Manager) FleetMetrics(ctx context.Context) ([]byte, error) {
 	wg.Wait()
 
 	groups := make([][]obs.PromFamily, 0, len(peers)+2)
-	groups = append(groups, labelPeer(selfFams, selfName))
+	groups = append(groups, selfFams)
 	for i, p := range peers {
 		if peerUp[i] {
 			groups = append(groups, labelPeer(peerFams[i], p.addr))
@@ -116,7 +109,7 @@ func (m *Manager) FleetMetrics(ctx context.Context) ([]byte, error) {
 	merged := obs.MergeFamilies(groups...)
 	obs.SortFamilies(merged)
 	var out bytes.Buffer
-	if err := obs.WriteFamilies(&out, merged, nil); err != nil {
+	if err := obs.WriteFamilies(&out, merged); err != nil {
 		return nil, err
 	}
 	return out.Bytes(), nil

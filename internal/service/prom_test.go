@@ -120,7 +120,7 @@ func TestPromAfterJob(t *testing.T) {
 	// The whole post-job registry must lint and render clean under the
 	// service rules — this is the registry-wide sanitation check on the
 	// real series set, not a synthetic fixture.
-	if err := obs.PromLint(snap, m.promOptions()); err != nil {
+	if _, err := obs.PromFamilies(snap, m.promOptions()); err != nil {
 		t.Errorf("registry fails prom lint: %v", err)
 	}
 	text, err := m.PromMetrics()

@@ -109,30 +109,52 @@ func TestDiskStoreCorruptionQuarantined(t *testing.T) {
 	}
 }
 
-// TestDiskStoreTruncationQuarantinedAtBoot: a file cut short (the
-// SIGKILL-shaped failure a non-atomic writer would leave) is caught by
-// the boot scan's size check and quarantined before it can be indexed.
+// TestDiskStoreTruncationQuarantinedAtBoot: a file cut short at any
+// offset (the SIGKILL-shaped failure a non-atomic writer would leave)
+// is caught by the boot scan and quarantined before it can be indexed,
+// and decodeEntry, the peer path's trust check, rejects the same bytes.
+// The entry holds a 64-byte result and a 32-byte trace, so the proper
+// prefixes cut the header line, the result and the trace; the whole
+// entry is the control that must load and serve.
 func TestDiskStoreTruncationQuarantinedAtBoot(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpenStore(t, dir, 1<<20)
 	key := fakeKey(4)
-	if _, _, err := s.put(key, cacheEntry{result: bytes.Repeat([]byte("x"), 4096)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(s.entryPath(key), 100); err != nil {
-		t.Fatal(err)
-	}
+	full := encodeEntry(key, "test-v1", cacheEntry{
+		result: bytes.Repeat([]byte("r"), 64),
+		trace:  bytes.Repeat([]byte("t"), 32),
+	})
+	for n := 0; n <= len(full); n++ {
+		dir := t.TempDir()
+		s, _ := mustOpenStore(t, dir, 1<<20)
+		path := s.entryPath(key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, full[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	s2, boot := mustOpenStore(t, dir, 1<<20)
-	if boot.Quarantined != 1 || boot.Loaded != 0 {
-		t.Fatalf("boot stats %+v, want 1 quarantined 0 loaded", boot)
-	}
-	if _, ok, _ := s2.get(key); ok {
-		t.Fatal("truncated entry served")
-	}
-	quarantined, _ := filepath.Glob(filepath.Join(dir, "corrupt", "*"))
-	if len(quarantined) != 1 {
-		t.Fatalf("corrupt/ holds %d files, want 1", len(quarantined))
+		s2, boot := mustOpenStore(t, dir, 1<<20)
+		_, served, _ := s2.get(key)
+		_, decodeErr := decodeEntry(full[:n], key, "test-v1")
+		if n == len(full) {
+			if boot.Loaded != 1 || !served || decodeErr != nil {
+				t.Fatalf("whole entry: boot stats %+v, served %v, decode error %v", boot, served, decodeErr)
+			}
+			continue
+		}
+		if boot.Quarantined != 1 || boot.Loaded != 0 {
+			t.Fatalf("%d of %d bytes: boot stats %+v, want 1 quarantined 0 loaded", n, len(full), boot)
+		}
+		if served {
+			t.Fatalf("%d of %d bytes: truncated entry served", n, len(full))
+		}
+		if decodeErr == nil {
+			t.Fatalf("%d of %d bytes: decodeEntry accepted a truncated entry", n, len(full))
+		}
+		quarantined, _ := filepath.Glob(filepath.Join(dir, "corrupt", "*"))
+		if len(quarantined) != 1 {
+			t.Fatalf("%d of %d bytes: corrupt/ holds %d files, want 1", n, len(full), len(quarantined))
+		}
 	}
 }
 

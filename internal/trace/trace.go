@@ -95,56 +95,23 @@ type Buffer struct {
 	events []Event
 	next   int
 	filled bool
-	// enabled filters categories; zero value records nothing until
-	// EnableAll/Enable is called.
-	enabled [numCategories]bool
 
-	// Recorded counts accepted events; Suppressed counts filtered ones.
-	Recorded   uint64
-	Suppressed uint64
+	// Recorded counts every event emitted, including those the ring has
+	// since overwritten.
+	Recorded uint64
 }
 
-// NewBuffer creates a ring holding up to capacity events, with every
-// category enabled.
+// NewBuffer creates a ring holding up to capacity events.
 func NewBuffer(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	b := &Buffer{events: make([]Event, capacity)}
-	b.EnableAll()
-	return b
-}
-
-// EnableAll records every category.
-func (b *Buffer) EnableAll() {
-	if b == nil {
-		return
-	}
-	for i := range b.enabled {
-		b.enabled[i] = true
-	}
-}
-
-// Enable selects exactly the given categories.
-func (b *Buffer) Enable(cats ...Category) {
-	if b == nil {
-		return
-	}
-	b.enabled = [numCategories]bool{}
-	for _, c := range cats {
-		if int(c) < len(b.enabled) {
-			b.enabled[c] = true
-		}
-	}
+	return &Buffer{events: make([]Event, capacity)}
 }
 
 // Emit records an event. Safe on a nil buffer.
 func (b *Buffer) Emit(ev Event) {
 	if b == nil {
-		return
-	}
-	if int(ev.Cat) >= len(b.enabled) || !b.enabled[ev.Cat] {
-		b.Suppressed++
 		return
 	}
 	b.events[b.next] = ev

@@ -25,9 +25,9 @@ var simPromRules = []obs.PromRule{
 
 // TestScenarioRegistryPromClean runs a real scenario and holds every
 // instrument the simulator registered to the exposition contract: names
-// match the naming convention, the whole registry passes PromLint
-// (collision-free after sanitation, dynamic suffixes covered by rules),
-// and the rendered exposition parses back.
+// match the naming convention, the whole registry exports through
+// PromFamilies (collision-free after sanitation, dynamic suffixes
+// covered by rules), and the rendered exposition parses back.
 func TestScenarioRegistryPromClean(t *testing.T) {
 	sch, _ := policy.ByName("Ice")
 	res := RunScenario(ScenarioConfig{
@@ -60,7 +60,7 @@ func TestScenarioRegistryPromClean(t *testing.T) {
 	}
 
 	opts := obs.PromOptions{Rules: simPromRules}
-	if err := obs.PromLint(snap, opts); err != nil {
+	if _, err := obs.PromFamilies(snap, opts); err != nil {
 		t.Fatalf("scenario registry fails prom lint: %v", err)
 	}
 	var buf bytes.Buffer
