@@ -10,12 +10,6 @@
 #   and an accepted input re-renders to the same families) and of the
 #   tenant token file (FuzzParseTokens: no panic, and every accepted
 #   line's token resolves to its principal), a
-#   one-iteration benchmark smoke pass
-#   (benchmarks must at least run; their cells/sec, allocs/cell and
-#   p50/p99 per-cell latency metrics are written to BENCH_<n>.json —
-#   n derived from the highest committed snapshot, no hand edit per
-#   PR — and each benchmark's cells/sec is compared against the
-#   previous PR's snapshot: a >10% regression fails the gate), a
 #   golden-file check on the Perfetto trace exporter, the scheme
 #   byte-identity goldens (every registered policy scheme's fixed-seed
 #   result hash), an icesimd smoke test (boot with a state dir,
@@ -30,13 +24,20 @@
 #   an already-running job; a fresh coordinator submitting a fleet-warm
 #   spec must answer from a peer's cache with zero locally simulated
 #   cells; /fleet/metrics must carry every peer's series under peer
-#   labels and flip the dead worker's ice_peer_up gauge to 0), and an
+#   labels and flip the dead worker's ice_peer_up gauge to 0), an
 #   auth smoke test (a token-file daemon must 401 unauthenticated
 #   submits, round-trip an authenticated job, and 429 a submit that
 #   overruns the principal's max-queued quota — while health and
-#   metrics stay open), and a code-version leg (two unstamped builds of
+#   metrics stay open), a code-version leg (two unstamped builds of
 #   one tree that differ only in link flags must not share stored
-#   results or fleet membership).
+#   results or fleet membership), and last a one-iteration benchmark
+#   smoke pass (benchmarks must at least run; their cells/sec,
+#   allocs/cell and p50/p99 per-cell latency metrics are written to
+#   BENCH_<n>.json — n derived from the highest committed snapshot, no
+#   hand edit per change — and each benchmark's cells/sec is compared
+#   against the previous snapshot: a >10% regression fails the gate). The bench step runs last because its snapshot may come from
+#   a faster or quieter machine, where unchanged code can fail it; every
+#   correctness leg has reported by then.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -83,71 +84,6 @@ go test -run='^$' -fuzz='^FuzzParseProm$' -fuzztime=10s -fuzzminimizetime=1s ./i
 # and in an accepted file each line's token authenticates to the
 # principal that line names, with a weight of at least 1.
 go test -run='^$' -fuzz='^FuzzParseTokens$' -fuzztime=10s ./internal/tenant/
-
-# Benchmarks stay runnable: one iteration each, no timing claims — and
-# their cells/sec + allocs/cell + per-cell latency percentile metrics
-# are snapshotted into BENCH_<n>.json so the perf trajectory the
-# ROADMAP asks for accumulates one file per PR. The PR number is
-# derived from the highest BENCH snapshot already committed (so a
-# re-run never bumps it), and each benchmark's cells/sec is compared
-# against that previous snapshot: a drop of more than 10% fails the
-# gate, so a hot-path regression can't land silently. The 1x runs are
-# noisy; 10% is wide enough that only a real regression (not
-# scheduling jitter) trips it.
-benchprev=$( (git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json 2>/dev/null) \
-    | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)
-benchcur=$(( ${benchprev:-0} + 1 ))
-echo "bench snapshot: BENCH_${benchcur}.json (previous: ${benchprev:-none})"
-benchout=$(mktemp)
-go test -run='^$' -bench=. -benchtime=1x ./... | tee "$benchout"
-awk '
-BEGIN { print "[" }
-/^Benchmark/ {
-    name=$1; sub(/-[0-9]+$/, "", name)
-    cells=""; allocs=""; p50=""; p99=""
-    for (i = 2; i <= NF; i++) {
-        if ($i == "cells/sec")   cells = $(i-1)
-        if ($i == "allocs/cell") allocs = $(i-1)
-        if ($i == "p50_cell_us") p50 = $(i-1)
-        if ($i == "p99_cell_us") p99 = $(i-1)
-    }
-    if (cells != "") {
-        if (n++) printf ",\n"
-        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s}", \
-            name, cells, (allocs == "" ? "null" : allocs), \
-            (p50 == "" ? "null" : p50), (p99 == "" ? "null" : p99)
-    }
-}
-END { print "\n]" }
-' "$benchout" > "BENCH_${benchcur}.json"
-rm -f "$benchout"
-grep -q cells_per_sec "BENCH_${benchcur}.json" || { echo "BENCH_${benchcur}.json has no bench rows" >&2; exit 1; }
-grep -q p99_cell_us "BENCH_${benchcur}.json" || { echo "BENCH_${benchcur}.json has no per-cell latency column" >&2; exit 1; }
-
-if [ -n "$benchprev" ] && [ -f "BENCH_${benchprev}.json" ]; then
-    awk '
-    FNR == 1 { file++ }
-    /"bench"/ {
-        name = $0; sub(/.*"bench": "/, "", name); sub(/".*/, "", name)
-        cps = $0; sub(/.*"cells_per_sec": /, "", cps); sub(/,.*/, "", cps)
-        if (file == 1) prev[name] = cps + 0
-        else           cur[name] = cps + 0
-    }
-    END {
-        bad = 0
-        for (name in cur) {
-            if (!(name in prev) || prev[name] <= 0) continue
-            if (cur[name] < 0.9 * prev[name]) {
-                printf "%-28s %12.3f -> %12.3f cells/sec (%.0f%%): regression >10%%\n", \
-                    name, prev[name], cur[name], 100 * cur[name] / prev[name] >> "/dev/stderr"
-                bad = 1
-            }
-        }
-        exit bad
-    }
-    ' "BENCH_${benchprev}.json" "BENCH_${benchcur}.json" \
-        || { echo "benchmark throughput regressed >10% vs BENCH_${benchprev}.json" >&2; exit 1; }
-fi
 
 # The Perfetto exporter's output is pinned byte-for-byte; a drift means
 # the golden file needs a deliberate `go test ./internal/trace -update`.
@@ -475,5 +411,71 @@ for pid in "$vapid" "$vbpid"; do
     kill -TERM "$pid"
     wait "$pid" || { echo "version-leg daemon $pid did not drain cleanly" >&2; exit 1; }
 done
+
+# Benchmarks stay runnable: one iteration each, no timing claims — and
+# their cells/sec + allocs/cell + per-cell latency percentile metrics
+# are snapshotted into BENCH_<n>.json so the perf trajectory the
+# ROADMAP asks for accumulates one file per change. The snapshot number
+# is derived from the highest BENCH snapshot already committed (so a
+# re-run never bumps it), and each benchmark's cells/sec is compared
+# against that previous snapshot: a drop of more than 10% fails the
+# gate, so a hot-path regression can't land silently. The 1x runs are
+# noisy; 10% is wide enough that only a real regression (not
+# scheduling jitter) trips it. It runs after every golden and icesimd
+# leg, so a slower host failing it cannot hide their results.
+benchprev=$( (git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json 2>/dev/null) \
+    | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -1)
+benchcur=$(( ${benchprev:-0} + 1 ))
+echo "bench snapshot: BENCH_${benchcur}.json (previous: ${benchprev:-none})"
+benchout=$(mktemp)
+go test -run='^$' -bench=. -benchtime=1x ./... | tee "$benchout"
+awk '
+BEGIN { print "[" }
+/^Benchmark/ {
+    name=$1; sub(/-[0-9]+$/, "", name)
+    cells=""; allocs=""; p50=""; p99=""
+    for (i = 2; i <= NF; i++) {
+        if ($i == "cells/sec")   cells = $(i-1)
+        if ($i == "allocs/cell") allocs = $(i-1)
+        if ($i == "p50_cell_us") p50 = $(i-1)
+        if ($i == "p99_cell_us") p99 = $(i-1)
+    }
+    if (cells != "") {
+        if (n++) printf ",\n"
+        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s}", \
+            name, cells, (allocs == "" ? "null" : allocs), \
+            (p50 == "" ? "null" : p50), (p99 == "" ? "null" : p99)
+    }
+}
+END { print "\n]" }
+' "$benchout" > "BENCH_${benchcur}.json"
+rm -f "$benchout"
+grep -q cells_per_sec "BENCH_${benchcur}.json" || { echo "BENCH_${benchcur}.json has no bench rows" >&2; exit 1; }
+grep -q p99_cell_us "BENCH_${benchcur}.json" || { echo "BENCH_${benchcur}.json has no per-cell latency column" >&2; exit 1; }
+
+if [ -n "$benchprev" ] && [ -f "BENCH_${benchprev}.json" ]; then
+    awk '
+    FNR == 1 { file++ }
+    /"bench"/ {
+        name = $0; sub(/.*"bench": "/, "", name); sub(/".*/, "", name)
+        cps = $0; sub(/.*"cells_per_sec": /, "", cps); sub(/,.*/, "", cps)
+        if (file == 1) prev[name] = cps + 0
+        else           cur[name] = cps + 0
+    }
+    END {
+        bad = 0
+        for (name in cur) {
+            if (!(name in prev) || prev[name] <= 0) continue
+            if (cur[name] < 0.9 * prev[name]) {
+                printf "%-28s %12.3f -> %12.3f cells/sec (%.0f%%): regression >10%%\n", \
+                    name, prev[name], cur[name], 100 * cur[name] / prev[name] >> "/dev/stderr"
+                bad = 1
+            }
+        }
+        exit bad
+    }
+    ' "BENCH_${benchprev}.json" "BENCH_${benchcur}.json" \
+        || { echo "benchmark throughput regressed >10% vs BENCH_${benchprev}.json" >&2; exit 1; }
+fi
 
 echo "ci.sh: all checks passed"

@@ -124,15 +124,21 @@ func Cells(from, to int) *Range {
 // reduced result.
 var ErrRangePartial = errors.New("harness: range-restricted run, results incomplete")
 
+// ErrBadRange refuses a Config.Range that is empty or reaches outside
+// the matrix. MapContext returns it before any cell runs, so a worker
+// handed a range its matrix does not have simulates nothing.
+var ErrBadRange = errors.New("harness: cell range empty or outside the matrix")
+
 // ExecHooks carries the distributed-execution hooks through layers
 // that do not care about them (experiment options, the service job
 // path). The zero value means plain local execution.
 type ExecHooks struct {
 	// Range, when non-nil, restricts execution to the stamped cell
-	// indices in [Range.From, Range.To), clamped to the matrix; every
-	// other result slot stays zero and the run error wraps
-	// ErrRangePartial (unless the range covers the whole matrix).
-	// Worker nodes run coordinator-assigned chunks this way.
+	// indices in [Range.From, Range.To); every other result slot stays
+	// zero and the run error wraps ErrRangePartial (unless the range
+	// covers the whole matrix). A range that is empty or not within
+	// the matrix is refused with ErrBadRange. Worker nodes run
+	// coordinator-assigned chunks this way.
 	Range *Range
 	// Sink, when non-nil, receives each completed cell's result
 	// marshalled as JSON, keyed by matrix index. Calls are serialised
@@ -278,12 +284,16 @@ func Map[T any](cfg Config, cells []Cell, fn func(Cell) T) ([]T, error) {
 // LeaseQueue (lease.go) that one local worker pool drains. The
 // ExecHooks in cfg only shape that queue. Range queues just the
 // in-range cells, and the error wraps ErrRangePartial when cells were
-// excluded. Prefill merges a resumed run's saved payloads before the
-// pool starts and leaves only the rest queued. Steal lets remote
-// executors lease whole chunks alongside the local pool. The merged
-// matrix is byte-identical to a plain local run in every
-// configuration.
+// excluded; an empty Range or one outside the matrix returns
+// ErrBadRange before anything runs. Prefill merges a resumed run's
+// saved payloads before the pool starts and leaves only the rest
+// queued. Steal lets remote executors lease whole chunks alongside
+// the local pool. The merged matrix is byte-identical to a plain local
+// run in every configuration.
 func MapContext[T any](ctx context.Context, cfg Config, cells []Cell, fn func(Cell) T) ([]T, error) {
+	if r := cfg.Range; r != nil && (r.From < 0 || r.To <= r.From || r.To > len(cells)) {
+		return nil, fmt.Errorf("%w: [%d,%d) of %d cells", ErrBadRange, r.From, r.To, len(cells))
+	}
 	stamped := make([]Cell, len(cells))
 	for i := range cells {
 		c := cells[i]
@@ -299,8 +309,7 @@ func MapContext[T any](ctx context.Context, cfg Config, cells []Cell, fn func(Ce
 	// what is queued, and nothing under it is stolen again.
 	from, to, steal := 0, n, cfg.Steal
 	if cfg.Range != nil {
-		from, steal = max(cfg.Range.From, 0), nil
-		to = max(min(cfg.Range.To, n), from)
+		from, to, steal = cfg.Range.From, cfg.Range.To, nil
 	}
 	partial := to-from < n
 

@@ -360,6 +360,27 @@ func TestRangeFullMatrixIsNotPartial(t *testing.T) {
 	}
 }
 
+// TestRangeOutsideMatrixRefused: a Range that is empty or not within
+// the matrix is refused with ErrBadRange before any cell runs.
+func TestRangeOutsideMatrixRefused(t *testing.T) {
+	cells := Spec{Rounds: 4}.Cells()
+	for _, r := range []*Range{Cells(0, 5), Cells(4, 6), Cells(-1, 2), Cells(2, 2), Cells(3, 1)} {
+		var ran atomic.Int64
+		cfg := Config{Workers: 2}
+		cfg.Range = r
+		_, err := Map(cfg, cells, func(c Cell) int {
+			ran.Add(1)
+			return c.Index
+		})
+		if !errors.Is(err, ErrBadRange) {
+			t.Errorf("range %+v: error %v, want ErrBadRange", *r, err)
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("range %+v: %d cells ran before the refusal", *r, n)
+		}
+	}
+}
+
 // execRangeLocally simulates a remote worker: it re-runs the same
 // matrix under a Range restriction and returns the Sink payloads in
 // index order — exactly what LeaseQueue.Complete expects.

@@ -2,7 +2,7 @@
 // /fleet/metrics re-exposes this node's exposition plus every
 // configured peer's, each sample tagged with a peer label, so one
 // Prometheus scrape target covers the whole -peers fleet. A peer that
-// cannot be scraped within Config.FleetScrapeTimeout contributes
+// cannot be scraped within fleetScrapeTimeout contributes
 // nothing but its ice_peer_up 0 sample — a dead worker shows as a flat
 // line, never as a scrape error.
 package service
@@ -63,7 +63,7 @@ func (m *Manager) FleetMetrics(ctx context.Context) ([]byte, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			raw, err := m.peerCall(ctx, m.cfg.FleetScrapeTimeout, http.MethodGet, p.addr, "/metrics?format=prom", nil)
+			raw, err := m.peerCall(ctx, fleetScrapeTimeout, http.MethodGet, p.addr, "/metrics?format=prom", nil)
 			if err != nil {
 				return // dead peer: ice_peer_up 0, nothing else
 			}

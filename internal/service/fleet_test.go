@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/eurosys23/ice/internal/obs"
 )
@@ -29,8 +28,7 @@ func TestFleetMetrics(t *testing.T) {
 
 	coord := NewManager(Config{
 		Role: "coordinator", Node: "c0",
-		Peers:              []string{addr1, addr2, dead},
-		FleetScrapeTimeout: 2 * time.Second,
+		Peers: []string{addr1, addr2, dead},
 	})
 	tsc := httptest.NewServer(NewServer(coord))
 	defer tsc.Close()
@@ -99,8 +97,7 @@ func TestFleetMetrics(t *testing.T) {
 func TestFleetMetricsSelfOnly(t *testing.T) {
 	coord := NewManager(Config{
 		Role: "coordinator", Node: "solo",
-		Peers:              []string{"127.0.0.1:1"},
-		FleetScrapeTimeout: time.Second,
+		Peers: []string{"127.0.0.1:1"},
 	})
 	text, err := coord.FleetMetrics(context.Background())
 	if err != nil {

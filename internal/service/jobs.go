@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -103,10 +104,6 @@ type Config struct {
 	// Node is the daemon's node name for /healthz and the exposition's
 	// node const label. Empty defaults to the hostname.
 	Node string
-	// FleetScrapeTimeout bounds one peer scrape during GET
-	// /fleet/metrics (<=0: 3 seconds). A peer that misses the deadline
-	// reports ice_peer_up 0 instead of failing the fleet scrape.
-	FleetScrapeTimeout time.Duration
 	// AuthTokens is the principal registry (icesimd -auth-tokens). Nil
 	// (or empty) runs the daemon open: every caller is the anonymous
 	// principal and behaviour is identical to the pre-tenancy daemon.
@@ -151,9 +148,11 @@ type JobView struct {
 }
 
 // job is the Manager-internal record. All mutable fields are guarded by
-// Manager.mu.
+// Manager.mu. A queued job is data only: its context and goroutine
+// exist while it runs (see startJobLocked).
 type job struct {
 	id        string
+	seq       int // admission sequence: the number in id, List's order
 	spec      JobSpec
 	key       string
 	principal string
@@ -167,10 +166,7 @@ type job struct {
 	progress  harness.Progress
 	result    []byte
 	trace     []byte
-	cancel    context.CancelFunc
-	// start is closed by the scheduler when the job is dispatched into
-	// a running slot; run blocks on it. Made anew on every enqueue.
-	start chan struct{}
+	cancel    context.CancelFunc // set while running
 	// partial holds completed cells' Sink payloads of a preemptible
 	// (batch) run, keyed by cell index, for Prefill on resume.
 	partial map[int][]byte
@@ -182,7 +178,6 @@ type job struct {
 	preemptions int
 	subs        map[int]chan StreamEvent
 	nextSub     int
-	done        chan struct{}
 }
 
 // Manager owns the daemon's jobs: authenticated submission, weighted-
@@ -206,16 +201,10 @@ type Manager struct {
 	sessions map[*stealSession]struct{}
 	nextID   int
 	jobs     map[string]*job
-	order    []string // submission order for List
-	fq       *fairQueue
-	tenants  map[string]*tenantState
+	fq       *fairQueue       // the scheduler and every principal's record
 	cache    *lru[cacheEntry] // memory tier: each entry costs 1
 	store    *diskStore       // nil without Config.StateDir
-	// terminalByKey holds terminal job IDs per principal and state,
-	// oldest first, for the retention policy — per-principal so one
-	// tenant's churn cannot evict another tenant's history.
-	terminalByKey map[string][]string
-	wg            sync.WaitGroup
+	wg       sync.WaitGroup   // admitted jobs not yet terminal
 
 	// Instruments live on their own registry (obs instruments are not
 	// atomic; every touch happens under mu). The store instruments are
@@ -342,9 +331,6 @@ func OpenManager(cfg Config) (*Manager, error) {
 			cfg.Node = "unknown"
 		}
 	}
-	if cfg.FleetScrapeTimeout <= 0 {
-		cfg.FleetScrapeTimeout = 3 * time.Second
-	}
 	reg := obs.NewRegistry()
 	m := &Manager{
 		cfg:               cfg,
@@ -352,10 +338,8 @@ func OpenManager(cfg Config) (*Manager, error) {
 		httpc:             &http.Client{},
 		sessions:          make(map[*stealSession]struct{}),
 		fq:                newFairQueue(cfg.MaxRunningJobs),
-		tenants:           make(map[string]*tenantState),
 		jobs:              make(map[string]*job),
 		cache:             newLRU[cacheEntry](int64(cfg.CacheEntries), nil),
-		terminalByKey:     make(map[string][]string),
 		reg:               reg,
 		subCtr:            reg.Counter("service.jobs.submitted"),
 		doneCtr:           reg.Counter("service.jobs.completed"),
@@ -407,6 +391,7 @@ func OpenManager(cfg Config) (*Manager, error) {
 			return nil, err
 		}
 		m.store = store
+		store.dropped = m.releaseLocked // the store calls it under mu
 		m.diskHitCtr = reg.Counter("service.store.disk_hits")
 		m.diskMissCtr = reg.Counter("service.store.disk_misses")
 		m.diskEvictCtr = reg.Counter("service.store.evictions")
@@ -492,13 +477,13 @@ func (m *Manager) SubmitAs(spec JobSpec, principal string) (JobView, error) {
 	m.nextID++
 	j := &job{
 		id:        fmt.Sprintf("job-%d", m.nextID),
+		seq:       m.nextID,
 		spec:      spec,
 		key:       key,
 		principal: principal,
 		class:     classOf(spec),
 		cost:      jobCost(spec),
 		subs:      map[int]chan StreamEvent{},
-		done:      make(chan struct{}),
 	}
 
 	// A verified disk hit is promoted into the memory tier and served
@@ -550,12 +535,12 @@ func (m *Manager) SubmitAs(spec JobSpec, principal string) (JobView, error) {
 		ts.rejectedCtr.Inc()
 		return JobView{}, ErrQueueFull
 	}
-	if ts.p.MaxQueuedJobs > 0 && m.fq.queuedOf(principal) >= ts.p.MaxQueuedJobs {
+	if ts.p.MaxQueuedJobs > 0 && ts.queuedJobs() >= ts.p.MaxQueuedJobs {
 		ts.rejectedCtr.Inc()
 		return JobView{}, ErrQuotaExceeded
 	}
 	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
+	m.wg.Add(1)
 	m.enqueueLocked(j, false)
 	return m.viewLocked(j), nil
 }
@@ -598,16 +583,11 @@ func (m *Manager) admitLocked(key string, entry cacheEntry) {
 }
 
 // enqueueLocked queues one segment of a job — a fresh submission, or a
-// preempted job at the front of its principal's queue — and starts the
-// goroutine that waits for its dispatch.
+// preempted job at the front of its principal's queue — and lets the
+// scheduler dispatch it.
 func (m *Manager) enqueueLocked(j *job, front bool) {
-	ctx, cancel := context.WithCancel(context.Background())
-	j.cancel = cancel
 	j.state = StateQueued
-	j.start = make(chan struct{})
-	m.fq.enqueue(j, m.tenantLocked(j.principal).p.Weight, front)
-	m.wg.Add(1)
-	go m.run(ctx, j)
+	m.fq.enqueue(j, front)
 	m.scheduleLocked()
 }
 
@@ -619,9 +599,7 @@ func (m *Manager) resolveCachedLocked(j *job, entry cacheEntry) JobView {
 	j.result = entry.result
 	j.trace = entry.trace
 	j.progress = harness.Progress{} // nothing simulated
-	close(j.done)
 	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
 	m.doneCtr.Inc()
 	m.recordTerminalLocked(j)
 	return m.viewLocked(j)
@@ -634,55 +612,56 @@ func (m *Manager) syncStoreGaugesLocked() {
 	m.diskEntries.Set(int64(m.store.len()))
 }
 
-// persistLocked attributes a result's cached bytes to the submitting
-// principal and writes it through to the disk store. A principal over
-// its cache-bytes quota keeps the result in the memory tier (the job
-// still serves) but is not persisted. Used both for locally simulated
-// results and for verified entries adopted from a peer's cache.
+// persistLocked writes a result through to the disk store and
+// attributes its bytes to the submitting principal while the store
+// holds it. A principal over its cache-bytes quota keeps the result in
+// the memory tier (the job still serves) but is not persisted. Without
+// a store nothing is persisted or attributed. Used both for locally
+// simulated results and for verified entries adopted from a peer's
+// cache.
 func (m *Manager) persistLocked(ts *tenantState, key string, entry cacheEntry) {
-	persist := true
-	if _, seen := ts.cacheKeys[key]; !seen {
-		size := int64(len(entry.result) + len(entry.trace))
-		if ts.p.MaxCacheBytes > 0 && ts.cacheBytes+size > ts.p.MaxCacheBytes {
-			persist = false
-			m.cacheQuotaSkipCtr.Inc()
-		} else {
-			ts.cacheKeys[key] = size
-			ts.cacheBytes += size
+	if m.store == nil {
+		return
+	}
+	size := int64(len(entry.result) + len(entry.trace))
+	_, held := ts.cacheKeys[key]
+	if !held && ts.p.MaxCacheBytes > 0 && ts.cacheBytes+size > ts.p.MaxCacheBytes {
+		m.cacheQuotaSkipCtr.Inc()
+		return
+	}
+	stored, evicted, err := m.store.put(key, entry)
+	switch {
+	case err != nil:
+		m.storeErrCtr.Inc() // not persisted; memory tier still serves it
+	case !stored:
+		m.oversizeCtr.Inc() // bigger than the whole byte budget
+	}
+	m.diskEvictCtr.Add(uint64(evicted))
+	if stored && !held {
+		ts.cacheKeys[key] = size
+		ts.cacheBytes += size
+		ts.cacheBytesG.Set(ts.cacheBytes)
+	}
+	m.syncStoreGaugesLocked()
+}
+
+// releaseLocked takes a key the disk store no longer holds (evicted or
+// quarantined, see diskStore.dropped) off every principal's attributed
+// bytes.
+func (m *Manager) releaseLocked(key string) {
+	for _, ts := range m.fq.tenants {
+		if size, ok := ts.cacheKeys[key]; ok {
+			delete(ts.cacheKeys, key)
+			ts.cacheBytes -= size
 			ts.cacheBytesG.Set(ts.cacheBytes)
 		}
 	}
-	if m.store != nil && persist {
-		stored, diskEvicted, serr := m.store.put(key, entry)
-		switch {
-		case serr != nil:
-			m.storeErrCtr.Inc() // not persisted; memory tier still serves it
-		case !stored:
-			m.oversizeCtr.Inc() // bigger than the whole byte budget
-		}
-		m.diskEvictCtr.Add(uint64(diskEvicted))
-		m.syncStoreGaugesLocked()
-	}
 }
 
-// run drives one job segment from queued to a terminal state — or, for
-// a preempted batch job, back into the queue (each requeue spawns a
+// run drives one dispatched job segment to a terminal state — or, for
+// a preempted batch job, back into the queue (each dispatch starts a
 // fresh run goroutine with a fresh context).
 func (m *Manager) run(ctx context.Context, j *job) {
-	defer m.wg.Done()
-
-	// Wait for the scheduler's dispatch; cancellation while queued
-	// resolves the job without simulating.
-	m.mu.Lock()
-	start := j.start
-	m.mu.Unlock()
-	select {
-	case <-start:
-	case <-ctx.Done():
-		m.finish(j, nil, nil, ctx.Err())
-		return
-	}
-
 	m.mu.Lock()
 	spec := j.spec
 	ts := m.tenantLocked(j.principal)
@@ -727,33 +706,26 @@ func (m *Manager) run(ctx context.Context, j *job) {
 	result, traceJSON, err := execute(ctx, spec, m.slots, func(p harness.Progress) {
 		m.publish(j, p)
 	}, hooks)
-	if m.requeueIfPreempted(j, err) {
-		return
-	}
-	m.finish(j, result, traceJSON, err)
-}
 
-// requeueIfPreempted intercepts a cancelled run whose cancellation came
-// from the scheduler, not the caller: the job goes back to the front of
-// its principal's queue (keeping its completed cells for Prefill) and a
-// fresh goroutine waits for redispatch. Reports whether it intercepted.
-func (m *Manager) requeueIfPreempted(j *job, err error) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !j.preempted || j.userCancel || !errors.Is(err, context.Canceled) {
-		return false
+	// A run the scheduler, not the caller, cancelled goes back to the
+	// front of its principal's queue, keeping its completed cells for
+	// Prefill.
+	if j.preempted && !j.userCancel && errors.Is(err, context.Canceled) {
+		j.preempted = false
+		j.preemptions++
+		m.requeueCtr.Inc()
+		m.releaseRunningLocked(j)
+		m.enqueueLocked(j, true)
+		return
 	}
-	j.preempted = false
-	j.preemptions++
-	m.requeueCtr.Inc()
-	m.releaseRunningLocked(j)
-	m.enqueueLocked(j, true)
-	return true
+	m.finishLocked(j, result, traceJSON, err)
 }
 
 // publish records progress and fans it out to subscribers. Sends are
 // non-blocking: a slow stream reader loses intermediate events, never
-// the terminal one (finish makes room for it).
+// the terminal one (finishLocked makes room for it).
 func (m *Manager) publish(j *job, p harness.Progress) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -778,12 +750,9 @@ func (m *Manager) publish(j *job, p harness.Progress) {
 	}
 }
 
-// finish moves a job to its terminal state, stores cacheable results,
-// and releases every subscriber.
-func (m *Manager) finish(j *job, result, traceJSON []byte, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
+// finishLocked moves a running or queued job to its terminal state,
+// stores cacheable results, and releases every subscriber.
+func (m *Manager) finishLocked(j *job, result, traceJSON []byte, err error) {
 	wasRunning := j.state == StateRunning
 	wasQueued := j.state == StateQueued
 	switch {
@@ -828,7 +797,7 @@ func (m *Manager) finish(j *job, result, traceJSON []byte, err error) {
 		close(ch)
 		delete(j.subs, id)
 	}
-	close(j.done)
+	m.wg.Done()
 	m.scheduleLocked()
 }
 
@@ -840,31 +809,15 @@ func (m *Manager) finish(j *job, result, traceJSON []byte, err error) {
 // reachable through the result cache and disk store by resubmitting
 // the spec.
 func (m *Manager) recordTerminalLocked(j *job) {
-	key := j.principal + "\x00" + j.state
-	m.terminalByKey[key] = append(m.terminalByKey[key], j.id)
-	pruned := false
-	for k, ids := range m.terminalByKey {
-		for len(ids) > m.cfg.RetainTerminalJobs {
-			delete(m.jobs, ids[0])
-			ids = ids[1:]
-			pruned = true
-		}
-		m.terminalByKey[k] = ids
+	ts := m.tenantLocked(j.principal)
+	ids := append(ts.retained[j.state], j.id)
+	if len(ids) > m.cfg.RetainTerminalJobs {
+		delete(m.jobs, ids[0])
+		ids = ids[1:]
+	} else {
+		m.retainedGauge.Add(1)
 	}
-	if pruned {
-		kept := m.order[:0]
-		for _, id := range m.order {
-			if _, ok := m.jobs[id]; ok {
-				kept = append(kept, id)
-			}
-		}
-		m.order = kept
-	}
-	retained := 0
-	for _, ids := range m.terminalByKey {
-		retained += len(ids)
-	}
-	m.retainedGauge.Set(int64(retained))
+	ts.retained[j.state] = ids
 }
 
 // terminalEventLocked renders a job's final stream event.
@@ -880,10 +833,9 @@ func (m *Manager) terminalEventLocked(j *job) StreamEvent {
 }
 
 // Cancel requests cancellation without an ownership check — the
-// open-mode surface, also used by Drain. Queued jobs resolve
-// immediately; running jobs stop dispatching cells and resolve once
-// in-flight cells complete. Cancelling a terminal job is a no-op
-// (false).
+// open-mode surface. A queued job is cancelled before Cancel returns;
+// a running job stops dispatching cells and resolves once in-flight
+// cells complete. Cancelling a terminal job is a no-op (false).
 func (m *Manager) Cancel(id string) (bool, error) {
 	return m.cancelJob(id, "", false)
 }
@@ -896,26 +848,32 @@ func (m *Manager) CancelBy(id, principal string) (bool, error) {
 
 func (m *Manager) cancelJob(id, principal string, enforce bool) (bool, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	if !ok {
-		m.mu.Unlock()
 		return false, ErrNotFound
 	}
 	if enforce && j.principal != principal {
-		m.mu.Unlock()
 		return false, ErrForbidden
 	}
-	if terminal(j.state) || j.cancel == nil {
-		m.mu.Unlock()
+	if terminal(j.state) {
 		return false, nil
 	}
-	// userCancel wins over any concurrent scheduler preemption: the job
-	// resolves cancelled instead of requeueing.
-	j.userCancel = true
-	cancel := j.cancel
-	m.mu.Unlock()
-	cancel()
+	m.cancelLocked(j)
 	return true, nil
+}
+
+// cancelLocked cancels a live job as its caller. A queued job leaves its
+// queue and is cancelled on the spot; a running job's context is
+// cancelled, and userCancel makes it resolve cancelled even if the
+// scheduler preempted it too.
+func (m *Manager) cancelLocked(j *job) {
+	j.userCancel = true
+	if j.state == StateQueued {
+		m.finishLocked(j, nil, nil, context.Canceled)
+		return
+	}
+	j.cancel()
 }
 
 // Get returns a job's status snapshot.
@@ -933,9 +891,14 @@ func (m *Manager) Get(id string) (JobView, error) {
 func (m *Manager) List() []JobView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]JobView, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.viewLocked(m.jobs[id]))
+	jobs := make([]*job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		jobs = append(jobs, j)
+	}
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
+	out := make([]JobView, len(jobs))
+	for i, j := range jobs {
+		out[i] = m.viewLocked(j)
 	}
 	return out
 }
@@ -1014,8 +977,9 @@ func (m *Manager) Subscribe(id string) (events <-chan StreamEvent, cancelSub fun
 // rejected, queued and running jobs finish (preempted batch jobs
 // resume and complete), and Drain returns when all jobs are terminal.
 // If ctx expires first, every remaining job is cancelled — as a user
-// cancel, so nothing requeues — and Drain waits (briefly) for the
-// pools to unwind before returning ctx's error.
+// cancel, so nothing requeues: queued jobs at once, running ones once
+// their in-flight cells finish — and Drain returns ctx's error when
+// all are terminal.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true
@@ -1036,9 +1000,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 	// in-flight cells are not interruptible, but they are finite.
 	m.mu.Lock()
 	for _, j := range m.jobs {
-		if !terminal(j.state) && j.cancel != nil {
-			j.userCancel = true
-			j.cancel()
+		if !terminal(j.state) {
+			m.cancelLocked(j)
 		}
 	}
 	m.mu.Unlock()

@@ -29,6 +29,7 @@
 package service
 
 import (
+	"context"
 	"sort"
 
 	"github.com/eurosys23/ice/internal/obs"
@@ -75,22 +76,14 @@ func classOf(spec JobSpec) int {
 	return classInteractive
 }
 
-// tenantQueues is one principal's scheduler state: a FIFO per class
-// plus the DRR deficit counters.
-type tenantQueues struct {
-	name    string
-	weight  int
-	q       [numClasses][]*job
-	deficit [numClasses]int
-}
-
-// fairQueue is the scheduler proper, and the one record of how many
-// jobs wait. It is not self-locking: the owning Manager serialises
-// every call under its mutex.
+// fairQueue is the scheduler proper: every principal's record, the
+// running set, and the one record of how many jobs wait. It is not
+// self-locking: the owning Manager serialises every call under its
+// mutex.
 type fairQueue struct {
 	maxRunning int
 	running    map[*job]struct{}
-	tq         map[string]*tenantQueues
+	tenants    map[string]*tenantState
 	queued     [numClasses]int
 	cursor     [numClasses]string // last-served principal per class
 }
@@ -99,40 +92,18 @@ func newFairQueue(maxRunning int) *fairQueue {
 	return &fairQueue{
 		maxRunning: maxRunning,
 		running:    make(map[*job]struct{}),
-		tq:         make(map[string]*tenantQueues),
+		tenants:    make(map[string]*tenantState),
 	}
-}
-
-// queues returns (creating if needed) a principal's scheduler state.
-func (q *fairQueue) queues(name string, weight int) *tenantQueues {
-	t := q.tq[name]
-	if t == nil {
-		t = &tenantQueues{name: name, weight: weight}
-		q.tq[name] = t
-	}
-	if weight > 0 {
-		t.weight = weight
-	}
-	return t
 }
 
 // len reports the jobs waiting in every class.
 func (q *fairQueue) len() int { return q.queued[classInteractive] + q.queued[classBatch] }
 
-// queuedOf reports the jobs one principal has waiting.
-func (q *fairQueue) queuedOf(name string) int {
-	t := q.tq[name]
-	if t == nil {
-		return 0
-	}
-	return len(t.q[classInteractive]) + len(t.q[classBatch])
-}
-
 // enqueue adds a job to its principal's class queue; front requeues a
 // preempted job ahead of its principal's other waiting work so resume
-// does not lose its turn.
-func (q *fairQueue) enqueue(j *job, weight int, front bool) {
-	t := q.queues(j.principal, weight)
+// does not lose its turn. The principal's record must exist.
+func (q *fairQueue) enqueue(j *job, front bool) {
+	t := q.tenants[j.principal]
 	if front {
 		t.q[j.class] = append([]*job{j}, t.q[j.class]...)
 	} else {
@@ -144,10 +115,7 @@ func (q *fairQueue) enqueue(j *job, weight int, front bool) {
 // remove deletes a queued job (cancelled before dispatch). It reports
 // whether the job was found.
 func (q *fairQueue) remove(j *job) bool {
-	t := q.tq[j.principal]
-	if t == nil {
-		return false
-	}
+	t := q.tenants[j.principal]
 	for i, cand := range t.q[j.class] {
 		if cand == j {
 			t.q[j.class] = append(t.q[j.class][:i], t.q[j.class][i+1:]...)
@@ -180,15 +148,15 @@ func (q *fairQueue) popClass(class int) *job {
 	// Continue the cursor principal's turn first: a principal serves
 	// jobs until its deficit no longer covers its head job, so a
 	// weight-4 principal drains ~4 equal-cost jobs per rotation, not 1.
-	if t := q.tq[q.cursor[class]]; t != nil && len(t.q[class]) > 0 && t.deficit[class] >= t.q[class][0].cost {
+	if t := q.tenants[q.cursor[class]]; t != nil && len(t.q[class]) > 0 && t.deficit[class] >= t.q[class][0].cost {
 		return q.popFrom(t, class)
 	}
 	// Turn over: rotate through backlogged principals in name order
 	// starting after the cursor, crediting each visit with the
 	// principal's weight, and serve the first whose deficit covers its
 	// head job.
-	names := make([]string, 0, len(q.tq))
-	for name, t := range q.tq {
+	names := make([]string, 0, len(q.tenants))
+	for name, t := range q.tenants {
 		if len(t.q[class]) > 0 {
 			names = append(names, name)
 		}
@@ -206,10 +174,11 @@ func (q *fairQueue) popClass(class int) *job {
 	// within maxJobCost passes.
 	for pass := 0; pass <= maxJobCost; pass++ {
 		for k := 0; k < len(names); k++ {
-			t := q.tq[names[(start+k)%len(names)]]
-			t.deficit[class] += t.weight
+			name := names[(start+k)%len(names)]
+			t := q.tenants[name]
+			t.deficit[class] += t.p.Weight
 			if t.deficit[class] >= t.q[class][0].cost {
-				q.cursor[class] = t.name
+				q.cursor[class] = name
 				return q.popFrom(t, class)
 			}
 		}
@@ -220,7 +189,7 @@ func (q *fairQueue) popClass(class int) *job {
 // popFrom serves one job from a principal's class queue, spending its
 // deficit. An emptied queue forfeits leftover credit (classic DRR
 // reset), so idle principals cannot hoard share.
-func (q *fairQueue) popFrom(t *tenantQueues, class int) *job {
+func (q *fairQueue) popFrom(t *tenantState, class int) *job {
 	head := t.q[class][0]
 	t.deficit[class] -= head.cost
 	t.q[class] = t.q[class][1:]
@@ -231,14 +200,24 @@ func (q *fairQueue) popFrom(t *tenantQueues, class int) *job {
 	return head
 }
 
-// tenantState is the Manager's per-principal runtime: quota
-// configuration, the shared running-cell budget channel, cache-byte
-// attribution, and the per-principal instruments.
+// tenantState is the Manager's one record of a principal: its quota
+// configuration and in-flight cell budget, its class queues and DRR
+// deficits, its retained terminal jobs, the disk-store bytes attributed
+// to it, and its instruments.
 type tenantState struct {
 	p     *tenant.Principal
 	cells chan struct{} // per-principal in-flight cell budget; nil = unlimited
 
-	cacheKeys  map[string]int64 // cache key -> attributed payload bytes
+	q       [numClasses][]*job // FIFO per class
+	deficit [numClasses]int
+	// retained holds the principal's terminal job IDs per state, oldest
+	// first (see recordTerminalLocked).
+	retained map[string][]string
+
+	// cacheKeys holds the disk-store keys this principal's results were
+	// persisted under, with their payload bytes; a key leaves when the
+	// store evicts or quarantines it (see releaseLocked).
+	cacheKeys  map[string]int64
 	cacheBytes int64
 
 	submittedCtr *obs.Counter
@@ -249,13 +228,18 @@ type tenantState struct {
 	cacheBytesG  *obs.Gauge
 }
 
-// tenantLocked returns (creating if needed) a principal's runtime
-// state. Quotas and weight come from the auth registry when the
-// principal is registered there; unknown principals — the anonymous
-// one, or a coordinator-forwarded name this worker has no token for —
-// run with defaults (weight 1, no quotas).
+// queuedJobs reports the jobs the principal has waiting.
+func (t *tenantState) queuedJobs() int {
+	return len(t.q[classInteractive]) + len(t.q[classBatch])
+}
+
+// tenantLocked returns (creating if needed) a principal's record.
+// Quotas and weight come from the auth registry when the principal is
+// registered there; unknown principals — the anonymous one, or a
+// coordinator-forwarded name this worker has no token for — run with
+// defaults (weight 1, no quotas).
 func (m *Manager) tenantLocked(name string) *tenantState {
-	ts := m.tenants[name]
+	ts := m.fq.tenants[name]
 	if ts != nil {
 		return ts
 	}
@@ -265,6 +249,7 @@ func (m *Manager) tenantLocked(name string) *tenantState {
 	}
 	ts = &tenantState{
 		p:            p,
+		retained:     make(map[string][]string),
 		cacheKeys:    make(map[string]int64),
 		submittedCtr: m.reg.Counter("service.tenant.submitted." + name),
 		rejectedCtr:  m.reg.Counter("service.tenant.rejected." + name),
@@ -276,7 +261,7 @@ func (m *Manager) tenantLocked(name string) *tenantState {
 	if p.MaxRunningCells > 0 {
 		ts.cells = make(chan struct{}, p.MaxRunningCells)
 	}
-	m.tenants[name] = ts
+	m.fq.tenants[name] = ts
 	return ts
 }
 
@@ -296,8 +281,8 @@ func (m *Manager) scheduleLocked() {
 
 	m.queuedGauge.Set(int64(m.fq.len()))
 	m.runningGauge.Set(int64(len(m.fq.running)))
-	for name, ts := range m.tenants {
-		ts.queuedG.Set(int64(m.fq.queuedOf(name)))
+	for _, ts := range m.fq.tenants {
+		ts.queuedG.Set(int64(ts.queuedJobs()))
 		ts.runningG.Set(0)
 	}
 	for j := range m.fq.running {
@@ -305,27 +290,32 @@ func (m *Manager) scheduleLocked() {
 	}
 }
 
-// startJobLocked transitions a popped job to running and releases its
-// goroutine (blocked on j.start in run).
+// startJobLocked transitions a popped job to running: it gets its
+// context here and its goroutine starts here, so a queued job holds
+// neither.
 func (m *Manager) startJobLocked(j *job) {
+	ctx, cancel := context.WithCancel(context.Background())
+	j.cancel = cancel
 	m.fq.running[j] = struct{}{}
 	j.state = StateRunning
 	j.started = nowFunc()
-	close(j.start)
+	go m.run(ctx, j)
 }
 
-// releaseRunningLocked takes a no-longer-running job out of the
-// running set.
+// releaseRunningLocked takes a job whose run has returned out of the
+// running set and releases its context.
 func (m *Manager) releaseRunningLocked(j *job) {
 	delete(m.fq.running, j)
 	j.elapsed += nowFunc().Sub(j.started)
+	j.cancel()
+	j.cancel = nil
 }
 
 // maybePreemptLocked cancels running batch jobs — newest first, one
 // per waiting interactive job — when the interactive class is starved:
 // queued interactive work and every slot held. Cancellation stops new
 // cell dispatch; in-flight cells finish, so the victim yields at a
-// cell boundary and requeueIfPreempted resumes it later with its
+// cell boundary, and its run requeues it to resume later with its
 // completed cells prefilled.
 func (m *Manager) maybePreemptLocked() {
 	need := m.fq.queued[classInteractive]

@@ -57,6 +57,11 @@ const peerFailureLimit = 3
 // peerControlTimeout bounds one health probe or membership announce.
 const peerControlTimeout = 2 * time.Second
 
+// fleetScrapeTimeout bounds one peer scrape during GET /fleet/metrics.
+// A peer that misses it reports ice_peer_up 0 instead of failing the
+// fleet scrape.
+const fleetScrapeTimeout = 3 * time.Second
+
 // maxPeerBodyBytes caps the body of one peer answer. The largest
 // legitimate one is a traced cache entry; a peer sending more is
 // misbehaving and the answer is dropped.
@@ -503,9 +508,6 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 	if err := spec.normalize(); err != nil {
 		return nil, &BadSpecError{Err: err}
 	}
-	if from < 0 || to <= from {
-		return nil, &BadSpecError{Err: fmt.Errorf("bad cell range [%d,%d)", from, to)}
-	}
 	if principal == "" {
 		principal = tenant.AnonymousName
 	}
@@ -514,17 +516,12 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
-	m.shardServedCtr.Inc()
 	quota := m.tenantLocked(principal).cells
 	m.mu.Unlock()
 
 	// Cells are collected by index, never into anything sized by the
-	// request: the harness clamps the range to the matrix, so a range
-	// past its end yields fewer cells than it names and is rejected
-	// below. The first progress callback carries the matrix size and
-	// stops such a run at its first cells.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// request: the harness refuses a range that is empty or not within
+	// the matrix (harness.ErrBadRange) before any cell runs.
 	collected := make(map[int][]byte)
 	hooks := harness.ExecHooks{
 		Range: harness.Cells(from, to),
@@ -537,27 +534,25 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 	// The progress callback records the served cells' wall-clock latency
 	// into harness.cell_us — the same series coordinator-local cells use.
 	progress := func(p harness.Progress) {
-		if to > p.Total {
-			cancel()
-		}
 		if p.CellTime > 0 {
 			m.mu.Lock()
 			m.cellUs.Observe(p.CellTime.Microseconds())
 			m.mu.Unlock()
 		}
 	}
-	_, _, err := execute(runCtx, spec, m.slots, progress, hooks)
-	if len(collected) != to-from {
-		if err != nil && (harness.Errs(err) != nil || ctx.Err() != nil) {
-			return nil, err
-		}
-		return nil, &BadSpecError{Err: fmt.Errorf("cell range [%d,%d) exceeds the job's matrix", from, to)}
+	_, _, err := execute(ctx, spec, m.slots, progress, hooks)
+	switch {
+	case errors.Is(err, harness.ErrBadRange):
+		return nil, &BadSpecError{Err: err}
+	case len(collected) != to-from: // failed cells or cancellation
+		return nil, err
 	}
 	cells := make([][]byte, 0, len(collected))
 	for i := from; i < to; i++ {
 		cells = append(cells, collected[i])
 	}
 	m.mu.Lock()
+	m.shardServedCtr.Inc()
 	m.shardServedCellsCtr.Add(uint64(len(cells)))
 	m.mu.Unlock()
 	return cells, nil

@@ -254,6 +254,10 @@ func TestExecCellRangeValidation(t *testing.T) {
 	if _, err := m.ExecCellRange(context.Background(), spec, 0, 5, ""); err == nil {
 		t.Error("range beyond the 1-cell matrix accepted")
 	}
+	// Both ranges were refused before a single cell ran.
+	if h, _ := m.Metrics().Hist("harness.cell_us"); h.Count != 0 {
+		t.Errorf("refused ranges simulated %d cells", h.Count)
+	}
 	cells, err := m.ExecCellRange(context.Background(), spec, 0, 1, "")
 	if err != nil {
 		t.Fatal(err)

@@ -58,6 +58,10 @@ type diskStore struct {
 	// index costs each entry its payload bytes against the byte budget;
 	// an evicted entry's file is deleted.
 	index *lru[struct{}]
+	// dropped hears every key the store stops holding after boot —
+	// evicted to fit the budget or quarantined on read — so the Manager's
+	// per-principal byte attribution follows the store.
+	dropped func(key string)
 }
 
 // storeBootStats reports what the startup scan found, for the boot
@@ -80,8 +84,11 @@ func openDiskStore(root string, budget int64, version string) (*diskStore, store
 	if budget <= 0 {
 		budget = 1 << 30 // 1 GiB
 	}
-	s := &diskStore{root: root, version: version}
-	s.index = newLRU[struct{}](budget, func(key string) { os.Remove(s.entryPath(key)) })
+	s := &diskStore{root: root, version: version, dropped: func(string) {}}
+	s.index = newLRU[struct{}](budget, func(key string) {
+		os.Remove(s.entryPath(key))
+		s.dropped(key)
+	})
 	var stats storeBootStats
 	for _, dir := range []string{s.cacheDir(), s.corruptDir()} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -214,6 +221,7 @@ func (s *diskStore) get(key string) (e cacheEntry, ok, corrupt bool) {
 	if err != nil {
 		s.quarantine(path)
 		s.index.remove(key)
+		s.dropped(key)
 		return cacheEntry{}, false, true
 	}
 	// Best-effort recency stamp so LRU order survives a restart.

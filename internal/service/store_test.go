@@ -425,7 +425,7 @@ func TestManagerRetentionSoak(t *testing.T) {
 	}
 
 	m.mu.Lock()
-	jobs, order, queued := len(m.jobs), len(m.order), m.fq.len()
+	jobs, queued := len(m.jobs), m.fq.len()
 	recount := 0
 	for _, j := range m.jobs {
 		if j.state == StateQueued {
@@ -433,8 +433,8 @@ func TestManagerRetentionSoak(t *testing.T) {
 		}
 	}
 	m.mu.Unlock()
-	if jobs != keep || order != keep {
-		t.Fatalf("job table after %d submissions: %d jobs, %d order entries, want %d", total, jobs, order, keep)
+	if jobs != keep {
+		t.Fatalf("job table after %d submissions: %d jobs, want %d", total, jobs, keep)
 	}
 	if queued != 0 || queued != recount {
 		t.Fatalf("queued counter %d, recount %d", queued, recount)

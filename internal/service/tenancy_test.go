@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -56,11 +57,14 @@ func postJobAs(t *testing.T, url, token string, spec JobSpec) (*http.Response, J
 // interactive class always schedules ahead of batch.
 func TestFairQueueDRR(t *testing.T) {
 	q := newFairQueue(1)
+	for name, weight := range map[string]int{"a": 1, "b": 3} {
+		q.tenants[name] = &tenantState{p: &tenant.Principal{Name: name, Weight: weight}}
+	}
 	for i := 0; i < 4; i++ {
-		q.enqueue(&job{id: "a", principal: "a", class: classBatch, cost: 1}, 1, false)
+		q.enqueue(&job{id: "a", principal: "a", class: classBatch, cost: 1}, false)
 	}
 	for i := 0; i < 12; i++ {
-		q.enqueue(&job{id: "b", principal: "b", class: classBatch, cost: 1}, 3, false)
+		q.enqueue(&job{id: "b", principal: "b", class: classBatch, cost: 1}, false)
 	}
 	var order []string
 	for j := q.popNext(); j != nil; j = q.popNext() {
@@ -75,8 +79,8 @@ func TestFairQueueDRR(t *testing.T) {
 	}
 
 	// Interactive beats batch regardless of queue depth or weight.
-	q.enqueue(&job{id: "slow", principal: "b", class: classBatch, cost: 1}, 3, false)
-	q.enqueue(&job{id: "fast", principal: "a", class: classInteractive, cost: 64}, 1, false)
+	q.enqueue(&job{id: "slow", principal: "b", class: classBatch, cost: 1}, false)
+	q.enqueue(&job{id: "fast", principal: "a", class: classInteractive, cost: 64}, false)
 	if j := q.popNext(); j.id != "fast" {
 		t.Fatalf("popNext = %s, want the interactive job", j.id)
 	}
@@ -86,7 +90,7 @@ func TestFairQueueDRR(t *testing.T) {
 
 	// remove deletes a queued job and keeps the counts consistent.
 	j1 := &job{id: "x", principal: "a", class: classBatch, cost: 1}
-	q.enqueue(j1, 1, false)
+	q.enqueue(j1, false)
 	if !q.remove(j1) {
 		t.Fatal("remove did not find the queued job")
 	}
@@ -312,6 +316,64 @@ func TestPerPrincipalRetention(t *testing.T) {
 	}
 }
 
+// TestTenantCacheBytesFollowStore: a principal's attributed cache bytes
+// are its bytes in the disk store. The store holds 1.5 entries and
+// alice's cache-bytes quota 2.75, so each of her five distinct jobs
+// evicts the one before: none is skipped for quota, and her gauge ends
+// at the one entry the store holds. Without a store nothing is
+// attributed.
+func TestTenantCacheBytesFollowStore(t *testing.T) {
+	spec := func(seed int64) JobSpec {
+		s := tinySpec()
+		s.Trace, s.Seed = false, seed
+		return s
+	}
+	m0 := NewManager(Config{MaxWorkers: 1})
+	v, err := m0.Submit(spec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDoneMgr(t, m0, v.ID)
+	result, _, _ := m0.Result(v.ID)
+	size := int64(len(result))
+	if got, _ := m0.Metrics().Gauge("service.tenant.cache_bytes.anonymous"); got != 0 {
+		t.Errorf("without a store %d bytes were attributed", got)
+	}
+
+	reg, err := tenant.ParseTokens(strings.NewReader(fmt.Sprintf("tok-alice alice cache-bytes=%d\n", size*11/4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenManager(Config{MaxWorkers: 1, StateDir: t.TempDir(), CacheBytes: size * 3 / 2, AuthTokens: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		v, err := m.SubmitAs(spec(seed), "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDoneMgr(t, m, v.ID)
+	}
+	snap := m.Metrics()
+	if skipped, _ := snap.Counter("service.tenant.cache_quota_skipped"); skipped != 0 {
+		t.Errorf("%d results skipped for quota, want 0", skipped)
+	}
+	alice, _ := snap.Gauge("service.tenant.cache_bytes.alice")
+	stored, _ := snap.Gauge("service.store.bytes")
+	entries, _ := snap.Gauge("service.store.entries")
+	if entries != 1 || alice != stored {
+		t.Errorf("alice's gauge %d, store %d bytes in %d entries; want her bytes in the one entry", alice, stored, entries)
+	}
+	m.mu.Lock()
+	keys := len(m.fq.tenants["alice"].cacheKeys)
+	m.mu.Unlock()
+	if keys != 1 {
+		t.Errorf("alice holds %d attributed keys, want the 1 stored", keys)
+	}
+	drainMgr(t, m)
+}
+
 // TestFleetScrapeDeadAuth: a peer that rejects the scrape with 401
 // (e.g. a mis-tokened or foreign endpoint) reads ice_peer_up 0 — a
 // flat line, not a hang or a fleet-scrape error.
@@ -324,9 +386,8 @@ func TestFleetScrapeDeadAuth(t *testing.T) {
 
 	coord := NewManager(Config{
 		Role: "coordinator", Node: "c1",
-		Peers:              []string{addr},
-		FleetScrapeTimeout: 2 * time.Second,
-		PeerToken:          "tok-wrong",
+		Peers:     []string{addr},
+		PeerToken: "tok-wrong",
 	})
 	tsc := httptest.NewServer(NewServer(coord))
 	defer tsc.Close()

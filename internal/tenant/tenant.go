@@ -54,8 +54,8 @@ type Principal struct {
 	// MaxQueuedJobs bounds how many of this principal's jobs may wait in
 	// the scheduler at once; submissions beyond it are rejected 429.
 	MaxQueuedJobs int
-	// MaxCacheBytes bounds the result-cache bytes attributed to this
-	// principal; results beyond it stay in memory but are not persisted.
+	// MaxCacheBytes bounds this principal's bytes in the disk store;
+	// results beyond it stay in memory but are not persisted.
 	MaxCacheBytes int64
 }
 
