@@ -23,7 +23,7 @@ func (m *Manager) Touch(pid int, ids []PageID) Cost {
 	// page.
 	var evicted int
 	for _, id := range ids {
-		if m.arena[id].state == Evicted {
+		if m.arena.at(id).state == Evicted {
 			evicted++
 		}
 	}
@@ -31,7 +31,7 @@ func (m *Manager) Touch(pid int, ids []PageID) Cost {
 		cost.Add(m.chargeAlloc(evicted))
 	}
 	for _, id := range ids {
-		p := &m.arena[id]
+		p := m.arena.at(id)
 		switch p.state {
 		case Dead:
 			continue
@@ -86,7 +86,7 @@ func (m *Manager) Touch(pid int, ids []PageID) Cost {
 // refaults induce more memory reclaims" (Figure 2b).
 func (m *Manager) refault(id PageID, fileReads *int) Cost {
 	var cost Cost
-	p := &m.arena[id]
+	p := m.arena.at(id)
 
 	cost.Stall += m.cfg.FaultCost
 	cost.Stall += m.lockWait(m.cfg.LockHoldPerOp, true)

@@ -193,7 +193,7 @@ type Manager struct {
 	z    *zram.Zram
 	disk *storage.Device
 
-	arena     []page
+	arena     pageArena
 	freeSlots []PageID
 	lists     [numLists]lruList
 
@@ -447,8 +447,7 @@ func (m *Manager) allocSlot() PageID {
 		m.freeSlots = m.freeSlots[:n-1]
 		return id
 	}
-	m.arena = append(m.arena, page{prev: nilPage, next: nilPage})
-	return PageID(len(m.arena) - 1)
+	return m.arena.grow()
 }
 
 // readerLockWait returns the wait a read-mostly lock user experiences:
@@ -529,7 +528,7 @@ func (m *Manager) MapOne(pid, uid int, class Class) (PageID, Cost) {
 // mapPage initialises a fresh page in the arena and links it resident.
 func (m *Manager) mapPage(pid, uid int, class Class) PageID {
 	id := m.allocSlot()
-	p := &m.arena[id]
+	p := m.arena.at(id)
 	m.mapClock++
 	*p = page{
 		pid:    int32(pid),
@@ -604,12 +603,12 @@ func (m *Manager) chargeAlloc(n int) Cost {
 
 // addToLRU places a resident page on the given list (MRU end).
 func (m *Manager) addToLRU(id PageID, l listID) {
-	p := &m.arena[id]
+	p := m.arena.at(id)
 	if p.list != lNone {
-		m.lists[p.list].remove(m.arena, id)
+		m.lists[p.list].remove(&m.arena, id)
 	}
 	p.list = l
-	m.lists[l].pushFront(m.arena, id)
+	m.lists[l].pushFront(&m.arena, id)
 }
 
 // FreePagesOf releases specific resident or evicted pages permanently
@@ -621,7 +620,7 @@ func (m *Manager) FreePagesOf(ids []PageID) {
 }
 
 func (m *Manager) freePage(id PageID) {
-	p := &m.arena[id]
+	p := m.arena.at(id)
 	if p.state == Dead {
 		return
 	}
@@ -649,7 +648,7 @@ func (m *Manager) compactPID(pid int) {
 	dead := m.deadByPID[pid]
 	live := ids[:0]
 	for _, id := range ids {
-		if m.arena[id].state == Dead {
+		if m.arena.at(id).state == Dead {
 			dead = append(dead, id)
 		} else {
 			live = append(live, id)
@@ -665,11 +664,11 @@ func (m *Manager) compactPID(pid int) {
 // earlier would change how fast the arena grows, and with it the page that
 // each of randomVictim's arena draws lands on.
 func (m *Manager) killPage(id PageID) {
-	p := &m.arena[id]
+	p := m.arena.at(id)
 	switch p.state {
 	case Resident:
 		if p.list != lNone {
-			m.lists[p.list].remove(m.arena, id)
+			m.lists[p.list].remove(&m.arena, id)
 			p.list = lNone
 		}
 		m.resident--
@@ -690,7 +689,7 @@ func (m *Manager) ExitProcess(pid int) {
 	// append-only index yielded — so later allocations reuse slots
 	// byte-identically no matter how compaction interleaved with frees.
 	sort.Slice(ids, func(i, j int) bool {
-		return m.arena[ids[i]].mapSeq < m.arena[ids[j]].mapSeq
+		return m.arena.at(ids[i]).mapSeq < m.arena.at(ids[j]).mapSeq
 	})
 	for _, id := range ids {
 		m.killPage(id)
@@ -711,7 +710,7 @@ func (m *Manager) PagesOf(pid int) []PageID { return m.byPID[pid] }
 func (m *Manager) ResidentOf(pid int) int {
 	var n int
 	for _, id := range m.byPID[pid] {
-		if m.arena[id].state == Resident {
+		if m.arena.at(id).state == Resident {
 			n++
 		}
 	}
@@ -722,7 +721,7 @@ func (m *Manager) ResidentOf(pid int) int {
 func (m *Manager) EvictedOf(pid int) int {
 	var n int
 	for _, id := range m.byPID[pid] {
-		if m.arena[id].state == Evicted {
+		if m.arena.at(id).state == Evicted {
 			n++
 		}
 	}
@@ -735,7 +734,7 @@ func (m *Manager) EvictedOf(pid int) int {
 func (m *Manager) HeatOf(pid int) int {
 	var h int
 	for _, id := range m.byPID[pid] {
-		if p := &m.arena[id]; p.state == Resident {
+		if p := m.arena.at(id); p.state == Resident {
 			h += int(p.heat)
 		}
 	}
@@ -771,7 +770,7 @@ type PageInfo struct {
 
 // Info returns a snapshot of page id.
 func (m *Manager) Info(id PageID) PageInfo {
-	p := &m.arena[id]
+	p := m.arena.at(id)
 	return PageInfo{
 		PID:        int(p.pid),
 		UID:        int(p.uid),

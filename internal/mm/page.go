@@ -161,6 +161,39 @@ func inactiveList(c Class) listID {
 	return lInactiveFile
 }
 
+// The page arena grows one fixed-size chunk at a time: 4096 pages, 192 KiB
+// at 48 B/page. A chunk never moves once allocated, so growth copies no
+// page.
+const (
+	chunkShift = 12
+	chunkPages = 1 << chunkShift
+	chunkMask  = chunkPages - 1
+)
+
+// pageArena stores every page the manager ever mapped, indexed by PageID.
+// Its length counts every slot ever allocated, recycled ones included:
+// randomVictim draws over exactly that range.
+type pageArena struct {
+	chunks []*[chunkPages]page
+	n      int
+}
+
+// at returns the page in slot id.
+func (a *pageArena) at(id PageID) *page { return &a.chunks[id>>chunkShift][id&chunkMask] }
+
+// len reports how many slots were ever allocated.
+func (a *pageArena) len() int { return a.n }
+
+// grow allocates the next slot, adding a chunk when the last one is full.
+func (a *pageArena) grow() PageID {
+	if a.n == len(a.chunks)*chunkPages {
+		a.chunks = append(a.chunks, new([chunkPages]page))
+	}
+	id := PageID(a.n)
+	a.n++
+	return id
+}
+
 // lruList is an intrusive doubly-linked list over the page arena.
 // head is the most recently added end; reclaim scans from tail.
 type lruList struct {
@@ -172,12 +205,12 @@ type lruList struct {
 func newLRUList() lruList { return lruList{head: nilPage, tail: nilPage} }
 
 // pushFront inserts id at the head (MRU end).
-func (l *lruList) pushFront(arena []page, id PageID) {
-	p := &arena[id]
+func (l *lruList) pushFront(a *pageArena, id PageID) {
+	p := a.at(id)
 	p.prev = nilPage
 	p.next = l.head
 	if l.head != nilPage {
-		arena[l.head].prev = id
+		a.at(l.head).prev = id
 	}
 	l.head = id
 	if l.tail == nilPage {
@@ -187,15 +220,15 @@ func (l *lruList) pushFront(arena []page, id PageID) {
 }
 
 // remove unlinks id from the list.
-func (l *lruList) remove(arena []page, id PageID) {
-	p := &arena[id]
+func (l *lruList) remove(a *pageArena, id PageID) {
+	p := a.at(id)
 	if p.prev != nilPage {
-		arena[p.prev].next = p.next
+		a.at(p.prev).next = p.next
 	} else {
 		l.head = p.next
 	}
 	if p.next != nilPage {
-		arena[p.next].prev = p.prev
+		a.at(p.next).prev = p.prev
 	} else {
 		l.tail = p.prev
 	}

@@ -2,6 +2,10 @@ package mm
 
 import (
 	"testing"
+
+	"github.com/eurosys23/ice/internal/sim"
+	"github.com/eurosys23/ice/internal/storage"
+	"github.com/eurosys23/ice/internal/zram"
 )
 
 // TestByPIDCompactsDeadEntries pins the fix for the dead-index leak:
@@ -24,7 +28,7 @@ func TestByPIDCompactsDeadEntries(t *testing.T) {
 	}
 	live := 0
 	for _, id := range m.byPID[pid] {
-		if m.arena[id].state != Dead {
+		if m.arena.at(id).state != Dead {
 			live++
 		}
 	}
@@ -72,7 +76,7 @@ func TestKswapdStepNoAllocs(t *testing.T) {
 	refaultSome := func() {
 		scratch = scratch[:0]
 		for _, id := range ids {
-			if m.arena[id].state == Evicted {
+			if m.arena.at(id).state == Evicted {
 				scratch = append(scratch, id)
 				if len(scratch) == cap(scratch) {
 					break
@@ -95,5 +99,51 @@ func TestKswapdStepNoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("kswapd step allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestArenaGrowsByChunks pins the arena's growth unit and the meaning of
+// its length. Mapping three chunks' worth of pages plus one allocates
+// exactly four chunks, and no page moves as the arena grows. Recycled
+// slots allocate nothing, and randomVictim draws over every slot ever
+// allocated, as it did over the old append-grown slice.
+func TestArenaGrowsByChunks(t *testing.T) {
+	eng := sim.NewEngine(11)
+	cfg := DefaultConfig()
+	cfg.TotalPages = 8 * chunkPages
+	cfg.HighWatermark, cfg.LowWatermark, cfg.MinWatermark = 128, 106, 85
+	cfg.ThrashCoupling = 0
+	m := New(eng, cfg, zram.New(zram.DefaultConfig(1024), eng.Obs()), storage.New(eng, storage.UFS21))
+
+	first, _ := m.Map(1, 10001, AnonJava, chunkPages)
+	p0 := m.arena.at(first[0])
+	m.Map(2, 10002, AnonNative, 2*chunkPages+1)
+	const slots = 3*chunkPages + 1
+	if got := len(m.arena.chunks); got != 4 {
+		t.Fatalf("%d pages allocated %d chunks, want 4", slots, got)
+	}
+	if m.arena.at(first[0]) != p0 {
+		t.Fatal("a page moved when the arena grew")
+	}
+	// Half of process 1's slots are recycled; the other half stay dead.
+	m.ExitProcess(1)
+	m.Map(3, 10003, AnonJava, chunkPages/2)
+	if got := len(m.arena.chunks); got != 4 {
+		t.Fatalf("recycled slots allocated a chunk: %d chunks", got)
+	}
+	if got := m.arena.len(); got != slots {
+		t.Fatalf("arena length %d, want every slot ever allocated (%d)", got, slots)
+	}
+	// Every live page is resident, inactive and unreferenced, so the
+	// victim is the first draw that lands on a live slot.
+	r := *m.rng
+	want := nilPage
+	for try := 0; try < 16 && want == nilPage; try++ {
+		if id := PageID(r.Intn(slots)); m.arena.at(id).state == Resident {
+			want = id
+		}
+	}
+	if got, ok := m.randomVictim(); !ok || got != want {
+		t.Fatalf("randomVictim = %d, %v; want slot %d of %d", got, ok, want, slots)
 	}
 }

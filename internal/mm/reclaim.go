@@ -50,7 +50,7 @@ func (m *Manager) demoteIfNeeded(c Class, want int) sim.Time {
 		if id == nilPage {
 			break
 		}
-		p := &m.arena[id]
+		p := m.arena.at(id)
 		p.referenced = false
 		// Ageing halves hotness: a page that stops being touched cools
 		// exponentially (the signal Ariadne's codec choice reads).
@@ -65,12 +65,12 @@ func (m *Manager) demoteIfNeeded(c Class, want int) sim.Time {
 // an inactive list, not recently referenced. It fails after a few misses
 // (the caller falls back to scanning again).
 func (m *Manager) randomVictim() (PageID, bool) {
-	if len(m.arena) == 0 {
+	if m.arena.len() == 0 {
 		return nilPage, false
 	}
 	for try := 0; try < 16; try++ {
-		id := PageID(m.rng.Intn(len(m.arena)))
-		p := &m.arena[id]
+		id := PageID(m.rng.Intn(m.arena.len()))
+		p := m.arena.at(id)
 		if p.state != Resident {
 			continue
 		}
@@ -132,7 +132,7 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 				res.scanned++
 				continue
 			}
-			list = m.arena[id].list
+			list = m.arena.at(id).list
 		} else {
 			var ok bool
 			list, ok = m.pickScanList()
@@ -144,7 +144,7 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 				break
 			}
 		}
-		p := &m.arena[id]
+		p := m.arena.at(id)
 		res.scanned++
 		res.cpu += m.cfg.ScanCost
 
@@ -187,7 +187,7 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 			p.dirty = false
 		}
 		// Evict: record the shadow entry and drop residency.
-		m.lists[list].remove(m.arena, id)
+		m.lists[list].remove(&m.arena, id)
 		p.list = lNone
 		p.state = Evicted
 		m.evictClock++
@@ -284,7 +284,7 @@ func (m *Manager) directReclaim(target int) Cost {
 func (m *Manager) ReclaimProcess(pid int) int {
 	var n, writeback int
 	for _, id := range m.byPID[pid] {
-		p := &m.arena[id]
+		p := m.arena.at(id)
 		if p.state != Resident {
 			continue
 		}
@@ -300,7 +300,7 @@ func (m *Manager) ReclaimProcess(pid int) int {
 			p.dirty = false
 		}
 		if p.list != lNone {
-			m.lists[p.list].remove(m.arena, id)
+			m.lists[p.list].remove(&m.arena, id)
 			p.list = lNone
 		}
 		p.state = Evicted
