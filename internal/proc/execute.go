@@ -42,3 +42,23 @@ func (t *Task) Execute(now sim.Time, budget sim.Time) (used sim.Time, blockedUnt
 	t.CPUTime += used
 	return used, 0
 }
+
+// Burnable reports how many budget-sized quanta the in-progress item can
+// absorb with none of them finishing it: k such that Execute, called k
+// times with budget, would each time only run that item for the whole
+// budget. It is 0 unless an item is in progress with its Setup done.
+func (t *Task) Burnable(budget sim.Time) int64 {
+	w := t.cur
+	if w == nil || !w.setupDone || w.remaining <= budget {
+		return 0
+	}
+	return int64((w.remaining - 1) / budget)
+}
+
+// Burn accounts k quanta of budget on the in-progress item, exactly as k
+// Execute calls would when Burnable(budget) ≥ k.
+func (t *Task) Burn(k int64, budget sim.Time) {
+	d := sim.Time(k) * budget
+	t.cur.remaining -= d
+	t.CPUTime += d
+}

@@ -118,6 +118,8 @@ type Scheduler struct {
 	// tickFn is the bound tick method, captured once so re-arming the
 	// tick does not allocate a fresh method value per event.
 	tickFn func()
+	// burners is burn's scratch, one entry per core.
+	burners []burner
 
 	quanta   [numCPUClasses]*obs.Counter
 	runqueue *obs.Gauge
@@ -129,7 +131,7 @@ func New(eng *sim.Engine, cores int) *Scheduler {
 	if cores <= 0 {
 		panic("sched: non-positive core count")
 	}
-	s := &Scheduler{eng: eng, cores: cores, fgUID: -1}
+	s := &Scheduler{eng: eng, cores: cores, fgUID: -1, burners: make([]burner, 0, cores)}
 	s.weight = func(t *proc.Task) int { return t.Weight }
 	s.speed = func(*proc.Task) float64 { return 1 }
 	s.speedDefault = true
@@ -271,25 +273,96 @@ func (s *Scheduler) classify(t *proc.Task) CPUClass {
 	}
 }
 
-func (s *Scheduler) noteBusy(class CPUClass, used sim.Time) {
+// noteBusy charges used core time of class to the round run at at.
+func (s *Scheduler) noteBusy(at sim.Time, class CPUClass, used sim.Time) {
 	s.busy[class] += used
-	sec := int((s.eng.Now() - s.started) / sim.Second)
+	s.busyPerSec[s.second(at)] += used
+}
+
+// second returns the index of the one-second busyPerSec bucket holding
+// at, growing the series to reach it.
+func (s *Scheduler) second(at sim.Time) int {
+	sec := int((at - s.started) / sim.Second)
 	if sec < 0 {
 		sec = 0
 	}
 	for len(s.busyPerSec) <= sec {
 		s.busyPerSec = append(s.busyPerSec, 0)
 	}
-	s.busyPerSec[sec] += used
+	return sec
 }
 
 // wakeupBonus places freshly runnable tasks slightly ahead of the pack,
 // approximating CFS's sleeper fairness.
 const wakeupBonus = int64(3 * sim.Millisecond)
 
+// lift normalises virtual runtimes at the start of a round so long
+// sleepers don't monopolise cores: minV rises to the least vruntime in
+// ts, and no task trails it by more than the wakeup bonus.
+func (s *Scheduler) lift(ts []*proc.Task) {
+	min := ts[0].VRuntime
+	for _, t := range ts[1:] {
+		if t.VRuntime < min {
+			min = t.VRuntime
+		}
+	}
+	if min > s.minV {
+		s.minV = min
+	}
+	floor := s.minV - wakeupBonus
+	for _, t := range ts {
+		if t.VRuntime < floor {
+			t.VRuntime = floor
+		}
+	}
+}
+
+// budget returns the work t completes in one quantum, and its speed.
+func (s *Scheduler) budget(t *proc.Task) (sim.Time, float64) {
+	speed := 1.0
+	if !s.speedDefault {
+		speed = s.speed(t)
+		if speed <= 0 {
+			speed = 1
+		}
+	}
+	budget := Quantum
+	if speed != 1 {
+		// Only off-speed tasks need the float scaling; the common
+		// uniform-speed case stays in integer arithmetic.
+		budget = sim.Time(float64(Quantum) * speed)
+		if budget < 1 {
+			budget = 1
+		}
+	}
+	return budget, speed
+}
+
+// charge returns the core time a quantum in which t did used work at
+// speed occupies, and the virtual runtime it adds to t.
+func (s *Scheduler) charge(t *proc.Task, used sim.Time, speed float64) (sim.Time, int64) {
+	// Core occupancy is the work done divided by the speed: a slow task
+	// burns full quanta to make partial progress.
+	core := used
+	if speed != 1 {
+		core = sim.Time(float64(used) / speed)
+	}
+	if core > Quantum {
+		core = Quantum
+	}
+	w := s.weight(t)
+	if w <= 0 {
+		w = proc.DefaultWeight
+	}
+	if w == proc.DefaultWeight {
+		return core, int64(core)
+	}
+	return core, int64(core) * proc.DefaultWeight / int64(w)
+}
+
 // tick runs one scheduling round: pick up to cores runnable tasks by
 // minimum virtual runtime, give each a quantum, and re-arm if anything is
-// still runnable.
+// still runnable. Burn rounds that follow are applied at once (burn).
 func (s *Scheduler) tick() {
 	now := s.eng.Now()
 
@@ -326,23 +399,7 @@ func (s *Scheduler) tick() {
 		s.tickArmed = false
 		return
 	}
-
-	// Normalise virtual runtimes so long sleepers don't monopolise cores.
-	min := runnable[0].VRuntime
-	for _, t := range runnable[1:] {
-		if t.VRuntime < min {
-			min = t.VRuntime
-		}
-	}
-	if min > s.minV {
-		s.minV = min
-	}
-	floor := s.minV - wakeupBonus
-	for _, t := range runnable {
-		if t.VRuntime < floor {
-			t.VRuntime = floor
-		}
-	}
+	s.lift(runnable)
 
 	// Partial selection: only the cores lowest-vruntime tasks run this
 	// quantum, so selecting them in order (O(cores·n), allocation-free)
@@ -366,47 +423,16 @@ func (s *Scheduler) tick() {
 		runnable[i], runnable[min] = runnable[min], runnable[i]
 	}
 	for _, t := range runnable[:n] {
-		speed := 1.0
-		if !s.speedDefault {
-			speed = s.speed(t)
-			if speed <= 0 {
-				speed = 1
-			}
-		}
-		workBudget := Quantum
-		if speed != 1 {
-			// Only off-speed tasks need the float scaling; the common
-			// uniform-speed case stays in integer arithmetic.
-			workBudget = sim.Time(float64(Quantum) * speed)
-			if workBudget < 1 {
-				workBudget = 1
-			}
-		}
-		used, blockedUntil := t.Execute(now, workBudget)
+		budget, speed := s.budget(t)
+		used, blockedUntil := t.Execute(now, budget)
 		if used > 0 {
-			// Core occupancy is the work done divided by the speed: a slow
-			// task burns full quanta to make partial progress.
-			coreTime := used
-			if speed != 1 {
-				coreTime = sim.Time(float64(used) / speed)
-			}
-			if coreTime > Quantum {
-				coreTime = Quantum
-			}
-			w := s.weight(t)
-			if w <= 0 {
-				w = proc.DefaultWeight
-			}
-			if w == proc.DefaultWeight {
-				t.VRuntime += int64(coreTime)
-			} else {
-				t.VRuntime += int64(coreTime) * proc.DefaultWeight / int64(w)
-			}
+			core, dv := s.charge(t, used, speed)
+			t.VRuntime += dv
 			class := s.classify(t)
-			s.noteBusy(class, coreTime)
+			s.noteBusy(now, class, core)
 			s.quanta[class].Inc()
 			s.tr.Span(now, trace.CatSched, quantumName[class], t.Proc.PID,
-				coreTime, int64(used), int64(t.Proc.UID))
+				core, int64(used), int64(t.Proc.UID))
 		}
 		if blockedUntil > 0 {
 			s.eng.At(blockedUntil, t.UnblockFn)
@@ -422,9 +448,127 @@ func (s *Scheduler) tick() {
 	// decides exactly as a scan of every task would.
 	for _, t := range s.runq {
 		if t.Runnable(now) {
+			s.burn()
 			s.eng.At(s.nextAllowed, s.tickFn)
 			return
 		}
 	}
 	s.tickArmed = false
+}
+
+// burner is one task's part in a burn: its work budget, core time,
+// vruntime increment and class per round, read once for the whole burn.
+type burner struct {
+	t      *proc.Task
+	budget sim.Time
+	speed  float64
+	core   sim.Time
+	dv     int64
+	class  CPUClass
+	// v is the task's vruntime at the start of the round being ordered.
+	v int64
+}
+
+// before orders burners as tick runs tasks: by (vruntime, TID).
+func (b *burner) before(o *burner) bool {
+	return b.v < o.v || (b.v == o.v && b.t.TID < o.t.TID)
+}
+
+// sortBurners insertion-sorts bs by (v, TID). Consecutive rounds mostly
+// keep their order, so each sort after the first is close to linear.
+func sortBurners(bs []burner) {
+	for i := 1; i < len(bs); i++ {
+		for j := i; j > 0 && bs[j].before(&bs[j-1]); j-- {
+			bs[j], bs[j-1] = bs[j-1], bs[j]
+		}
+	}
+}
+
+// burn applies at once the burn rounds that follow the round tick just
+// ran, and moves nextAllowed past them. A burn round is one in which
+// every queued task is runnable, has a core, and only burns CPU on its
+// in-progress item. No engine event runs between such rounds, so they
+// can be applied together: each counter, the vruntimes, the busy series
+// and the trace come out exactly as k ticks would leave them (DESIGN
+// §11, "Burn rounds"). Rounds are taken up to the engine's Calm, so no
+// pending event and no caller of RunUntil can observe one early.
+func (s *Scheduler) burn() {
+	start := s.nextAllowed
+	calm := s.eng.Calm()
+	if calm < start || len(s.runq) > s.cores {
+		return
+	}
+	k := int64((calm-start)/Quantum) + 1
+	bs := s.burners[:0]
+	for _, t := range s.runq {
+		if !t.Runnable(start) {
+			return
+		}
+		budget, speed := s.budget(t)
+		n := t.Burnable(budget)
+		if n == 0 {
+			return
+		}
+		k = min(k, n)
+		bs = append(bs, burner{t: t, budget: budget, speed: speed})
+	}
+
+	// The first round lifts as tick does. Later rounds lift nothing:
+	// every vruntime has grown since, while the floor stays put or
+	// trails the least of them.
+	s.lift(s.runq)
+	var perRound sim.Time
+	for i := range bs {
+		b := &bs[i]
+		b.core, b.dv = s.charge(b.t, b.budget, b.speed)
+		b.class = s.classify(b.t)
+		b.v = b.t.VRuntime
+		perRound += b.core
+	}
+	if s.tr != nil {
+		s.traceBurn(bs, start, k)
+	}
+	for i := range bs {
+		b := &bs[i]
+		b.t.Burn(k, b.budget)
+		b.v = b.t.VRuntime + (k-1)*b.dv
+		b.t.VRuntime = b.v + b.dv
+		s.busy[b.class] += sim.Time(k) * b.core
+		s.quanta[b.class].Add(uint64(k))
+	}
+	// The last round ran its tasks in order of their vruntimes at its
+	// start, left runq in that order, and raised minV to the least.
+	sortBurners(bs)
+	for i := range bs {
+		s.runq[i] = bs[i].t
+	}
+	if bs[0].v > s.minV {
+		s.minV = bs[0].v
+	}
+	for j := int64(0); j < k; {
+		at := start + sim.Time(j)*Quantum
+		sec := s.second(at)
+		// The rounds before the next second's boundary share this bucket.
+		n := int64((s.started + sim.Time(sec+1)*sim.Second - at + Quantum - 1) / Quantum)
+		n = min(n, k-j)
+		s.busyPerSec[sec] += sim.Time(n) * perRound
+		j += n
+	}
+	s.runqueue.Set(int64(len(s.runq)))
+	s.nextAllowed = start + sim.Time(k)*Quantum
+}
+
+// traceBurn emits the CatSched spans of k burn rounds from start, each
+// round's in the (vruntime, TID) order tick runs them in.
+func (s *Scheduler) traceBurn(bs []burner, start sim.Time, k int64) {
+	for j := int64(0); j < k; j++ {
+		sortBurners(bs)
+		at := start + sim.Time(j)*Quantum
+		for i := range bs {
+			b := &bs[i]
+			s.tr.Span(at, trace.CatSched, quantumName[b.class], b.t.Proc.PID,
+				b.core, int64(b.budget), int64(b.t.Proc.UID))
+			b.v += b.dv
+		}
+	}
 }

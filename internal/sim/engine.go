@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/eurosys23/ice/internal/obs"
 )
@@ -82,8 +83,16 @@ type Engine struct {
 	rng  *Rand
 	obs  *obs.Registry
 
+	// horizon is the last instant the run in progress may reach:
+	// RunUntil's target, unbounded under Drain, and 0 outside both, so a
+	// handler dispatched by a bare Step never acts past the clock.
+	horizon Time
+
 	dispatched uint64
 }
+
+// forever is Drain's horizon: no instant lies beyond it.
+const forever = Time(math.MaxInt64)
 
 // NewEngine returns an engine at time zero with a PRNG seeded by seed and
 // a fresh instrument registry.
@@ -152,13 +161,31 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// Calm returns the last instant within the horizon of the run in
+// progress that has no pending event due at or before it. A handler may
+// settle, at once, work the simulation would otherwise spread over
+// events it schedules at instants up to Calm: nothing else runs before
+// them, and the run does not stop before them. An event due at an instant
+// Calm excludes was queued first, so it would run before anything the
+// handler schedules there. Outside RunUntil and Drain, Calm is at most 0.
+func (e *Engine) Calm() Time {
+	c := e.horizon
+	if len(e.heap) > 0 && e.heap[0].when-1 < c {
+		c = e.heap[0].when - 1
+	}
+	return c
+}
+
 // RunUntil dispatches events until the clock reaches t (events scheduled
 // exactly at t still run). Pending events beyond t remain queued and the
 // clock lands exactly on t.
 func (e *Engine) RunUntil(t Time) {
+	prev := e.horizon
+	e.horizon = t
 	for len(e.heap) > 0 && e.heap[0].when <= t {
 		e.Step()
 	}
+	e.horizon = prev
 	if e.now < t {
 		e.now = t
 	}
@@ -170,12 +197,15 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // Drain runs every pending event. It panics after maxEvents dispatches as a
 // guard against runaway self-rescheduling loops.
 func (e *Engine) Drain(maxEvents uint64) {
+	prev := e.horizon
+	e.horizon = forever
 	start := e.dispatched
 	for e.Step() {
 		if e.dispatched-start > maxEvents {
 			panic("sim: Drain exceeded event budget")
 		}
 	}
+	e.horizon = prev
 }
 
 // Pending reports the number of queued events.

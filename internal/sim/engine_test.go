@@ -215,3 +215,39 @@ func TestTimeConversions(t *testing.T) {
 		t.Error("Millis() wrong")
 	}
 }
+
+// TestCalmFollowsHorizon pins what Calm reports to a handler: the instant
+// before the next pending event, capped by RunUntil's target, unbounded
+// under Drain with nothing pending, and at most 0 under a bare Step. Each
+// run restores the horizon it found.
+func TestCalmFollowsHorizon(t *testing.T) {
+	e := NewEngine(1)
+	var got []Time
+	note := func() { got = append(got, e.Calm()) }
+	e.At(10, note)
+	e.At(40, note)
+	e.RunUntil(30) // at 10: the next event (40) lies past the target
+	e.At(50, func() {
+		e.At(52, note)
+		e.RunUntil(55) // a nested run: at 52, capped at 55
+		note()         // its own horizon again: 60 is next
+	})
+	e.At(60, note)
+	e.RunUntil(100) // at 40: 50 is next; at 60: nothing is
+	e.At(200, note)
+	e.Step() // a bare Step: at most 0
+	e.At(300, note)
+	e.Drain(10) // nothing else pending
+	want := []Time{30, 49, 55, 59, 100, 0, forever}
+	if len(got) != len(want) {
+		t.Fatalf("Calm readings %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Calm readings %v, want %v", got, want)
+		}
+	}
+	if c := e.Calm(); c > 0 {
+		t.Fatalf("Calm after the runs = %v, want at most 0", c)
+	}
+}
