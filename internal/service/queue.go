@@ -235,9 +235,10 @@ func (t *tenantState) queuedJobs() int {
 
 // tenantLocked returns (creating if needed) a principal's record.
 // Quotas and weight come from the auth registry when the principal is
-// registered there; unknown principals — the anonymous one, or a
-// coordinator-forwarded name this worker has no token for — run with
-// defaults (weight 1, no quotas).
+// registered there; the anonymous principal runs with defaults (weight
+// 1, no quotas). Records exist only for principals that submit jobs
+// and, on a worker, for token-file principals whose cells it serves:
+// never for a name only a request body carries.
 func (m *Manager) tenantLocked(name string) *tenantState {
 	ts := m.fq.tenants[name]
 	if ts != nil {

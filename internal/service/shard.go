@@ -516,7 +516,13 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
-	quota := m.tenantLocked(principal).cells
+	// The principal's cell quota is all a worker reads of it, and only
+	// the token file sets one. So only a principal the token file names
+	// gets a record here; the file, not the caller, bounds the records.
+	var quota chan struct{}
+	if _, ok := m.cfg.AuthTokens.ByName(principal); ok {
+		quota = m.tenantLocked(principal).cells
+	}
 	m.mu.Unlock()
 
 	// Cells are collected by index, never into anything sized by the

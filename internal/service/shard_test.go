@@ -14,6 +14,7 @@ import (
 
 	"github.com/eurosys23/ice/internal/experiments"
 	"github.com/eurosys23/ice/internal/harness"
+	"github.com/eurosys23/ice/internal/tenant"
 )
 
 // counterValue reads one instrument from a manager's metrics snapshot.
@@ -274,6 +275,56 @@ func TestExecCellRangeValidation(t *testing.T) {
 	bad.Device = "no-such-device"
 	if _, err := m.ExecCellRange(context.Background(), bad, 0, 1, ""); err == nil {
 		t.Error("invalid spec accepted")
+	}
+}
+
+// TestExecCellRangeCreatesNoRecords: a /internal/cells body names its
+// principal, and a worker must not keep state for names its caller
+// makes up. 10,000 distinct unknown names leave the principal records
+// and the registry series as they were; a principal the token file
+// gives max-cells still runs its cells under that quota.
+func TestExecCellRangeCreatesNoRecords(t *testing.T) {
+	reg, err := tenant.ParseTokens(strings.NewReader("tok-carol carol max-cells=1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{MaxWorkers: 1, WorkerEndpoint: true, AuthTokens: reg})
+	spec := tinySpec()
+	series := func() int {
+		s := m.Metrics()
+		return len(s.Counters) + len(s.Gauges) + len(s.Hists)
+	}
+	records, before := len(m.fq.tenants), series()
+	for i := 0; i < 10000; i++ {
+		if _, err := m.ExecCellRange(context.Background(), spec, 2, 1, fmt.Sprintf("mallory-%d", i)); err == nil {
+			t.Fatal("inverted range accepted")
+		}
+	}
+	if got := len(m.fq.tenants); got != records {
+		t.Fatalf("principal records %d after 10,000 unknown names, want %d", got, records)
+	}
+	if got := series(); got != before {
+		t.Fatalf("registry series %d after 10,000 unknown names, want %d", got, before)
+	}
+
+	// carol's one cell slot is taken, so her range waits for it until
+	// the deadline and runs nothing; once the slot is free it runs.
+	if _, err := m.ExecCellRange(context.Background(), spec, 2, 1, "carol"); err == nil {
+		t.Fatal("inverted range accepted")
+	}
+	quota := m.fq.tenants["carol"].cells
+	if cap(quota) != 1 {
+		t.Fatalf("carol's cell quota holds %d, want 1", cap(quota))
+	}
+	quota <- struct{}{}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if cells, err := m.ExecCellRange(ctx, spec, 0, 1, "carol"); err == nil || len(cells) != 0 {
+		t.Fatalf("range ran past a full quota: %d cells, err %v", len(cells), err)
+	}
+	<-quota
+	if cells, err := m.ExecCellRange(context.Background(), spec, 0, 1, "carol"); err != nil || len(cells) != 1 {
+		t.Fatalf("range under a free quota: %d cells, err %v", len(cells), err)
 	}
 }
 
