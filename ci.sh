@@ -9,7 +9,10 @@
 #   parser a coordinator runs on peer metrics (FuzzParseProm: no panic,
 #   and an accepted input re-renders to the same families) and of the
 #   tenant token file (FuzzParseTokens: no panic, and every accepted
-#   line's token resolves to its principal), a
+#   line's token resolves to its principal) and of the scheduler's burn
+#   rounds (FuzzBurnMatchesStep: a run that applies CPU-only rounds at
+#   once ends in the same state, counters and trace as one that steps
+#   through every round), a
 #   golden-file check on the Perfetto trace exporter, the scheme
 #   byte-identity goldens (every registered policy scheme's fixed-seed
 #   result hash), an icesimd smoke test (boot with a state dir,
@@ -84,6 +87,13 @@ go test -run='^$' -fuzz='^FuzzParseProm$' -fuzztime=10s -fuzzminimizetime=1s ./i
 # and in an accepted file each line's token authenticates to the
 # principal that line names, with a weight of at least 1.
 go test -run='^$' -fuzz='^FuzzParseTokens$' -fuzztime=10s ./internal/tenant/
+
+# And for the scheduler's burn rounds: from fuzzed task mixes, weight
+# and speed policies, freezes, thaws, stalls and I/O blocks, a Drain
+# run (which applies CPU-only rounds at once) and a Step-only run
+# (which never does) must end with the same vruntimes, CPU times,
+# stats, instrument values, trace spans and clock.
+go test -run='^$' -fuzz='^FuzzBurnMatchesStep$' -fuzztime=10s ./internal/sched/
 
 # The Perfetto exporter's output is pinned byte-for-byte; a drift means
 # the golden file needs a deliberate `go test ./internal/trace -update`.
