@@ -8,7 +8,7 @@ import (
 	"github.com/eurosys23/ice/internal/device"
 	"github.com/eurosys23/ice/internal/experiments"
 	"github.com/eurosys23/ice/internal/harness"
-	"github.com/eurosys23/ice/internal/obs"
+	"github.com/eurosys23/ice/internal/metrics"
 	"github.com/eurosys23/ice/internal/policy"
 	"github.com/eurosys23/ice/internal/sim"
 	"github.com/eurosys23/ice/internal/workload"
@@ -27,12 +27,12 @@ import (
 // count) and reports harness cell throughput plus per-cell allocation
 // pressure via b.ReportMetric. allocs/cell is the heap-allocation count
 // (runtime.MemStats.Mallocs delta) divided by completed cells, and
-// p50_cell_us/p99_cell_us are per-cell wall-clock latency percentiles
-// (log2-bucket upper edges) — the metrics ci.sh snapshots into
-// BENCH_<n>.json per PR.
+// p50_cell_us/p99_cell_us are exact nearest-rank percentiles of the
+// per-cell wall-clock times — the metrics ci.sh snapshots into
+// BENCH_<n>.json.
 func benchExperiment(b *testing.B, run func(experiments.Options) error) {
 	var cells atomic.Int64
-	cellUs := &obs.Histogram{} // Progress calls are serialised by the harness
+	var cellUs []float64 // Progress calls are serialised by the harness
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -41,7 +41,7 @@ func benchExperiment(b *testing.B, run func(experiments.Options) error) {
 			Fast: true, Rounds: 1, Seed: int64(i + 1), Workers: 1,
 			Progress: func(p harness.Progress) {
 				cells.Add(1)
-				cellUs.Observe(p.CellTime.Microseconds())
+				cellUs = append(cellUs, float64(p.CellTime.Microseconds()))
 			},
 		}
 		if err := run(o); err != nil {
@@ -57,9 +57,9 @@ func benchExperiment(b *testing.B, run func(experiments.Options) error) {
 	if n := cells.Load(); n > 0 {
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(n), "allocs/cell")
 	}
-	if cellUs.Count() > 0 {
-		b.ReportMetric(float64(cellUs.Percentile(50)), "p50_cell_us")
-		b.ReportMetric(float64(cellUs.Percentile(99)), "p99_cell_us")
+	if len(cellUs) > 0 {
+		b.ReportMetric(metrics.Percentile(cellUs, 50), "p50_cell_us")
+		b.ReportMetric(metrics.Percentile(cellUs, 99), "p99_cell_us")
 	}
 }
 
