@@ -161,13 +161,14 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Calm returns the last instant within the horizon of the run in
-// progress that has no pending event due at or before it. A handler may
-// settle, at once, work the simulation would otherwise spread over
-// events it schedules at instants up to Calm: nothing else runs before
-// them, and the run does not stop before them. An event due at an instant
-// Calm excludes was queued first, so it would run before anything the
-// handler schedules there. Outside RunUntil and Drain, Calm is at most 0.
+// Calm returns the last instant, within the horizon of the run in
+// progress, that has no pending event due at or before it. A handler
+// that would schedule its own events at instants up to Calm may do their
+// work at once instead: no other event would run before them, and the
+// run would not stop before them. The next pending event's own instant is
+// excluded because that event was queued first, so it would run before
+// anything the handler schedules there. Outside RunUntil and Drain, Calm
+// is at most 0.
 func (e *Engine) Calm() Time {
 	c := e.horizon
 	if len(e.heap) > 0 && e.heap[0].when-1 < c {
