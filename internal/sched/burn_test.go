@@ -57,6 +57,8 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
+// fuzzWeights spans the weights tasks draw; at 1 << 22 a quantum adds no
+// vruntime at all.
 var fuzzWeights = []int{proc.DefaultWeight, 512, 2048, 3121, 15, 88761, 1 << 22}
 
 // buildBurnWorld builds the same world from the same input every time.
@@ -103,6 +105,8 @@ func buildBurnWorld(data []byte) *burnWorld {
 
 	tb := proc.NewTable()
 	for i := 0; i < nTasks; i++ {
+		// Task 0 is a service: it cannot be frozen, and its CPU has a
+		// class of its own.
 		kind := proc.KindApp
 		if i == 0 {
 			kind = proc.KindService
