@@ -289,6 +289,15 @@ func New(eng *sim.Engine, cfg Config, z *zram.Zram, disk *storage.Device) *Manag
 // Config returns the manager's configuration.
 func (m *Manager) Config() Config { return m.cfg }
 
+// Release hands the page arena's chunks to the next Manager that grows
+// one and empties the arena. Call it once the device's results are read:
+// a reused chunk keeps this device's pages, and any later page access
+// through this Manager panics rather than read a page another device now
+// owns. Stale pages never reach the next device's results: mapPage writes
+// every field of a slot before anything reads it, and randomVictim draws
+// only below the arena's length, which only grow raises.
+func (m *Manager) Release() { m.arena.release() }
+
 // Stats returns a snapshot of the accumulated statistics.
 func (m *Manager) Stats() Stats {
 	in := &m.ins

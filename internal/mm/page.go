@@ -18,6 +18,7 @@ package mm
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/eurosys23/ice/internal/zram"
 )
@@ -170,6 +171,13 @@ const (
 	chunkMask  = chunkPages - 1
 )
 
+// chunkPool holds the chunks of released arenas until a growing arena
+// takes them, so a pass of cells reuses a few devices' worth of chunks
+// instead of allocating, zeroing and collecting each device's afresh. A
+// chunk comes back with the released device's pages still in it; see
+// Manager.Release for why none of them can reach a result.
+var chunkPool sync.Pool
+
 // pageArena stores every page the manager ever mapped, indexed by PageID.
 // Its length counts every slot ever allocated, recycled ones included:
 // randomVictim draws over exactly that range.
@@ -184,14 +192,29 @@ func (a *pageArena) at(id PageID) *page { return &a.chunks[id>>chunkShift][id&ch
 // len reports how many slots were ever allocated.
 func (a *pageArena) len() int { return a.n }
 
-// grow allocates the next slot, adding a chunk when the last one is full.
+// grow allocates the next slot, adding a chunk when the last one is full:
+// a released one from chunkPool if there is one, else a new one.
 func (a *pageArena) grow() PageID {
 	if a.n == len(a.chunks)*chunkPages {
-		a.chunks = append(a.chunks, new([chunkPages]page))
+		c, _ := chunkPool.Get().(*[chunkPages]page)
+		if c == nil {
+			c = new([chunkPages]page)
+		}
+		a.chunks = append(a.chunks, c)
 	}
 	id := PageID(a.n)
 	a.n++
 	return id
+}
+
+// release hands every chunk to chunkPool and drops the arena's hold on
+// them. The length stays, so every slot the arena ever allocated now
+// indexes past its empty chunk list: at panics on any of them.
+func (a *pageArena) release() {
+	for _, c := range a.chunks {
+		chunkPool.Put(c)
+	}
+	a.chunks = nil
 }
 
 // lruList is an intrusive doubly-linked list over the page arena.

@@ -45,6 +45,7 @@ func RunCPUStudy(dev device.Profile, numBG int, rounds int, window sim.Time, see
 		st := sys.Sched.Stats()
 		avgSum += st.Utilization()
 		peakSum += st.PeakUtilization()
+		sys.MM.Release()
 	}
 	return CPUStudyResult{
 		NumBG:   numBG,

@@ -18,8 +18,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math/rand"
+	"reflect"
+	"runtime/debug"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"github.com/eurosys23/ice/internal/app"
 	"github.com/eurosys23/ice/internal/device"
@@ -139,6 +143,58 @@ func TestSchemeGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSchemeGoldenOnPoisonedChunks reruns TestSchemeGolden's scenarios
+// with mm's pool of released arena chunks full of garbage. A device's
+// arena takes those chunks without clearing them, so every hash must
+// still match: no stale byte may reach a result.
+func TestSchemeGoldenOnPoisonedChunks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scheme simulation sweep")
+	}
+	// With the collector off, the pool keeps every chunk it is given.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	names := make([]string, 0, len(schemeGolden))
+	for name := range schemeGolden {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		poisonChunkPool(t, 32)
+		if got, want := schemeResultHash(t, name), schemeGolden[name]; got != want {
+			t.Errorf("scheme %q on poisoned chunks:\n  got  %s\n  want %s", name, got, want)
+		}
+	}
+}
+
+// poisonChunkPool maps n arena chunks' worth of pages on a scratch
+// Manager, overwrites every byte of its chunks with seeded garbage and
+// releases it, which leaves those chunks in mm's pool for the next
+// arena that grows. The arena is unexported, so it is reached through
+// reflect; its chunks hold no pointers.
+func poisonChunkPool(t *testing.T, n int) {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	disk := storage.New(eng, storage.UFS21)
+	z := zram.New(zram.DefaultConfig(1024), eng.Obs())
+	cfg := mm.DefaultConfig()
+	const chunkPages = 4096
+	cfg.TotalPages = (n + 1) * chunkPages
+	cfg.HighWatermark, cfg.LowWatermark, cfg.MinWatermark = 128, 106, 85
+	m := mm.New(eng, cfg, z, disk)
+	m.Map(1, 10001, mm.AnonJava, n*chunkPages)
+	chunks := reflect.ValueOf(m).Elem().FieldByName("arena").FieldByName("chunks")
+	if chunks.Len() != n || chunks.Type().Elem().Elem().Len() != chunkPages {
+		t.Fatalf("%d pages filled %d chunks of %d, want %d of %d",
+			n*chunkPages, chunks.Len(), chunks.Type().Elem().Elem().Len(), n, chunkPages)
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	for i := 0; i < n; i++ {
+		c := chunks.Index(i)
+		rng.Read(unsafe.Slice((*byte)(c.UnsafePointer()), c.Type().Elem().Size()))
+	}
+	m.Release()
 }
 
 // thawGolden pins freezer-heavy runs: per scheme, the thaw count and the

@@ -113,6 +113,7 @@ func RunLaunchLoop(cfg LaunchLoopConfig) LaunchLoopResult {
 	res.CPU = sys.Sched.Stats()
 	res.IO = sys.Disk.Stats()
 	res.Elapsed = sys.Eng.Now() - start
+	sys.MM.Release()
 	return res
 }
 
@@ -175,6 +176,7 @@ func WorstCaseHotLaunch(dev device.Profile, seed int64, apps []app.Spec) (worst,
 		sys.LMK.KillForTest(inst)
 		sys.Run(sim.Second)
 	}
+	sys.MM.Release()
 	if n == 0 {
 		return 0, 0
 	}

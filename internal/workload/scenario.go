@@ -282,6 +282,7 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult {
 	if ice, ok := cfg.Scheme.(*policy.Ice); ok && ice.Framework != nil {
 		res.FrozenApps = ice.Framework.Stats().UniqueFrozenUID
 	}
+	sys.MM.Release()
 	return res
 }
 

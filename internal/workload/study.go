@@ -76,6 +76,7 @@ func runOneReclaimStudy(dev device.Profile, seed int64, spec app.Spec) ReclaimSt
 	// Detect refaults within thirty seconds.
 	sys.Run(30 * sim.Second)
 	st := sys.MM.Stats()
+	sys.MM.Release()
 	return ReclaimStudyRow{
 		App:           spec.Name,
 		Reclaimed:     reclaimed,

@@ -134,6 +134,7 @@ func RunUser(cfg UserConfig) UserResult {
 	}
 	res.Final = sys.MM.Stats()
 	res.LMKKills = sys.LMK.Kills()
+	sys.MM.Release()
 	return res
 }
 
