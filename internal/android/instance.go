@@ -172,6 +172,13 @@ func (in *Instance) touchHotCore(n int) mm.Cost {
 func (in *Instance) spawn() {
 	sys := in.sys
 	in.launchSeq++
+	if in.filePages == nil {
+		// A cold launch maps the spec's whole footprint, and a kill
+		// keeps the capacity for the next incarnation.
+		in.filePages = make([]mm.PageID, 0, in.Spec.FilePages)
+		in.nativePages = make([]mm.PageID, 0, in.Spec.NativePages)
+		in.javaPages = make([]mm.PageID, 0, in.Spec.JavaPages)
+	}
 	in.main = sys.Procs.NewProcess(in.Spec.Name, in.UID, proc.KindApp, proc.AdjForeground)
 	in.uiTask = sys.Procs.NewTask(in.main, "ui", proc.DefaultWeight)
 	in.uiTask.SetMaxQueue(3)
