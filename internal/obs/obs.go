@@ -258,6 +258,19 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Remove unregisters every instrument with the given name, so later
+// snapshots leave it out. A component still holding one records into an
+// instrument no snapshot reads; asking for the name again registers a
+// fresh one.
+func (r *Registry) Remove(name string) {
+	if r == nil {
+		return
+	}
+	delete(r.counters, name)
+	delete(r.gauges, name)
+	delete(r.hists, name)
+}
+
 // Reset zeroes every instrument's state while keeping the registrations
 // (and the pointers components hold) intact. Experiments call it after
 // warm-up, alongside the other stats resets.

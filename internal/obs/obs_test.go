@@ -105,6 +105,25 @@ func TestResetKeepsRegistrations(t *testing.T) {
 	}
 }
 
+func TestRemoveDropsSeries(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge("peer.a")
+	g.Set(3)
+	r.Counter("peer.a").Inc()
+	r.Gauge("peer.b").Set(1)
+	r.Remove("peer.a")
+	s := r.Snapshot()
+	if len(s.Counters) != 0 || len(s.Gauges) != 1 || s.Gauges[0].Name != "peer.b" {
+		t.Fatalf("snapshot after Remove(peer.a) = %+v, want only gauge peer.b", s)
+	}
+	g.Set(5) // a held instrument still records, unseen
+	if again := r.Gauge("peer.a"); again == g || again.Value() != 0 {
+		t.Error("re-registering a removed name must give a fresh instrument")
+	}
+	var nilReg *Registry
+	nilReg.Remove("x")
+}
+
 func TestSnapshotSortedAndStable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz").Add(1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -104,6 +105,44 @@ func TestSeedPeerSurvivesLeaveAndPruning(t *testing.T) {
 	}
 	if n := coord.PeerCount(); n != 1 {
 		t.Errorf("PeerCount = %d after seed leave, want 1 (seeds are never removed)", n)
+	}
+}
+
+// TestPeerChurnLeavesNoSeries: each member registers two series under
+// its address, and on a coordinator without -auth-tokens any caller may
+// join and leave under any address. 1,000 distinct join/leave cycles
+// and one joined peer pruned by failed probes must leave the registry
+// with the series it started with.
+func TestPeerChurnLeavesNoSeries(t *testing.T) {
+	coord := NewManager(Config{MaxWorkers: 1, Role: "coordinator"})
+	series := func() int {
+		s := coord.Metrics()
+		return len(s.Counters) + len(s.Gauges) + len(s.Hists)
+	}
+	before := series()
+	for i := 0; i < 1000; i++ {
+		addr := fmt.Sprintf("10.0.%d.%d:7000", i/256, i%256)
+		if _, err := coord.RegisterPeer(addr, "w", codeVersion()); err != nil {
+			t.Fatal(err)
+		}
+		if !coord.DeregisterPeer(addr) {
+			t.Fatalf("leave of %s found no member", addr)
+		}
+	}
+	deadSrv := httptest.NewServer(http.NotFoundHandler())
+	dead := strings.TrimPrefix(deadSrv.URL, "http://")
+	deadSrv.Close()
+	if _, err := coord.RegisterPeer(dead, "gone", codeVersion()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < peerFailureLimit; i++ {
+		coord.ProbePeers(context.Background())
+	}
+	if n := coord.PeerCount(); n != 0 {
+		t.Fatalf("PeerCount = %d after every peer left or was pruned, want 0", n)
+	}
+	if got := series(); got != before {
+		t.Fatalf("registry holds %d series after the churn, want the %d it started with", got, before)
 	}
 }
 

@@ -43,8 +43,8 @@ func (m *Manager) sampleProcessLocked() {
 // service can register must be listed here or the exposition fails the
 // name lint (peer addresses contain ':', which is label-only territory).
 var promRules = []obs.PromRule{
-	{Prefix: "service.shard.peer_inflight.", Label: "peer"},
-	{Prefix: "service.shard.peer_healthy.", Label: "peer"},
+	{Prefix: peerInflightPrefix, Label: "peer"},
+	{Prefix: peerHealthyPrefix, Label: "peer"},
 	{Prefix: "service.http.requests.", Label: "route"},
 	{Prefix: "service.http.errors.", Label: "route"},
 	{Prefix: "service.http.latency_us.", Label: "route"},

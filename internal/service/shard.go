@@ -128,22 +128,31 @@ func (m *Manager) findPeerLocked(addr string) *peer {
 	return nil
 }
 
-// addPeerLocked appends a new member and refreshes the membership
-// gauge. The per-peer instruments are registry-deduplicated, so a peer
-// that leaves and rejoins keeps its series.
+// Each member has two series, named by these prefixes and its address.
+const (
+	peerInflightPrefix = "service.shard.peer_inflight."
+	peerHealthyPrefix  = "service.shard.peer_healthy."
+)
+
+// addPeerLocked appends a new member, registers its two series and
+// refreshes the membership gauge.
 func (m *Manager) addPeerLocked(addr string, seedPeer bool) *peer {
 	p := &peer{
 		addr:     addr,
 		seed:     seedPeer,
-		inflight: m.reg.Gauge("service.shard.peer_inflight." + addr),
-		healthyG: m.reg.Gauge("service.shard.peer_healthy." + addr),
+		inflight: m.reg.Gauge(peerInflightPrefix + addr),
+		healthyG: m.reg.Gauge(peerHealthyPrefix + addr),
 	}
 	m.peers = append(m.peers, p)
 	m.peersGauge.Set(int64(len(m.peers)))
 	return p
 }
 
-// removePeerLocked drops a runtime-joined member from the fleet.
+// removePeerLocked drops a runtime-joined member from the fleet, and its
+// series with it: callers may join and leave under any address, so a
+// departed member must leave nothing behind. A dispatch still holding
+// the peer records into gauges no snapshot reads, and a rejoin under the
+// same address registers fresh ones.
 func (m *Manager) removePeerLocked(victim *peer) {
 	for i, p := range m.peers {
 		if p == victim {
@@ -151,6 +160,8 @@ func (m *Manager) removePeerLocked(victim *peer) {
 			break
 		}
 	}
+	m.reg.Remove(peerInflightPrefix + victim.addr)
+	m.reg.Remove(peerHealthyPrefix + victim.addr)
 	m.peerLeaveCtr.Inc()
 	m.peersGauge.Set(int64(len(m.peers)))
 }
