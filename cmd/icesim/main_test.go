@@ -47,6 +47,7 @@ func TestParseFlagsRejectsBadNames(t *testing.T) {
 		{"-scenario", "S-Z"},
 		{"-bg", "-1"},
 		{"-bg", "20"},
+		{"-rounds", "1001"},
 		{"-not-a-flag"},
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {

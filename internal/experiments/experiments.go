@@ -58,6 +58,12 @@ type Options struct {
 	Hooks harness.ExecHooks
 }
 
+// MaxRounds bounds the rounds a run spec or an icesimd experiment job
+// may ask for. A runner allocates a record per round and matrix cell
+// before any cell runs, so an unbounded count from a caller could
+// exhaust the process's memory before anything else checks it.
+const MaxRounds = 1000
+
 // WithDefaults fills the unset scale options: Seed 0, and Rounds or
 // Duration at or below 0, take the paper's (or Fast's) values. Every
 // runner applies it, and the icesimd daemon applies it to experiment

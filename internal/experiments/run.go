@@ -85,6 +85,9 @@ func (s *RunSpec) Resolve() (workload.ScenarioConfig, error) {
 	if s.Rounds <= 0 {
 		s.Rounds = 1
 	}
+	if s.Rounds > MaxRounds {
+		return workload.ScenarioConfig{}, fmt.Errorf("%d rounds, over the limit of %d", s.Rounds, MaxRounds)
+	}
 	return workload.ScenarioConfig{
 		Scenario: s.Scenario,
 		Device:   dev,

@@ -106,6 +106,9 @@ func (s *JobSpec) normalize() error {
 		if s.DurationSec < 0 {
 			return fmt.Errorf("negative duration %d", s.DurationSec)
 		}
+		if s.Rounds > experiments.MaxRounds {
+			return fmt.Errorf("%d rounds, over the limit of %d", s.Rounds, experiments.MaxRounds)
+		}
 		// A scale option the runner does not read cannot change the
 		// payload, so it is keyed as if unset.
 		if runner.Reads&experiments.ScaleDuration == 0 {

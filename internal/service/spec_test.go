@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/eurosys23/ice/internal/experiments"
 	"github.com/eurosys23/ice/internal/harness"
 )
 
@@ -219,6 +220,8 @@ func TestNormalizeRejects(t *testing.T) {
 		{Kind: KindExperiment, Experiment: "fig8", Device: "P20"}, // run field
 		{Kind: KindExperiment, Experiment: "fig8", Trace: true},   // run field
 		{Kind: KindRun, Workers: -1},                              // negative workers
+		{Kind: KindRun, Rounds: experiments.MaxRounds + 1},        // more rounds than the bound
+		{Kind: KindExperiment, Experiment: "fig8", Rounds: 1e9},   // the same on an experiment
 	}
 	for i, spec := range bad {
 		if err := spec.normalize(); err == nil {
