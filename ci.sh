@@ -12,7 +12,12 @@
 #   line's token resolves to its principal) and of the scheduler's burn
 #   rounds (FuzzBurnMatchesStep: a run that applies CPU-only rounds at
 #   once ends in the same state, counters and trace as one that steps
-#   through every round), a
+#   through every round) and of the fleet routes' request bodies
+#   (FuzzInternalBodies: /internal/cells, /internal/join and
+#   /internal/leave bodies through decodeBody and their handlers; no
+#   panic, a refused body changes no principal record, membership entry
+#   or registry series, and each member keeps exactly its two per-peer
+#   series), a
 #   golden-file check on the Perfetto trace exporter, the scheme
 #   byte-identity goldens (every registered policy scheme's fixed-seed
 #   result hash), an icesimd smoke test (boot with a state dir,
@@ -94,6 +99,14 @@ go test -run='^$' -fuzz='^FuzzParseTokens$' -fuzztime=10s ./internal/tenant/
 # (which never does) must end with the same vruntimes, CPU times,
 # stats, instrument values, trace spans and clock.
 go test -run='^$' -fuzz='^FuzzBurnMatchesStep$' -fuzztime=10s ./internal/sched/
+
+# And for the bodies of the fleet routes any caller may send a node
+# started without -auth-tokens: /internal/cells (under a cancelled
+# context, so no body starts a simulation), /internal/join and
+# /internal/leave. No panic; a refused body changes no principal record,
+# membership entry or registry series; every member has exactly its two
+# per-peer series.
+go test -run='^$' -fuzz='^FuzzInternalBodies$' -fuzztime=10s ./internal/service/
 
 # The Perfetto exporter's output is pinned byte-for-byte; a drift means
 # the golden file needs a deliberate `go test ./internal/trace -update`.
