@@ -26,7 +26,8 @@ import (
 // (Workers 1, so ns/op measures the simulation, not the host's core
 // count) and reports harness cell throughput plus per-cell allocation
 // pressure via b.ReportMetric. allocs/cell is the heap-allocation count
-// (runtime.MemStats.Mallocs delta) divided by completed cells, and
+// (runtime.MemStats.Mallocs delta) divided by completed cells, B/cell the
+// bytes those allocations took (the TotalAlloc delta) per cell, and
 // p50_cell_us/p99_cell_us are exact nearest-rank percentiles of the
 // per-cell wall-clock times — the metrics ci.sh snapshots into
 // BENCH_<n>.json.
@@ -56,6 +57,7 @@ func benchExperiment(b *testing.B, run func(experiments.Options) error) {
 	}
 	if n := cells.Load(); n > 0 {
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(n), "allocs/cell")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(n), "B/cell")
 	}
 	if len(cellUs) > 0 {
 		b.ReportMetric(metrics.Percentile(cellUs, 50), "p50_cell_us")

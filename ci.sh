@@ -40,7 +40,7 @@
 #   one tree that differ only in link flags must not share stored
 #   results or fleet membership), and last a one-iteration benchmark
 #   smoke pass (benchmarks must at least run; their cells/sec,
-#   allocs/cell and p50/p99 per-cell latency metrics are written to
+#   allocs/cell, B/cell and p50/p99 per-cell latency metrics are written to
 #   BENCH_<n>.json — n derived from the highest committed snapshot, no
 #   hand edit per change — and each benchmark's cells/sec is compared
 #   against the previous snapshot: a >10% regression fails the gate). The bench step runs last because its snapshot may come from
@@ -436,7 +436,7 @@ for pid in "$vapid" "$vbpid"; do
 done
 
 # Benchmarks stay runnable: one iteration each, no timing claims — and
-# their cells/sec + allocs/cell + per-cell latency percentile metrics
+# their cells/sec + allocs/cell + B/cell + per-cell latency percentile metrics
 # are snapshotted into BENCH_<n>.json so the perf trajectory the
 # ROADMAP asks for accumulates one file per change. The snapshot number
 # is derived from the highest BENCH snapshot already committed (so a
@@ -456,18 +456,20 @@ awk '
 BEGIN { print "[" }
 /^Benchmark/ {
     name=$1; sub(/-[0-9]+$/, "", name)
-    cells=""; allocs=""; p50=""; p99=""
+    cells=""; allocs=""; p50=""; p99=""; bytes=""
     for (i = 2; i <= NF; i++) {
         if ($i == "cells/sec")   cells = $(i-1)
         if ($i == "allocs/cell") allocs = $(i-1)
         if ($i == "p50_cell_us") p50 = $(i-1)
         if ($i == "p99_cell_us") p99 = $(i-1)
+        if ($i == "B/cell")      bytes = $(i-1)
     }
     if (cells != "") {
         if (n++) printf ",\n"
-        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s}", \
+        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s, \"bytes_per_cell\": %s}", \
             name, cells, (allocs == "" ? "null" : allocs), \
-            (p50 == "" ? "null" : p50), (p99 == "" ? "null" : p99)
+            (p50 == "" ? "null" : p50), (p99 == "" ? "null" : p99), \
+            (bytes == "" ? "null" : bytes)
     }
 }
 END { print "\n]" }
