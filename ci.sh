@@ -17,7 +17,11 @@
 #   /internal/leave bodies through decodeBody and their handlers; no
 #   panic, a refused body changes no principal record, membership entry
 #   or registry series, and each member keeps exactly its two per-peer
-#   series), a
+#   series) and of the daemon's cell gate (FuzzCellGate: acquire,
+#   release and cancel sequences over both priority classes and
+#   max-cells quotas; slots and quota counts stay balanced, no worker
+#   waits while a slot it may take is free, and no batch worker is
+#   granted a slot an interactive worker could take), a
 #   golden-file check on the Perfetto trace exporter, the scheme
 #   byte-identity goldens (every registered policy scheme's fixed-seed
 #   result hash), an icesimd smoke test (boot with a state dir,
@@ -107,6 +111,15 @@ go test -run='^$' -fuzz='^FuzzBurnMatchesStep$' -fuzztime=10s ./internal/sched/
 # membership entry or registry series; every member has exactly its two
 # per-peer series.
 go test -run='^$' -fuzz='^FuzzInternalBodies$' -fuzztime=10s ./internal/service/
+
+# And for the cell gate every locally executed cell passes: from fuzzed
+# enter, release, cancel and grant-observed steps over both priority
+# classes and principals with and without max-cells, free plus held
+# slots stay at the capacity, each quota counts exactly its holders and
+# stays within its max, no worker waits while a slot is free and its
+# quota has room, and no batch worker is granted a slot while an
+# interactive worker whose quota has room waits.
+go test -run='^$' -fuzz='^FuzzCellGate$' -fuzztime=10s ./internal/service/
 
 # The Perfetto exporter's output is pinned byte-for-byte; a drift means
 # the golden file needs a deliberate `go test ./internal/trace -update`.

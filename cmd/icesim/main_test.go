@@ -48,6 +48,8 @@ func TestParseFlagsRejectsBadNames(t *testing.T) {
 		{"-bg", "-1"},
 		{"-bg", "20"},
 		{"-rounds", "1001"},
+		{"-duration", "3601"},
+		{"-duration", "17592186044416"},
 		{"-not-a-flag"},
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil {

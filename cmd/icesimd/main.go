@@ -20,7 +20,7 @@
 //
 //	icesimd                          # listen on 127.0.0.1:7823
 //	icesimd -addr :0                 # any free port (printed on stdout)
-//	icesimd -workers 8 -max-jobs 4   # budget: ≤8 cells in flight, ≤4 jobs
+//	icesimd -workers 8 -max-jobs 4   # ≤8 cells in flight, ≤4 jobs per class
 //	icesimd -state-dir /var/lib/icesimd -cache-bytes 2147483648
 //
 // Quickstart:
@@ -83,11 +83,12 @@
 // that turns on bearer-token auth for the mutating routes — health and
 // metrics stay open for probes and scrapers. Each principal carries a
 // fair-scheduler weight and optional quotas (max-cells, max-queued,
-// cache-bytes), jobs queue per principal under deficit-round-robin
-// with interactive priority over batch ("priority" in the job spec),
-// and queued interactive work preempts running batch work at cell
-// boundaries — the preempted job resumes later with its completed
-// cells replayed, byte-identical. A coordinator authenticates to its
+// cache-bytes), and jobs queue per principal under deficit-round-robin
+// in two classes ("priority" in the job spec), each with its own
+// -max-jobs running slots. Every cell then waits at one gate of
+// -workers slots, which hands each freed slot to an interactive cell
+// before a batch one and passes over a principal at its max-cells; no
+// job is cancelled to make room. A coordinator authenticates to its
 // workers with -peer-token. Without -auth-tokens every caller is the
 // anonymous principal and the daemon behaves exactly as before.
 package main
@@ -113,7 +114,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7823", "listen address (host:0 picks a free port)")
 		workers      = flag.Int("workers", 0, "global cell budget across all jobs (0 = GOMAXPROCS)")
-		maxJobs      = flag.Int("max-jobs", 0, "jobs simulating concurrently (0 = 2)")
+		maxJobs      = flag.Int("max-jobs", 0, "jobs simulating concurrently per priority class (0 = 2)")
 		maxQueue     = flag.Int("max-queue", 0, "queued-job bound (0 = 64)")
 		cacheEntries = flag.Int("cache", 0, "in-memory result-cache LRU entries (0 = 256)")
 		stateDir     = flag.String("state-dir", "", "persistent result-store directory (empty = in-memory only)")

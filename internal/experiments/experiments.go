@@ -47,10 +47,11 @@ type Options struct {
 	// further cell starts and the runner returns an error wrapping
 	// Ctx.Err() (see harness.MapContext). Nil means run to completion.
 	Ctx context.Context
-	// Slots, when non-nil, is a cell-execution budget shared across
-	// concurrent runners (see harness.Config.Slots); the icesimd daemon
-	// uses it to bound total in-flight simulations across jobs.
-	Slots chan struct{}
+	// Budget, when non-nil, is a cell-execution budget shared across
+	// concurrent runners (see harness.Config.Budget); the icesimd daemon
+	// passes its cell gate, which bounds in-flight simulations across
+	// jobs and orders the cells that wait.
+	Budget harness.Budget
 	// Hooks distributes the run matrix across processes (see
 	// harness.ExecHooks): a worker daemon restricts execution to a cell
 	// range and sinks per-cell JSON, a coordinator lets peers steal
@@ -63,6 +64,13 @@ type Options struct {
 // before any cell runs, so an unbounded count from a caller could
 // exhaust the process's memory before anything else checks it.
 const MaxRounds = 1000
+
+// MaxDurationSec bounds the measured window, in simulated seconds, that
+// a run spec or an icesimd experiment job may ask for: one simulated
+// hour. A cell's cost grows with its window and a started cell cannot
+// be interrupted, so a longer window would hold a cell slot past any
+// cancel; far above the bound the window would also overflow sim.Time.
+const MaxDurationSec = 3600
 
 // WithDefaults fills the unset scale options: Seed 0, and Rounds or
 // Duration at or below 0, take the paper's (or Fast's) values. Every
@@ -91,7 +99,7 @@ func (o Options) WithDefaults() Options {
 
 // config adapts the options to a harness pool configuration.
 func (o Options) config() harness.Config {
-	return harness.Config{BaseSeed: o.Seed, Workers: o.Workers, Progress: o.Progress, Slots: o.Slots, ExecHooks: o.Hooks}
+	return harness.Config{BaseSeed: o.Seed, Workers: o.Workers, Progress: o.Progress, Budget: o.Budget, ExecHooks: o.Hooks}
 }
 
 // ctx returns the run context (Background when unset).

@@ -79,6 +79,9 @@ func (s *RunSpec) Resolve() (workload.ScenarioConfig, error) {
 	if s.DurationSec < 0 {
 		return workload.ScenarioConfig{}, fmt.Errorf("negative duration %d", s.DurationSec)
 	}
+	if s.DurationSec > MaxDurationSec {
+		return workload.ScenarioConfig{}, fmt.Errorf("duration %d s, over the limit of %d", s.DurationSec, MaxDurationSec)
+	}
 	if s.DurationSec == 0 {
 		s.DurationSec = 60
 	}
@@ -129,7 +132,7 @@ type RunOutcome struct {
 // RunRounds resolves the spec and runs its rounds through the harness,
 // one cell per round with a derived seed and its own scheme instance.
 // Of the options only the execution environment applies (Workers, Ctx,
-// Slots, Progress, Hooks); the spec carries the rounds, seed and
+// Budget, Progress, Hooks); the spec carries the rounds, seed and
 // duration.
 func RunRounds(spec RunSpec, o Options) (RunOutcome, error) {
 	base, err := spec.Resolve()

@@ -13,6 +13,21 @@ import (
 	"github.com/eurosys23/ice/internal/harness"
 )
 
+// chanBudget is a harness.Budget of cap(b) units, held while they sit
+// in the channel.
+type chanBudget chan struct{}
+
+func (b chanBudget) Acquire(ctx context.Context) bool {
+	select {
+	case b <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+func (b chanBudget) Release() { <-b }
+
 // runRange re-runs a runner restricted to the cells of r and returns
 // the sink payloads in index order — what a worker daemon does for
 // POST /internal/cells, minus the HTTP transport.
@@ -144,7 +159,7 @@ func TestRunnersShardLoopback(t *testing.T) {
 			slots <- struct{}{}
 			var remote atomic.Int64
 			sharded := base
-			sharded.Slots = slots
+			sharded.Budget = chanBudget(slots)
 			sharded.Hooks.Steal = &harness.StealConfig{
 				ChunkCells: 1, // a 2-cell matrix still has a stealable chunk
 				Run: func(ctx context.Context, q *harness.LeaseQueue) {

@@ -134,10 +134,10 @@ func TestMapContextCancelNoGoroutineLeak(t *testing.T) {
 
 // TestMapContextSlotsCancelKeepsPrefix is the regression test for the
 // dispatch-order bug where a worker could claim a cell and then
-// abandon it while waiting on an exhausted Slots budget under
+// abandon it while waiting on an exhausted Budget under
 // cancellation, letting a later-index cell that already held a slot
 // complete — a hole in the documented completed-prefix invariant.
-// Workers now acquire the slot before claiming, so every claimed cell
+// Workers now acquire the budget before claiming, so every claimed cell
 // runs and the completed cells form a prefix at any interleaving.
 func TestMapContextSlotsCancelKeepsPrefix(t *testing.T) {
 	cells := Spec{Rounds: 24}.Cells()
@@ -146,7 +146,7 @@ func TestMapContextSlotsCancelKeepsPrefix(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var progressed []int
 		out, err := MapContext(ctx, Config{
-			BaseSeed: 9, Workers: 4, Slots: slots,
+			BaseSeed: 9, Workers: 4, Budget: chanBudget(slots),
 			Progress: func(p Progress) { progressed = append(progressed, p.Cell.Index) },
 		}, cells, func(c Cell) int64 {
 			if c.Index == 2 {
@@ -194,7 +194,7 @@ func TestMapContextSlotsExhaustedCancelRunsNothing(t *testing.T) {
 		cancel()
 	}()
 	var ran atomic.Int64
-	_, err := MapContext(ctx, Config{Workers: 4, Slots: slots}, Spec{Rounds: 16}.Cells(), func(Cell) int {
+	_, err := MapContext(ctx, Config{Workers: 4, Budget: chanBudget(slots)}, Spec{Rounds: 16}.Cells(), func(Cell) int {
 		ran.Add(1)
 		return 1
 	})

@@ -146,14 +146,6 @@ type ExecHooks struct {
 	// *CellError. This is how a worker captures per-cell payloads
 	// without knowing the runner's concrete result type.
 	Sink func(index int, result []byte)
-	// Prefill holds the Sink payloads of an earlier, preempted run of
-	// the same matrix, keyed by index, so a requeued job resumes
-	// instead of re-simulating its completed cells. Before any cell
-	// executes, each payload that unmarshals is merged and reported
-	// through Progress and Sink exactly like a remote chunk; one that
-	// does not unmarshal, or an index outside the matrix or the Range,
-	// is ignored and that cell runs.
-	Prefill map[int][]byte
 	// Steal, when non-nil, lets remote lease loops (spawned by
 	// Steal.Run) pull whole chunks of the run's LeaseQueue alongside
 	// the local pool — see lease.go. Ignored under Range (worker nodes
@@ -161,20 +153,20 @@ type ExecHooks struct {
 	Steal *StealConfig
 	// ObsSink, when non-nil, receives the instrument-registry snapshot
 	// of every LOCALLY executed cell whose result implements
-	// obs.SnapshotProvider. Merged (remote or prefilled) cells are
-	// excluded on purpose: the executing worker folds its own cells, so
-	// a fleet aggregation never double-counts a cell. Calls may be
-	// concurrent — the sink must synchronise.
+	// obs.SnapshotProvider. Merged (remote) cells are excluded on
+	// purpose: the executing worker folds its own cells, so a fleet
+	// aggregation never double-counts a cell. Calls may be concurrent —
+	// the sink must synchronise.
 	ObsSink func(obs.Snapshot)
-	// CellQuota, when non-nil, is a second execution budget alongside
-	// Config.Slots — the daemon uses it as a per-principal cap on cells
-	// in flight, shared by every concurrent run the same principal owns.
-	// Workers acquire it AFTER the global Slots budget (consistent
-	// acquisition order, so the two semaphores cannot deadlock) and
-	// before claiming a cell index, preserving the completed-prefix
-	// cancellation guarantee. Merged (remote/prefilled) cells consume
-	// no quota; the process that executes them accounts for them.
-	CellQuota chan struct{}
+}
+
+// Budget is a cell-execution budget shared by concurrent runs. Acquire
+// blocks until the caller may execute one cell, or reports false,
+// holding nothing, once ctx ends; Release returns what a successful
+// Acquire took. Both must be safe for concurrent use.
+type Budget interface {
+	Acquire(ctx context.Context) bool
+	Release()
 }
 
 // Config tunes one harness run.
@@ -188,15 +180,12 @@ type Config struct {
 	// Calls are serialised by the harness, so the callback may keep
 	// unsynchronised state.
 	Progress func(Progress)
-	// Slots, when non-nil, is an execution budget shared across
+	// Budget, when non-nil, is an execution budget shared across
 	// concurrent Map/MapContext calls (one daemon serving many jobs):
-	// every executing cell holds one slot, so the channel's capacity
-	// bounds total in-flight cells fleet-wide. Workers still bounds this
-	// call's own concurrency. Workers acquire a slot before claiming a
-	// cell, so under MapContext a worker cancelled while the budget is
-	// exhausted abandons without having claimed anything and the
-	// completed cells still form a matrix prefix.
-	Slots chan struct{}
+	// every executing cell holds one unit of it. Workers still bounds
+	// this call's own concurrency. Merged (remote) cells take no unit;
+	// the process that executes them accounts for them.
+	Budget Budget
 
 	// ExecHooks distribute a run across processes; the zero value
 	// keeps execution fully local.
@@ -285,11 +274,9 @@ func Map[T any](cfg Config, cells []Cell, fn func(Cell) T) ([]T, error) {
 // ExecHooks in cfg only shape that queue. Range queues just the
 // in-range cells, and the error wraps ErrRangePartial when cells were
 // excluded; an empty Range or one outside the matrix returns
-// ErrBadRange before anything runs. Prefill merges a resumed run's
-// saved payloads before the pool starts and leaves only the rest
-// queued. Steal lets remote executors lease whole chunks alongside
-// the local pool. The merged matrix is byte-identical to a plain local
-// run in every configuration.
+// ErrBadRange before anything runs. Steal lets remote executors lease
+// whole chunks alongside the local pool. The merged matrix is
+// byte-identical to a plain local run in every configuration.
 func MapContext[T any](ctx context.Context, cfg Config, cells []Cell, fn func(Cell) T) ([]T, error) {
 	if r := cfg.Range; r != nil && (r.From < 0 || r.To <= r.From || r.To > len(cells)) {
 		return nil, fmt.Errorf("%w: [%d,%d) of %d cells", ErrBadRange, r.From, r.To, len(cells))
@@ -330,23 +317,16 @@ func MapContext[T any](ctx context.Context, cfg Config, cells []Cell, fn func(Ce
 		}
 		return true
 	}
-	queued := make([]int, 0, to-from)
-	for i := from; i < to; i++ {
-		if p, ok := cfg.Prefill[i]; ok && inject(Range{From: i, To: i + 1}, [][]byte{p}) {
-			continue
-		}
-		queued = append(queued, i)
-	}
 	chunkCells := 0
 	if steal != nil {
 		chunkCells = steal.ChunkCells
 	}
-	q := newLeaseQueue(queued, chunkCells, inject)
+	q := newLeaseQueue(Range{From: from, To: to}, chunkCells, inject)
 	stop := context.AfterFunc(ctx, q.cancelAll)
-	if steal != nil && steal.Run != nil && len(queued) > 0 {
+	if steal != nil && steal.Run != nil && to > from {
 		go steal.Run(ctx, q)
 	}
-	runPool(ctx, cfg, stamped, out, tr, fn, q, len(queued))
+	runPool(ctx, cfg, stamped, out, tr, fn, q, to-from)
 	// Barrier: after this no remote merge is running or can start, so
 	// returning (and letting the caller read out) is safe even if a
 	// Steal.Run loop is still unwinding a dispatch.
@@ -372,7 +352,7 @@ func MapContext[T any](ctx context.Context, cfg Config, cells []Cell, fn func(Ce
 }
 
 // tracker is the shared completion state of one MapContext run. The
-// local pool and merged (remote or prefilled) cells all report through
+// local pool and merged (remote) cells all report through
 // it, so progress counts and Sink calls stay serialised no matter where
 // a cell was computed.
 type tracker struct {
@@ -416,16 +396,15 @@ func (tr *tracker) complete(c Cell, cellTime time.Duration, cerr *CellError, sun
 
 // runPool is the run's local worker pool: at most cfg.Workers (and
 // never more than the queued cells) workers, each claiming one cell
-// at a time from q. A worker acquires its execution budgets — Slots,
-// then CellQuota, the fixed order that keeps the two semaphores
-// deadlock-free — BEFORE it claims anything. A worker abandoning on
-// cancellation while a budget is exhausted has then claimed nothing,
-// so every claimed cell runs to completion; claiming first and
-// abandoning later would let a later-index cell that already held a
-// budget complete while an earlier one never runs, breaking the
-// completed-prefix guarantee. When nothing is claimable while remote
-// leases are outstanding, the worker releases its budgets before it
-// waits, so an idle run never starves its neighbours.
+// at a time from q. A worker acquires its Budget unit BEFORE it claims
+// anything. A worker abandoning on cancellation while it waits for
+// the budget has then claimed nothing, so every claimed cell runs to
+// completion; claiming first and abandoning later would let a
+// later-index cell that already held a unit complete while an earlier
+// one never runs, breaking the completed-prefix guarantee. When
+// nothing is claimable while remote leases are outstanding, the worker
+// releases its unit before it waits, so an idle run never starves its
+// neighbours.
 func runPool[T any](ctx context.Context, cfg Config, stamped []Cell, out []T, tr *tracker, fn func(Cell) T, q *LeaseQueue, queued int) {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -455,36 +434,16 @@ func runPool[T any](ctx context.Context, cfg Config, stamped []Cell, out []T, tr
 	wg.Wait()
 }
 
-// acquire takes one Slots unit, then one CellQuota unit, reporting
-// false — holding neither — if ctx ends first.
+// acquire takes one Budget unit, reporting false — holding nothing —
+// if ctx ends first.
 func (cfg *Config) acquire(ctx context.Context) bool {
-	if cfg.Slots != nil {
-		select {
-		case cfg.Slots <- struct{}{}:
-		case <-ctx.Done():
-			return false
-		}
-	}
-	if cfg.CellQuota != nil {
-		select {
-		case cfg.CellQuota <- struct{}{}:
-		case <-ctx.Done():
-			if cfg.Slots != nil {
-				<-cfg.Slots
-			}
-			return false
-		}
-	}
-	return true
+	return cfg.Budget == nil || cfg.Budget.Acquire(ctx)
 }
 
-// release returns the budgets acquire took.
+// release returns the unit acquire took.
 func (cfg *Config) release() {
-	if cfg.CellQuota != nil {
-		<-cfg.CellQuota
-	}
-	if cfg.Slots != nil {
-		<-cfg.Slots
+	if cfg.Budget != nil {
+		cfg.Budget.Release()
 	}
 }
 

@@ -398,37 +398,3 @@ func execRangeLocally(cfg Config, cells []Cell, r Range, fn func(Cell) int64) ([
 	}
 	return collected, nil
 }
-
-// TestPrefillGarbagePayloadReexecutes: a saved payload that does not
-// unmarshal is ignored and its cell runs, while a good one is merged
-// without executing; the result equals an uninterrupted run.
-func TestPrefillGarbagePayloadReexecutes(t *testing.T) {
-	cells := Spec{Rounds: 6}.Cells()
-	fn := func(c Cell) int64 { return c.Seed }
-	serial, err := Map(Config{BaseSeed: 4, Workers: 1}, cells, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, _ := json.Marshal(serial[1])
-	var mu sync.Mutex
-	executed := map[int]bool{}
-	cfg := Config{BaseSeed: 4, Workers: 2}
-	cfg.Prefill = map[int][]byte{1: good, 3: []byte("{not json")}
-	out, err := Map(cfg, cells, func(c Cell) int64 {
-		mu.Lock()
-		executed[c.Index] = true
-		mu.Unlock()
-		return fn(c)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if out[i] != serial[i] {
-			t.Fatalf("slot %d = %d, want %d", i, out[i], serial[i])
-		}
-	}
-	if executed[1] || !executed[3] || len(executed) != len(cells)-1 {
-		t.Fatalf("executed %v: want every cell but the good prefill 1", executed)
-	}
-}

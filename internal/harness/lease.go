@@ -1,16 +1,16 @@
 package harness
 
 // lease.go is the harness's single execution path. Every run — plain,
-// a worker's Range, a resumed job's prefill, a coordinator stealing
-// across peers — queues the cells it must execute on a LeaseQueue: a
-// deque of contiguous cell-range chunks. The local pool claims one
-// cell at a time from the front; remote lease loops pull whole chunks
-// as they finish their previous one. A slow or busy executor simply
-// stops pulling, so stragglers shed load without any replanning; a
-// failed remote lease is requeued at the front of the deque and the
-// next puller (possibly the local pool) runs it. Results merge by
-// matrix index, so the output is byte-identical to a serial run at any
-// worker count, executor count, join order, or failure pattern.
+// a worker's Range, a coordinator stealing across peers — queues the
+// cells it must execute on a LeaseQueue: a deque of contiguous
+// cell-range chunks. The local pool claims one cell at a time from the
+// front; remote lease loops pull whole chunks as they finish their
+// previous one. A slow or busy executor simply stops pulling, so
+// stragglers shed load without any replanning; a failed remote lease
+// is requeued at the front of the deque and the next puller (possibly
+// the local pool) runs it. Results merge by matrix index, so the
+// output is byte-identical to a serial run at any worker count,
+// executor count, join order, or failure pattern.
 
 import (
 	"context"
@@ -84,29 +84,20 @@ type LeaseQueue struct {
 	inject func(r Range, payloads [][]byte) bool
 }
 
-// newLeaseQueue chunks the ascending index list into contiguous ranges
-// of at most chunkCells cells each. Non-contiguous index lists (a
-// resumed job's prefill leaves gaps) produce one chunk sequence per
-// contiguous run.
-func newLeaseQueue(cells []int, chunkCells int, inject func(Range, [][]byte) bool) *LeaseQueue {
+// newLeaseQueue splits the queued cells r into contiguous chunks of
+// at most chunkCells cells each.
+func newLeaseQueue(r Range, chunkCells int, inject func(Range, [][]byte) bool) *LeaseQueue {
 	q := &LeaseQueue{drained: make(chan struct{}), inject: inject}
 	q.cond = sync.NewCond(&q.mu)
 	if chunkCells <= 0 {
-		chunkCells = max((len(cells)+defaultStealChunks-1)/defaultStealChunks, 1)
+		chunkCells = max((r.Len()+defaultStealChunks-1)/defaultStealChunks, 1)
 	}
-	for k := 0; k < len(cells); {
-		from := cells[k]
-		to := from + 1
-		k++
-		for k < len(cells) && cells[k] == to && to-from < chunkCells {
-			to++
-			k++
-		}
-		r := Range{From: from, To: to}
-		if r.From == 0 {
-			q.local = r
+	for from := r.From; from < r.To; from += chunkCells {
+		c := Range{From: from, To: min(from+chunkCells, r.To)}
+		if c.From == 0 {
+			q.local = c
 		} else {
-			q.pending = append(q.pending, r)
+			q.pending = append(q.pending, c)
 		}
 	}
 	q.checkDrainedLocked()

@@ -213,64 +213,6 @@ func TestStealWorkerAndChunkInvariance(t *testing.T) {
 	}
 }
 
-// TestStealComposesWithPrefill: a resumed job's prefilled cells are
-// injected, never executed anywhere, and the remaining (gap-ridden)
-// index space still steals correctly.
-func TestStealComposesWithPrefill(t *testing.T) {
-	cells := Spec{Rounds: 12}.Cells()
-	base := Config{BaseSeed: 7, Workers: 2}
-	fn := func(c Cell) int64 { return c.Seed }
-	saved := map[int][]byte{}
-	sinkCfg := base
-	sinkCfg.Sink = func(i int, b []byte) {
-		if i >= 4 && i < 8 {
-			saved[i] = append([]byte(nil), b...)
-		}
-	}
-	serial, err := Map(sinkCfg, cells, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	executed := map[int]bool{}
-	record := func(c Cell) int64 {
-		mu.Lock()
-		executed[c.Index] = true
-		mu.Unlock()
-		return fn(c)
-	}
-	cfg := Config{BaseSeed: 7, Workers: 2}
-	cfg.Prefill = saved
-	cfg.Steal = &StealConfig{
-		ChunkCells: 2,
-		Run: func(ctx context.Context, q *LeaseQueue) {
-			stealLoop(q, func(r Range) ([][]byte, error) {
-				return execRangeLocally(base, cells, r, record)
-			})
-		},
-	}
-	out, err := Map(cfg, cells, record)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if out[i] != serial[i] {
-			t.Fatalf("slot %d = %d, want %d", i, out[i], serial[i])
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 4; i < 8; i++ {
-		if executed[i] {
-			t.Fatalf("prefilled cell %d was re-executed", i)
-		}
-	}
-	if len(executed) != len(cells)-4 {
-		t.Fatalf("%d cells executed, want %d", len(executed), len(cells)-4)
-	}
-}
-
 // TestStealCancellation: cancelling mid-run unblocks the local pool,
 // the remote loops' Lease calls return false, and MapContext reports
 // the context error without deadlocking.

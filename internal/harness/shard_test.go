@@ -33,7 +33,7 @@ func TestShardInjectsRemoteResults(t *testing.T) {
 	runDone := make(chan struct{})
 	var completed atomic.Int64
 	cfg := base
-	cfg.Slots = slots
+	cfg.Budget = chanBudget(slots)
 	cfg.Progress = func(Progress) { completed.Add(1) }
 	cfg.Steal = &StealConfig{
 		ChunkCells: 6, // [0,6) pinned locally; [6,12) and [12,16) stealable
@@ -91,7 +91,7 @@ func TestShardInjectsRemoteResults(t *testing.T) {
 // errors (Requeue), or whose payloads are one short or do not unmarshal
 // (Complete rejects them and requeues), is re-run locally and the
 // merged output still matches the plain run. The local pool waits on a
-// held Slots unit until the worker has leased, so the lease is certain.
+// held Budget unit until the worker has leased, so the lease is certain.
 func TestShardFailedChunkFallsBackLocal(t *testing.T) {
 	cells := Spec{Rounds: 12}.Cells()
 	base := Config{BaseSeed: 5, Workers: 3}
@@ -128,7 +128,7 @@ func TestShardFailedChunkFallsBackLocal(t *testing.T) {
 		slots <- struct{}{}
 		requeued := make(chan bool, 1)
 		cfg := base
-		cfg.Slots = slots
+		cfg.Budget = chanBudget(slots)
 		cfg.Steal = &StealConfig{
 			ChunkCells: 3,
 			Run: func(ctx context.Context, q *LeaseQueue) {
@@ -160,17 +160,13 @@ func TestShardFailedChunkFallsBackLocal(t *testing.T) {
 	}
 }
 
-// TestShardInvalidChunksIgnored: saved chunks that do not belong to a
-// worker's run — indices outside the matrix or its Range, or payloads
-// that do not unmarshal — are ignored. Nothing outside the Range is
-// merged or sunk, and every in-range cell without a valid payload runs.
+// TestShardInvalidChunksIgnored: a worker's run executes exactly its
+// Range. Nothing outside the Range is executed, merged or sunk, and
+// every in-range cell runs and sinks its payload.
 func TestShardInvalidChunksIgnored(t *testing.T) {
 	cells := Spec{Rounds: 10}.Cells()
 	fn := func(c Cell) int64 { return c.Seed }
-	saved := map[int][]byte{}
-	serial, err := Map(Config{BaseSeed: 2, Workers: 2, ExecHooks: ExecHooks{Sink: func(i int, b []byte) {
-		saved[i] = append([]byte(nil), b...)
-	}}}, cells, fn)
+	serial, err := Map(Config{BaseSeed: 2, Workers: 2}, cells, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +176,6 @@ func TestShardInvalidChunksIgnored(t *testing.T) {
 	sunk := map[int][]byte{}
 	cfg := Config{BaseSeed: 2, Workers: 2}
 	cfg.Range = Cells(2, 8)
-	cfg.Prefill = map[int][]byte{
-		-1: saved[0],    // before the matrix
-		1:  saved[1],    // before the Range
-		3:  saved[3],    // valid: merged, not executed
-		5:  []byte("{"), // does not unmarshal: runs
-		8:  saved[8],    // past the Range
-		10: saved[9],    // past the matrix
-	}
 	cfg.Sink = func(i int, b []byte) { sunk[i] = append([]byte(nil), b...) }
 	out, err := Map(cfg, cells, func(c Cell) int64 {
 		mu.Lock()
@@ -207,8 +195,8 @@ func TestShardInvalidChunksIgnored(t *testing.T) {
 			if string(sunk[i]) != string(want) {
 				t.Fatalf("sink[%d] = %q, want %q", i, sunk[i], want)
 			}
-			if executed[i] == (i == 3) {
-				t.Fatalf("cell %d executed = %v: want only the valid prefill 3 merged", i, executed[i])
+			if !executed[i] {
+				t.Fatalf("in-range cell %d did not execute", i)
 			}
 		} else {
 			if out[i] != 0 {

@@ -159,13 +159,10 @@ var promHelp = map[string]string{
 	"service.http.requests":              "HTTP requests served, by route.",
 	"service.http.errors":                "HTTP responses with status >= 400, by route.",
 	"service.http.latency_us":            "HTTP request latency, by route.",
-	"service.sched.preemptions":          "Running batch jobs preempted for interactive work.",
-	"service.sched.requeues":             "Preempted jobs requeued for resume.",
 	"service.tenant.auth_failures":       "Requests rejected for a missing or unknown bearer token.",
 	"service.tenant.cache_quota_skipped": "Results not persisted because the principal exceeded its cache-bytes quota.",
 	"service.tenant.submitted":           "Jobs submitted, by principal.",
 	"service.tenant.rejected":            "Submissions rejected by a queue bound or quota, by principal.",
-	"service.tenant.preempted":           "Times the principal's batch jobs were preempted.",
 	"service.tenant.queued_jobs":         "The principal's jobs waiting in the fair scheduler.",
 	"service.tenant.running_jobs":        "The principal's jobs simulating right now.",
 	"service.tenant.cache_bytes":         "Result-cache bytes attributed to the principal.",

@@ -27,18 +27,18 @@ type ExperimentResult struct {
 
 // execute runs a normalised job spec to completion (or cancellation),
 // returning the marshalled result payload and, for traced runs, the
-// Perfetto trace-event JSON. slots is the daemon's global cell budget;
-// progress receives the harness callback stream. hooks distributes the
-// matrix across nodes (see harness.ExecHooks): a coordinator passes its
-// steal config and a resumed job's saved payloads, a worker a cell
-// range + sink.
-func execute(ctx context.Context, spec JobSpec, slots chan struct{}, progress func(harness.Progress), hooks harness.ExecHooks) (result, traceJSON []byte, err error) {
+// Perfetto trace-event JSON. budget is the job's or served range's
+// pass through the daemon's cell gate; progress receives the harness
+// callback stream. hooks distributes the matrix across nodes (see
+// harness.ExecHooks): a coordinator passes its steal config, a worker a
+// cell range + sink.
+func execute(ctx context.Context, spec JobSpec, budget harness.Budget, progress func(harness.Progress), hooks harness.ExecHooks) (result, traceJSON []byte, err error) {
 	// Priority decides when a job runs, never what it computes; strip
 	// it so the marshalled result (which embeds the spec) is
 	// byte-identical across scheduling classes — and to the
 	// pre-tenancy daemon's payloads.
 	spec.Priority = ""
-	o := experiments.Options{Workers: spec.Workers, Ctx: ctx, Slots: slots, Progress: progress, Hooks: hooks}
+	o := experiments.Options{Workers: spec.Workers, Ctx: ctx, Budget: budget, Progress: progress, Hooks: hooks}
 	switch spec.Kind {
 	case KindRun:
 		out, err := experiments.RunRounds(spec.run(), o)

@@ -50,12 +50,13 @@ func (e *BadSpecError) Unwrap() error { return e.Err }
 
 // Config tunes one Manager.
 type Config struct {
-	// MaxWorkers is the global cell budget shared by every running job
-	// (<=0: GOMAXPROCS). No matter how many jobs run concurrently, at
-	// most this many simulations are in flight.
+	// MaxWorkers is the cell gate's slot count, shared by every running
+	// job and every served cell range (<=0: GOMAXPROCS). No matter how
+	// many jobs run concurrently, at most this many simulations are in
+	// flight.
 	MaxWorkers int
-	// MaxRunningJobs bounds jobs simulating concurrently (<=0: 2);
-	// excess submissions queue.
+	// MaxRunningJobs bounds the jobs of each priority class simulating
+	// concurrently (<=0: 2); excess submissions queue.
 	MaxRunningJobs int
 	// MaxQueuedJobs bounds the queue (<=0: 64); beyond it Submit
 	// returns ErrQueueFull.
@@ -143,7 +144,6 @@ type JobView struct {
 	Error       string  `json:"error,omitempty"`
 	HasTrace    bool    `json:"has_trace"`
 	Principal   string  `json:"principal,omitempty"`
-	Preemptions int     `json:"preemptions,omitempty"`
 	Spec        JobSpec `json:"spec"`
 }
 
@@ -162,35 +162,24 @@ type job struct {
 	cached    bool
 	errMsg    string
 	started   time.Time
-	elapsed   time.Duration // accumulated across preemption segments
+	elapsed   time.Duration // set when the run returns
 	progress  harness.Progress
 	result    []byte
 	trace     []byte
 	cancel    context.CancelFunc // set while running
-	// partial holds completed cells' Sink payloads of a preemptible
-	// (batch) run, keyed by cell index, for Prefill on resume.
-	partial map[int][]byte
-	// preempted marks a running job the scheduler cancelled to free a
-	// slot; run requeues it instead of finishing. userCancel marks a
-	// caller-requested cancel, which always wins over requeue.
-	preempted   bool
-	userCancel  bool
-	preemptions int
-	subs        map[int]chan StreamEvent
-	nextSub     int
+	subs      map[int]chan StreamEvent
+	nextSub   int
 }
 
 // Manager owns the daemon's jobs: authenticated submission, weighted-
-// fair queueing across principals (see queue.go), execution under the
-// global worker budget and per-principal cell quotas, preemption of
-// batch work for interactive work, cancellation, progress fan-out, the
-// two-tier result cache (in-memory LRU front, optional byte-budgeted
-// disk store), bounded per-principal terminal-job retention, and
-// graceful drain.
+// fair admission across principals and the cell gate (see queue.go),
+// cancellation, progress fan-out, the two-tier result cache (in-memory
+// LRU front, optional byte-budgeted disk store), bounded per-principal
+// terminal-job retention, and graceful drain.
 type Manager struct {
 	cfg   Config
-	slots chan struct{} // global cell budget
-	httpc *http.Client  // shard dispatch, membership, health probes
+	gate  *cellGate    // the MaxWorkers cell slots of every job and served range
+	httpc *http.Client // shard dispatch, membership, health probes
 
 	mu     sync.Mutex
 	closed bool
@@ -201,7 +190,7 @@ type Manager struct {
 	sessions map[*stealSession]struct{}
 	nextID   int
 	jobs     map[string]*job
-	fq       *fairQueue       // the scheduler and every principal's record
+	fq       *fairQueue       // job admission and every principal's record
 	cache    *lru[cacheEntry] // memory tier: each entry costs 1
 	store    *diskStore       // nil without Config.StateDir
 	wg       sync.WaitGroup   // admitted jobs not yet terminal
@@ -215,8 +204,6 @@ type Manager struct {
 	doneCtr           *obs.Counter
 	failCtr           *obs.Counter
 	cancelCtr         *obs.Counter
-	preemptCtr        *obs.Counter
-	requeueCtr        *obs.Counter
 	authFailCtr       *obs.Counter
 	cacheQuotaSkipCtr *obs.Counter
 	hitCtr            *obs.Counter
@@ -334,7 +321,7 @@ func OpenManager(cfg Config) (*Manager, error) {
 	reg := obs.NewRegistry()
 	m := &Manager{
 		cfg:               cfg,
-		slots:             make(chan struct{}, cfg.MaxWorkers),
+		gate:              newCellGate(cfg.MaxWorkers),
 		httpc:             &http.Client{},
 		sessions:          make(map[*stealSession]struct{}),
 		fq:                newFairQueue(cfg.MaxRunningJobs),
@@ -345,8 +332,6 @@ func OpenManager(cfg Config) (*Manager, error) {
 		doneCtr:           reg.Counter("service.jobs.completed"),
 		failCtr:           reg.Counter("service.jobs.failed"),
 		cancelCtr:         reg.Counter("service.jobs.cancelled"),
-		preemptCtr:        reg.Counter("service.sched.preemptions"),
-		requeueCtr:        reg.Counter("service.sched.requeues"),
 		authFailCtr:       reg.Counter("service.tenant.auth_failures"),
 		cacheQuotaSkipCtr: reg.Counter("service.tenant.cache_quota_skipped"),
 		hitCtr:            reg.Counter("service.cache.hits"),
@@ -541,7 +526,9 @@ func (m *Manager) SubmitAs(spec JobSpec, principal string) (JobView, error) {
 	}
 	m.jobs[j.id] = j
 	m.wg.Add(1)
-	m.enqueueLocked(j, false)
+	j.state = StateQueued
+	m.fq.enqueue(j)
+	m.scheduleLocked()
 	return m.viewLocked(j), nil
 }
 
@@ -580,15 +567,6 @@ func (m *Manager) lookupLocked(key string) (cacheEntry, int) {
 func (m *Manager) admitLocked(key string, entry cacheEntry) {
 	m.evictCtr.Add(uint64(m.cache.put(key, entry, 1)))
 	m.entriesGauge.Set(int64(m.cache.len()))
-}
-
-// enqueueLocked queues one segment of a job — a fresh submission, or a
-// preempted job at the front of its principal's queue — and lets the
-// scheduler dispatch it.
-func (m *Manager) enqueueLocked(j *job, front bool) {
-	j.state = StateQueued
-	m.fq.enqueue(j, front)
-	m.scheduleLocked()
 }
 
 // resolveCachedLocked completes a submission from a cached entry: the
@@ -658,68 +636,28 @@ func (m *Manager) releaseLocked(key string) {
 	}
 }
 
-// run drives one dispatched job segment to a terminal state — or, for
-// a preempted batch job, back into the queue (each dispatch starts a
-// fresh run goroutine with a fresh context).
+// run drives one started job to its terminal state. Its cells take
+// the gate in the job's class, under its principal's max-cells.
 func (m *Manager) run(ctx context.Context, j *job) {
 	m.mu.Lock()
-	spec := j.spec
-	ts := m.tenantLocked(j.principal)
-	quota := ts.cells
-	// Batch jobs capture completed cells' payloads so preemption can
-	// resume without re-execution. Traced jobs are excluded: trace
-	// buffers cannot cross the JSON capture, so a preempted traced job
-	// simply restarts (still byte-identical — same seeds).
-	capture := j.class == classBatch && !spec.Trace
-	var prefill map[int][]byte
-	if len(j.partial) > 0 {
-		prefill = make(map[int][]byte, len(j.partial))
-		for k, v := range j.partial {
-			prefill[k] = v
-		}
-	}
+	budget := gateBudget{g: m.gate, class: j.class, quota: m.tenantLocked(j.principal).cells}
 	m.mu.Unlock()
 
 	// On a coordinator the job runs in work-stealing mode: the matrix
 	// becomes a lease queue of chunks that the local pool and every
 	// registered peer pull from, and the harness merges remote payloads
 	// in matrix order, so the result is byte-identical to a single-node
-	// run at any membership or failure pattern. Prefill injects a
-	// resumed job's already-completed cells from the saved payloads
-	// instead of executing them anywhere.
+	// run at any membership or failure pattern.
 	hooks := harness.ExecHooks{
-		Prefill:   prefill,
-		Steal:     m.stealConfig(spec, j.principal),
-		ObsSink:   m.foldSim,
-		CellQuota: quota,
+		Steal:   m.stealConfig(j.spec, j.principal),
+		ObsSink: m.foldSim,
 	}
-	if capture {
-		hooks.Sink = func(i int, b []byte) { // calls serialised by the harness
-			m.mu.Lock()
-			if j.partial == nil {
-				j.partial = make(map[int][]byte)
-			}
-			j.partial[i] = append([]byte(nil), b...)
-			m.mu.Unlock()
-		}
-	}
-	result, traceJSON, err := execute(ctx, spec, m.slots, func(p harness.Progress) {
+	result, traceJSON, err := execute(ctx, j.spec, budget, func(p harness.Progress) {
 		m.publish(j, p)
 	}, hooks)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// A run the scheduler, not the caller, cancelled goes back to the
-	// front of its principal's queue, keeping its completed cells for
-	// Prefill.
-	if j.preempted && !j.userCancel && errors.Is(err, context.Canceled) {
-		j.preempted = false
-		j.preemptions++
-		m.requeueCtr.Inc()
-		m.releaseRunningLocked(j)
-		m.enqueueLocked(j, true)
-		return
-	}
 	m.finishLocked(j, result, traceJSON, err)
 }
 
@@ -779,7 +717,6 @@ func (m *Manager) finishLocked(j *job, result, traceJSON []byte, err error) {
 	if wasQueued {
 		m.fq.remove(j)
 	}
-	j.partial = nil // terminal: captured payloads are no longer needed
 	m.recordTerminalLocked(j)
 
 	// Every send to a subscriber happens under mu, so a buffer can only
@@ -863,12 +800,10 @@ func (m *Manager) cancelJob(id, principal string, enforce bool) (bool, error) {
 	return true, nil
 }
 
-// cancelLocked cancels a live job as its caller. A queued job leaves its
-// queue and is cancelled on the spot; a running job's context is
-// cancelled, and userCancel makes it resolve cancelled even if the
-// scheduler preempted it too.
+// cancelLocked cancels a live job. A queued job leaves its queue and is
+// cancelled on the spot; a running job's context is cancelled, and it
+// resolves once its in-flight cells finish.
 func (m *Manager) cancelLocked(j *job) {
-	j.userCancel = true
 	if j.state == StateQueued {
 		m.finishLocked(j, nil, nil, context.Canceled)
 		return
@@ -906,7 +841,7 @@ func (m *Manager) List() []JobView {
 func (m *Manager) viewLocked(j *job) JobView {
 	elapsed := j.elapsed
 	if j.state == StateRunning {
-		elapsed += nowFunc().Sub(j.started)
+		elapsed = nowFunc().Sub(j.started)
 	}
 	return JobView{
 		ID: j.id, State: j.state, Cached: j.cached, CacheKey: j.key,
@@ -914,8 +849,7 @@ func (m *Manager) viewLocked(j *job) JobView {
 		FailedCells: j.progress.Failed,
 		ElapsedMs:   float64(elapsed.Microseconds()) / 1000,
 		Error:       j.errMsg, HasTrace: len(j.trace) > 0,
-		Principal: j.principal, Preemptions: j.preemptions,
-		Spec: j.spec,
+		Principal: j.principal, Spec: j.spec,
 	}
 }
 
@@ -974,12 +908,10 @@ func (m *Manager) Subscribe(id string) (events <-chan StreamEvent, cancelSub fun
 }
 
 // Drain gracefully shuts the manager down: new submissions are
-// rejected, queued and running jobs finish (preempted batch jobs
-// resume and complete), and Drain returns when all jobs are terminal.
-// If ctx expires first, every remaining job is cancelled — as a user
-// cancel, so nothing requeues: queued jobs at once, running ones once
-// their in-flight cells finish — and Drain returns ctx's error when
-// all are terminal.
+// rejected, queued and running jobs finish, and Drain returns when all
+// jobs are terminal. If ctx expires first, every remaining job is
+// cancelled — queued jobs at once, running ones once their in-flight
+// cells finish — and Drain returns ctx's error when all are terminal.
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -251,5 +252,52 @@ func TestMidLeaseWorkerDeathRequeues(t *testing.T) {
 	}
 	if n := counterValue(coord, "service.shard.peer_failures"); n < 1 {
 		t.Errorf("peer_failures = %d, want >= 1", n)
+	}
+}
+
+// TestJoinCapRefusesNewAddress: once maxRuntimePeers members have
+// joined at runtime, a join under a new address is refused with 429
+// and changes no membership entry or series, while seed peers do not
+// count and a member's re-announce is still accepted. After a leave, a
+// new address joins again.
+func TestJoinCapRefusesNewAddress(t *testing.T) {
+	coord := NewManager(Config{MaxWorkers: 1, Peers: []string{"127.0.0.1:1"}})
+	cts := httptest.NewServer(NewServer(coord))
+	defer cts.Close()
+	addr := func(i int) string { return fmt.Sprintf("127.0.0.2:%d", 1000+i) }
+	for i := 0; i < maxRuntimePeers; i++ {
+		if _, err := coord.RegisterPeer(addr(i), "", codeVersion()); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	state := func() (members, series []string) {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		for _, p := range coord.peers {
+			members = append(members, fmt.Sprintf("%s %s %t %t", p.addr, p.node, p.seed, p.healthy))
+		}
+		return members, seriesNames(coord.reg.Snapshot())
+	}
+	members, series := state()
+	if len(members) != maxRuntimePeers+1 {
+		t.Fatalf("%d members, want %d joined and the seed", len(members), maxRuntimePeers)
+	}
+	if code := postJoin(t, cts.URL, internalJoinPath, joinRequest{Addr: addr(maxRuntimePeers), Version: codeVersion()}); code != http.StatusTooManyRequests {
+		t.Fatalf("join past the cap: status %d, want 429", code)
+	}
+	if members2, series2 := state(); !slices.Equal(members2, members) || !slices.Equal(series2, series) {
+		t.Fatalf("refused join changed state: members %d -> %d, series %d -> %d", len(members), len(members2), len(series), len(series2))
+	}
+	if code := postJoin(t, cts.URL, internalJoinPath, joinRequest{Addr: addr(0), Node: "again", Version: codeVersion()}); code != http.StatusOK {
+		t.Fatalf("re-announce at the cap: status %d, want 200", code)
+	}
+	if !coord.DeregisterPeer(addr(1)) {
+		t.Fatal("leave did not find a joined member")
+	}
+	if code := postJoin(t, cts.URL, internalJoinPath, joinRequest{Addr: addr(maxRuntimePeers), Version: codeVersion()}); code != http.StatusOK {
+		t.Fatalf("join after a leave: status %d, want 200", code)
+	}
+	if n := coord.PeerCount(); n != maxRuntimePeers+1 {
+		t.Fatalf("PeerCount = %d, want %d", n, maxRuntimePeers+1)
 	}
 }

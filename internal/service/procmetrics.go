@@ -50,7 +50,6 @@ var promRules = []obs.PromRule{
 	{Prefix: "service.http.latency_us.", Label: "route"},
 	{Prefix: "service.tenant.submitted.", Label: "principal"},
 	{Prefix: "service.tenant.rejected.", Label: "principal"},
-	{Prefix: "service.tenant.preempted.", Label: "principal"},
 	{Prefix: "service.tenant.queued_jobs.", Label: "principal"},
 	{Prefix: "service.tenant.running_jobs.", Label: "principal"},
 	{Prefix: "service.tenant.cache_bytes.", Label: "principal"},

@@ -1,36 +1,34 @@
-// queue.go is the daemon's weighted-fair job scheduler: the FIFO job
-// queue of PRs 3–7 replaced by deficit round robin (DRR) over
-// per-principal queues with two priority classes, so one tenant's
-// queued full-fidelity matrix can no longer starve another tenant's
-// interactive single-run — the daemon schedules jobs the way ICE's own
-// internal/sched schedules apps (per-quantum weighted fairness,
-// foreground over background).
+// queue.go is the daemon's scheduler, in two parts that each decide
+// one thing.
 //
-// Structure: every principal owns one queue per class (interactive >
-// batch). When a running slot frees, the scheduler serves the
-// interactive class first; within a class it visits backlogged
-// principals round-robin, crediting each visit with the principal's
-// weight and dispatching the head job once the accumulated deficit
-// covers the job's cost (its cell-count estimate, capped). A weight-4
-// principal therefore drains cells four times faster than a weight-1
-// principal when both are backlogged, and a principal that goes idle
-// forfeits its credit (classic DRR deficit reset).
+// Job admission decides when a queued job starts. Every principal owns
+// one queue per class (interactive, batch), and each class has its own
+// MaxRunningJobs running slots, so a running batch job never keeps an
+// interactive job from starting. When a class's slot frees, the
+// scheduler visits that class's backlogged principals round-robin by
+// deficit round robin (DRR): each visit credits the principal's
+// weight, and its head job starts once the accumulated deficit covers
+// the job's cost (its cell-count estimate, capped). A weight-4
+// principal therefore starts four times as many equal-cost jobs as a
+// weight-1 principal when both are backlogged, and a principal that
+// goes idle forfeits its credit (classic DRR deficit reset). A queued
+// job holds nothing: no goroutine, no context.
 //
-// Preemption: when interactive work is queued and every running slot
-// is held, the scheduler preempts the most recently started batch job
-// via its harness context — cancellation stops dispatching new cells
-// while in-flight cells complete, so the job yields at a cell
-// boundary. The preempted job is requeued at the front of its queue
-// with its completed cells' payloads retained; on resume those are
-// merged through harness.ExecHooks.Prefill, so the final result is
-// byte-identical to an uninterrupted run (the harness completed-prefix
-// and Sink-capture invariants make the saved payloads exactly what the
-// uninterrupted run would have merged).
+// The cell gate decides which cell runs next. It has MaxWorkers slots
+// shared by every running job and every cell range served for a
+// coordinator, and it hands each freed slot to a waiting worker:
+// interactive class first, oldest first within a class, passing over
+// any worker whose principal is at its max-cells. Interactive cells
+// therefore take every slot that frees while they wait, and no job is
+// cancelled to make room. Scheduling decides only when a cell runs, so
+// no result byte depends on it.
 package service
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/eurosys23/ice/internal/obs"
 	"github.com/eurosys23/ice/internal/tenant"
@@ -76,15 +74,16 @@ func classOf(spec JobSpec) int {
 	return classInteractive
 }
 
-// fairQueue is the scheduler proper: every principal's record, the
-// running set, and the one record of how many jobs wait. It is not
-// self-locking: the owning Manager serialises every call under its
-// mutex.
+// fairQueue is job admission: every principal's record, the running
+// set, and the one record of how many jobs wait and run per class. It
+// is not self-locking: the owning Manager serialises every call under
+// its mutex.
 type fairQueue struct {
-	maxRunning int
+	maxRunning int // per class
 	running    map[*job]struct{}
 	tenants    map[string]*tenantState
 	queued     [numClasses]int
+	runningN   [numClasses]int
 	cursor     [numClasses]string // last-served principal per class
 }
 
@@ -99,16 +98,11 @@ func newFairQueue(maxRunning int) *fairQueue {
 // len reports the jobs waiting in every class.
 func (q *fairQueue) len() int { return q.queued[classInteractive] + q.queued[classBatch] }
 
-// enqueue adds a job to its principal's class queue; front requeues a
-// preempted job ahead of its principal's other waiting work so resume
-// does not lose its turn. The principal's record must exist.
-func (q *fairQueue) enqueue(j *job, front bool) {
+// enqueue adds a job to its principal's class queue. The principal's
+// record must exist.
+func (q *fairQueue) enqueue(j *job) {
 	t := q.tenants[j.principal]
-	if front {
-		t.q[j.class] = append([]*job{j}, t.q[j.class]...)
-	} else {
-		t.q[j.class] = append(t.q[j.class], j)
-	}
+	t.q[j.class] = append(t.q[j.class], j)
 	q.queued[j.class]++
 }
 
@@ -129,18 +123,8 @@ func (q *fairQueue) remove(j *job) bool {
 	return false
 }
 
-// popNext picks the next job to dispatch: interactive class first,
-// DRR across backlogged principals within a class. nil means nothing
-// is queued.
-func (q *fairQueue) popNext() *job {
-	for class := 0; class < numClasses; class++ {
-		if j := q.popClass(class); j != nil {
-			return j
-		}
-	}
-	return nil
-}
-
+// popClass picks the class's next job to start by DRR across its
+// backlogged principals. nil means none of the class is queued.
 func (q *fairQueue) popClass(class int) *job {
 	if q.queued[class] == 0 {
 		return nil
@@ -201,12 +185,12 @@ func (q *fairQueue) popFrom(t *tenantState, class int) *job {
 }
 
 // tenantState is the Manager's one record of a principal: its quota
-// configuration and in-flight cell budget, its class queues and DRR
+// configuration and max-cells count, its class queues and DRR
 // deficits, its retained terminal jobs, the disk-store bytes attributed
 // to it, and its instruments.
 type tenantState struct {
 	p     *tenant.Principal
-	cells chan struct{} // per-principal in-flight cell budget; nil = unlimited
+	cells *cellQuota // max-cells at the cell gate; nil = unlimited
 
 	q       [numClasses][]*job // FIFO per class
 	deficit [numClasses]int
@@ -222,7 +206,6 @@ type tenantState struct {
 
 	submittedCtr *obs.Counter
 	rejectedCtr  *obs.Counter
-	preemptedCtr *obs.Counter
 	queuedG      *obs.Gauge
 	runningG     *obs.Gauge
 	cacheBytesG  *obs.Gauge
@@ -254,31 +237,30 @@ func (m *Manager) tenantLocked(name string) *tenantState {
 		cacheKeys:    make(map[string]int64),
 		submittedCtr: m.reg.Counter("service.tenant.submitted." + name),
 		rejectedCtr:  m.reg.Counter("service.tenant.rejected." + name),
-		preemptedCtr: m.reg.Counter("service.tenant.preempted." + name),
 		queuedG:      m.reg.Gauge("service.tenant.queued_jobs." + name),
 		runningG:     m.reg.Gauge("service.tenant.running_jobs." + name),
 		cacheBytesG:  m.reg.Gauge("service.tenant.cache_bytes." + name),
 	}
 	if p.MaxRunningCells > 0 {
-		ts.cells = make(chan struct{}, p.MaxRunningCells)
+		ts.cells = &cellQuota{max: p.MaxRunningCells}
 	}
 	m.fq.tenants[name] = ts
 	return ts
 }
 
-// scheduleLocked dispatches queued jobs into free running slots, then
-// preempts batch work if interactive work is still waiting. Every
-// queue transition — submit, requeue, dispatch, finish — ends here, so
+// scheduleLocked starts queued jobs in every class with a free running
+// slot. Every queue transition — submit, start, finish — ends here, so
 // this is the one place the level gauges are set.
 func (m *Manager) scheduleLocked() {
-	for len(m.fq.running) < m.fq.maxRunning {
-		j := m.fq.popNext()
-		if j == nil {
-			break
+	for class := range numClasses {
+		for m.fq.runningN[class] < m.fq.maxRunning {
+			j := m.fq.popClass(class)
+			if j == nil {
+				break
+			}
+			m.startJobLocked(j)
 		}
-		m.startJobLocked(j)
 	}
-	m.maybePreemptLocked()
 
 	m.queuedGauge.Set(int64(m.fq.len()))
 	m.runningGauge.Set(int64(len(m.fq.running)))
@@ -298,6 +280,7 @@ func (m *Manager) startJobLocked(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
 	m.fq.running[j] = struct{}{}
+	m.fq.runningN[j.class]++
 	j.state = StateRunning
 	j.started = nowFunc()
 	go m.run(ctx, j)
@@ -307,45 +290,132 @@ func (m *Manager) startJobLocked(j *job) {
 // running set and releases its context.
 func (m *Manager) releaseRunningLocked(j *job) {
 	delete(m.fq.running, j)
-	j.elapsed += nowFunc().Sub(j.started)
+	m.fq.runningN[j.class]--
+	j.elapsed = nowFunc().Sub(j.started)
 	j.cancel()
 	j.cancel = nil
 }
 
-// maybePreemptLocked cancels running batch jobs — newest first, one
-// per waiting interactive job — when the interactive class is starved:
-// queued interactive work and every slot held. Cancellation stops new
-// cell dispatch; in-flight cells finish, so the victim yields at a
-// cell boundary, and its run requeues it to resume later with its
-// completed cells prefilled.
-func (m *Manager) maybePreemptLocked() {
-	need := m.fq.queued[classInteractive]
-	if need == 0 {
+// cellGate is the one decision point for which cell runs next. It has
+// a fixed number of slots, and a worker that finds none free, or whose
+// principal is at its max-cells, waits. Each freed slot goes to the
+// first waiting worker — interactive class first, oldest first within
+// a class — whose principal's quota has room; a worker passed over for
+// its quota holds nothing while it waits. The gate has its own lock:
+// harness workers call it off the Manager's.
+type cellGate struct {
+	mu      sync.Mutex
+	free    int
+	waiting [numClasses][]*gateWaiter // oldest first
+}
+
+// cellQuota is one principal's max-cells: how many of its cells may hold
+// a gate slot at once. held is guarded by the gate's lock.
+type cellQuota struct {
+	max, held int
+}
+
+// room reports whether the quota admits one more cell; nil is unlimited.
+func (q *cellQuota) room() bool { return q == nil || q.held < q.max }
+
+// gateWaiter is one worker waiting at the gate. ready is closed when
+// the gate grants it a slot, which also sets granted under the lock.
+type gateWaiter struct {
+	class   int
+	quota   *cellQuota
+	ready   chan struct{}
+	granted bool
+}
+
+func newCellGate(slots int) *cellGate { return &cellGate{free: slots} }
+
+// enter asks for a slot for a worker of the class under quota q. A
+// worker waits only while no slot is free or its quota is full, so a
+// free slot here has no waiter that could take it first: the slot is
+// taken at once and enter returns nil. Otherwise it returns the
+// worker's waiter, queued behind its class.
+func (g *cellGate) enter(class int, q *cellQuota) *gateWaiter {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.free > 0 && q.room() {
+		g.takeLocked(q)
+		return nil
+	}
+	w := &gateWaiter{class: class, quota: q, ready: make(chan struct{})}
+	g.waiting[class] = append(g.waiting[class], w)
+	return w
+}
+
+// leave withdraws a waiter whose context ended. A grant that raced the
+// cancel is handed on, so the worker leaves no slot behind.
+func (g *cellGate) leave(w *gateWaiter) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if w.granted {
+		g.releaseLocked(w.quota)
 		return
 	}
-	pending := 0
-	for j := range m.fq.running {
-		if j.preempted {
-			pending++
-		}
-	}
-	for need > pending {
-		var victim *job
-		for j := range m.fq.running {
-			if j.class != classBatch || j.preempted {
-				continue
-			}
-			if victim == nil || j.started.After(victim.started) {
-				victim = j
-			}
-		}
-		if victim == nil {
-			return // nothing preemptible: all slots run interactive work
-		}
-		victim.preempted = true
-		victim.cancel()
-		m.preemptCtr.Inc()
-		m.tenantLocked(victim.principal).preemptedCtr.Inc()
-		pending++
+	g.waiting[w.class] = slices.DeleteFunc(g.waiting[w.class], func(x *gateWaiter) bool { return x == w })
+}
+
+// release returns a slot taken under quota q and hands it on.
+func (g *cellGate) release(q *cellQuota) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.releaseLocked(q)
+}
+
+func (g *cellGate) takeLocked(q *cellQuota) {
+	g.free--
+	if q != nil {
+		q.held++
 	}
 }
+
+// releaseLocked frees a slot and one unit of q, then grants free slots
+// to waiters: interactive class first, oldest first within a class,
+// passing over any whose quota is full.
+func (g *cellGate) releaseLocked(q *cellQuota) {
+	g.free++
+	if q != nil {
+		q.held--
+	}
+	for class, ws := range g.waiting {
+		kept := ws[:0]
+		for _, w := range ws {
+			if g.free == 0 || !w.quota.room() {
+				kept = append(kept, w)
+				continue
+			}
+			g.takeLocked(w.quota)
+			w.granted = true
+			close(w.ready)
+		}
+		clear(ws[len(kept):])
+		g.waiting[class] = kept
+	}
+}
+
+// gateBudget is the gate as one run's harness.Budget: the class and the
+// principal's quota are fixed for the run.
+type gateBudget struct {
+	g     *cellGate
+	class int
+	quota *cellQuota
+}
+
+func (b gateBudget) Acquire(ctx context.Context) bool {
+	w := b.g.enter(b.class, b.quota)
+	if w == nil {
+		return true
+	}
+	select {
+	case <-w.ready:
+		return true
+	case <-ctx.Done():
+		b.g.leave(w)
+		return false
+	}
+}
+
+func (b gateBudget) Release() { b.g.release(b.quota) }

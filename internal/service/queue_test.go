@@ -207,3 +207,317 @@ func TestDrainDeadlineCancelsQueued(t *testing.T) {
 		}
 	}
 }
+
+// batchCellsWhile calls submit, which starts an interactive job and
+// returns its ID, and reports how many cells the batch job completed
+// from just before the submission until the interactive job's terminal
+// event, read from its in-process stream (polling would count late),
+// with that event. It fails the test if the batch job is no longer
+// running then: the count would bound nothing.
+func batchCellsWhile(t *testing.T, m *Manager, batchID string, submit func() string) (int, StreamEvent) {
+	t.Helper()
+	before, err := m.Get(batchID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := m.Subscribe(submit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last StreamEvent
+	for ev := range events {
+		last = ev
+	}
+	after, err := m.Get(batchID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.State != StateRunning {
+		t.Fatalf("batch job %s before the interactive job ended; lengthen it", after.State)
+	}
+	return after.Completed - before.Completed, last
+}
+
+// TestInteractiveCellsTakeFreedSlots: with the default MaxRunningJobs,
+// an interactive job submitted while a batch job runs starts at once
+// and takes every gate slot that frees until it ends. So at most
+// 2·MaxWorkers batch cells complete meanwhile: those in flight at the
+// submission, and as many that may take a slot before the interactive
+// workers reach the gate. The batch cells' 60 s window outlasts that
+// start-up. Both jobs run two workers: a one-worker job asks for its
+// next slot only after releasing the last one, by which time the gate
+// has handed it on.
+func TestInteractiveCellsTakeFreedSlots(t *testing.T) {
+	const maxWorkers = 1
+	m := NewManager(Config{MaxWorkers: maxWorkers})
+	batch, err := m.Submit(JobSpec{
+		Kind: KindRun, Device: "Pixel3", Scenario: "S-C", Scheme: "Ice",
+		DurationSec: 60, Rounds: 40, Seed: 31, Workers: 2, Priority: PriorityBatch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		v, err := m.Get(batch.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Completed >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("batch job completed no cell (state %s)", v.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	n, ev := batchCellsWhile(t, m, batch.ID, func() string {
+		v, err := m.Submit(JobSpec{
+			Kind: KindRun, Device: "Pixel3", Scenario: "S-C", Scheme: "Ice",
+			DurationSec: 2, Rounds: 6, Seed: 37, Workers: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.ID
+	})
+	if ev.State != StateDone {
+		t.Fatalf("interactive job: %s (%s)", ev.State, ev.Error)
+	}
+	if n > 2*maxWorkers {
+		t.Errorf("%d batch cells completed while the interactive job ran, want at most %d", n, 2*maxWorkers)
+	}
+	m.Cancel(batch.ID)
+	drainMgr(t, m)
+}
+
+// TestCellGateInteractiveFirst: each freed slot goes to the oldest
+// interactive waiter even when batch workers have waited longer, and to
+// the oldest batch waiter once no interactive worker waits.
+func TestCellGateInteractiveFirst(t *testing.T) {
+	g := newCellGate(1)
+	if g.enter(classBatch, nil) != nil {
+		t.Fatal("no slot for the first worker of an idle gate")
+	}
+	b1 := g.enter(classBatch, nil)
+	b2 := g.enter(classBatch, nil)
+	i1 := g.enter(classInteractive, nil)
+	i2 := g.enter(classInteractive, nil)
+	order := []*gateWaiter{i1, i2, b1, b2}
+	for k := range order {
+		g.release(nil)
+		for j, w := range order {
+			if w.granted != (j <= k) {
+				t.Fatalf("after release %d: waiter %d of the grant order granted %v", k, j, w.granted)
+			}
+		}
+	}
+	g.release(nil)
+	if g.free != 1 {
+		t.Fatalf("%d slots free after every holder released, want 1", g.free)
+	}
+}
+
+// TestCellGateQuotaPassOver: a worker whose principal is at its
+// max-cells waits without holding a slot, a younger worker of another
+// principal takes the slot it cannot use, and the waiter is granted
+// once its principal releases a cell.
+func TestCellGateQuotaPassOver(t *testing.T) {
+	g := newCellGate(2)
+	carol := &cellQuota{max: 1}
+	if g.enter(classInteractive, carol) != nil {
+		t.Fatal("no slot for carol's first cell")
+	}
+	c2 := g.enter(classInteractive, carol)
+	if c2 == nil || g.free != 1 || carol.held != 1 {
+		t.Fatalf("carol's second cell: waiter %v, %d free, %d held; want it waiting with a slot free", c2, g.free, carol.held)
+	}
+	if g.enter(classBatch, nil) != nil {
+		t.Fatal("bob's batch cell waits while a slot is free")
+	}
+	bob := g.enter(classBatch, nil)
+	g.release(nil) // bob's first cell
+	if c2.granted || !bob.granted {
+		t.Fatalf("freed slot: carol granted %v, bob granted %v; want bob past carol's full quota", c2.granted, bob.granted)
+	}
+	g.release(carol)
+	if !c2.granted || carol.held != 1 || g.free != 0 {
+		t.Fatalf("carol's release: granted %v, %d held, %d free", c2.granted, carol.held, g.free)
+	}
+}
+
+// TestCellGateCancelLeavesNoSlot: a worker whose context ends while it
+// waits leaves the gate as it found it, and so does one whose grant
+// raced the cancel: the slot goes to the next waiter or back to free.
+func TestCellGateCancelLeavesNoSlot(t *testing.T) {
+	g := newCellGate(1)
+	b := gateBudget{g: g, class: classBatch}
+	if !b.Acquire(context.Background()) {
+		t.Fatal("no slot on an idle gate")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if b.Acquire(ctx) {
+		t.Fatal("a cancelled worker was granted a held slot")
+	}
+	if len(g.waiting[classBatch]) != 0 || g.free != 0 {
+		t.Fatalf("cancelled waiter left %d waiters, %d free", len(g.waiting[classBatch]), g.free)
+	}
+
+	// The grant lands first, then the cancel: leave hands the slot on.
+	w := g.enter(classInteractive, nil)
+	next := g.enter(classBatch, nil)
+	g.release(nil)
+	if !w.granted {
+		t.Fatal("the interactive waiter was not granted")
+	}
+	g.leave(w)
+	if !next.granted || g.free != 0 {
+		t.Fatalf("a raced grant was not handed on: next granted %v, %d free", next.granted, g.free)
+	}
+	g.release(nil)
+	if g.free != 1 {
+		t.Fatalf("%d free after the last release, want 1", g.free)
+	}
+
+	// The same race through Acquire's select, many times over.
+	for trial := 0; trial < 200; trial++ {
+		if !b.Acquire(context.Background()) {
+			t.Fatal("no slot on an idle gate")
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		got := make(chan bool)
+		go func() { got <- b.Acquire(ctx) }()
+		for queued := false; !queued; {
+			g.mu.Lock()
+			queued = len(g.waiting[classBatch]) == 1
+			g.mu.Unlock()
+			runtime.Gosched()
+		}
+		go cancel()
+		b.Release()
+		if <-got {
+			b.Release()
+		}
+		cancel()
+		g.mu.Lock()
+		free, waiting := g.free, len(g.waiting[classBatch])
+		g.mu.Unlock()
+		if free != 1 || waiting != 0 {
+			t.Fatalf("trial %d: %d free, %d waiting after the race, want 1 and 0", trial, free, waiting)
+		}
+	}
+}
+
+// FuzzCellGate drives seeded enter/release/cancel/resolve sequences
+// over both classes and three principals (no quota, max-cells 1 and
+// 2) through a gate of 1–4 slots. A resolve moves a granted waiter to
+// the holders, as Acquire does once it sees the grant; a cancel may
+// hit a waiter whose grant has already landed, the race Acquire's
+// select can lose. After every step: free plus held slots equal the
+// capacity; each quota's count equals its holders and stays within
+// its max; no worker waits while a slot is free and its quota has
+// room; and no batch worker was granted a slot while an interactive
+// worker whose quota has room waits.
+func FuzzCellGate(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 4, 8, 2, 3, 1, 6})
+	f.Add([]byte{2, 9, 9, 13, 13, 4, 0, 2, 6, 7, 3, 11, 2})
+	f.Add([]byte{0, 1, 5, 9, 13, 17, 2, 2, 3, 3, 7, 6, 10})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		capacity := 1 + int(ops[0]%4)
+		g := newCellGate(capacity)
+		quotas := []*cellQuota{nil, {max: 1}, {max: 2}}
+		type worker struct {
+			class int
+			quota *cellQuota
+			w     *gateWaiter // nil once it holds a slot
+		}
+		var holders, pending []*worker
+		pick := func(ws []*worker, op byte) ([]*worker, *worker) {
+			i := int(op>>2) % len(ws)
+			wk := ws[i]
+			return append(ws[:i], ws[i+1:]...), wk
+		}
+		for step, op := range ops[1:] {
+			wasGranted := map[*worker]bool{}
+			for _, wk := range pending {
+				wasGranted[wk] = wk.w.granted
+			}
+			var newBatch bool
+			switch op % 4 {
+			case 0: // a worker arrives
+				wk := &worker{class: int(op>>2) % numClasses, quota: quotas[int(op>>3)%len(quotas)]}
+				if wk.w = g.enter(wk.class, wk.quota); wk.w == nil {
+					holders = append(holders, wk)
+					newBatch = wk.class == classBatch
+				} else {
+					pending = append(pending, wk)
+				}
+			case 1: // a holder finishes its cell
+				if len(holders) > 0 {
+					var wk *worker
+					holders, wk = pick(holders, op)
+					g.release(wk.quota)
+				}
+			case 2: // a waiting worker's context ends
+				if len(pending) > 0 {
+					var wk *worker
+					pending, wk = pick(pending, op)
+					g.leave(wk.w)
+				}
+			case 3: // a granted waiter sees its grant
+				if len(pending) > 0 {
+					i := int(op>>2) % len(pending)
+					if wk := pending[i]; wk.w.granted {
+						pending = append(pending[:i], pending[i+1:]...)
+						wk.w = nil
+						holders = append(holders, wk)
+					}
+				}
+			}
+
+			granted := len(holders)
+			held := map[*cellQuota]int{}
+			for _, wk := range holders {
+				held[wk.quota]++
+			}
+			waiting := 0
+			for _, wk := range pending {
+				if wk.w.granted {
+					granted++
+					held[wk.quota]++
+					if !wasGranted[wk] && wk.class == classBatch {
+						newBatch = true
+					}
+				} else {
+					waiting++
+				}
+			}
+			if g.free+granted != capacity {
+				t.Fatalf("step %d: %d free + %d granted != %d slots", step, g.free, granted, capacity)
+			}
+			if n := len(g.waiting[classInteractive]) + len(g.waiting[classBatch]); n != waiting {
+				t.Fatalf("step %d: gate lists %d waiters, %d wait", step, n, waiting)
+			}
+			for _, q := range quotas[1:] {
+				if q.held != held[q] || q.held > q.max {
+					t.Fatalf("step %d: quota max %d counts %d held, %d hold it", step, q.max, q.held, held[q])
+				}
+			}
+			for _, wk := range pending {
+				if wk.w.granted || !wk.quota.room() {
+					continue
+				}
+				if g.free > 0 {
+					t.Fatalf("step %d: a worker waits with %d slots free and room in its quota", step, g.free)
+				}
+				if newBatch && wk.class == classInteractive {
+					t.Fatalf("step %d: a batch worker was granted while an interactive worker with quota room waits", step)
+				}
+			}
+		}
+	})
+}

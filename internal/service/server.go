@@ -485,7 +485,7 @@ func statusOf(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrPeerVersion):
 		return http.StatusConflict
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQuotaExceeded):
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQuotaExceeded), errors.Is(err, ErrTooManyPeers):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable

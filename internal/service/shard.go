@@ -54,6 +54,15 @@ const (
 // keeps its shape across worker restarts.
 const peerFailureLimit = 3
 
+// maxRuntimePeers caps a coordinator's runtime-joined members. Without
+// -auth-tokens any caller may join under any address, and each member
+// costs two series and a lease loop in every running job; only
+// liveness pruning removes one that never leaves, and that takes
+// peerFailureLimit probe rounds that each probe members one at a time.
+// The repository's fleets have two or three workers. Seed peers do not
+// count.
+const maxRuntimePeers = 64
+
 // peerControlTimeout bounds one health probe or membership announce.
 const peerControlTimeout = 2 * time.Second
 
@@ -75,6 +84,10 @@ var ErrPeerVersion = errors.New("service: peer version mismatch")
 // usable host:port.
 var ErrBadPeerAddr = errors.New("service: bad peer address")
 
+// ErrTooManyPeers rejects a join under a new address once the
+// coordinator has maxRuntimePeers runtime-joined members.
+var ErrTooManyPeers = errors.New("service: runtime fleet membership full")
+
 // shardRequest asks a worker to execute stamped cells [From, To) of
 // the spec's matrix. Version pins the coordinator's build: merged
 // payloads must all come from identical code, so a worker on a
@@ -86,7 +99,7 @@ type shardRequest struct {
 	Version string  `json:"version"`
 	// Principal is the submitting caller's identity, forwarded so the
 	// worker attributes the served cells — and applies its own
-	// per-principal cell quota — to the original tenant rather than to
+	// per-principal max-cells — to the original tenant rather than to
 	// the coordinator.
 	Principal string `json:"principal,omitempty"`
 }
@@ -170,7 +183,10 @@ func (m *Manager) removePeerLocked(victim *peer) {
 // The peer enters rotation healthy immediately — it just proved
 // liveness by calling — and is spawned into every active lease
 // session, so a worker that joins mid-job starts pulling chunks for
-// jobs already running. Returns the resulting membership size.
+// jobs already running. A new address is refused with ErrTooManyPeers
+// once maxRuntimePeers members have joined at runtime; a member's
+// re-announce is always accepted. Returns the resulting membership
+// size.
 func (m *Manager) RegisterPeer(addr, node, version string) (int, error) {
 	if version != codeVersion() {
 		return 0, fmt.Errorf("%w: peer %q, coordinator %q", ErrPeerVersion, version, codeVersion())
@@ -186,6 +202,15 @@ func (m *Manager) RegisterPeer(addr, node, version string) (int, error) {
 	}
 	p := m.findPeerLocked(addr)
 	if p == nil {
+		joined := 0
+		for _, q := range m.peers {
+			if !q.seed {
+				joined++
+			}
+		}
+		if joined >= maxRuntimePeers {
+			return 0, fmt.Errorf("%w: %d members joined at runtime", ErrTooManyPeers, joined)
+		}
 		p = m.addPeerLocked(addr, false)
 		m.peerJoinCtr.Inc()
 	}
@@ -513,7 +538,7 @@ func (m *Manager) postCells(ctx context.Context, p *peer, spec JobSpec, r harnes
 // spec alone, so these are exactly the bytes the coordinator's own
 // pool would have computed for the same indices. principal is the
 // coordinator-forwarded submitting identity ("" maps to anonymous):
-// the served cells run under that principal's cell quota when this
+// the served cells run under that principal's max-cells when this
 // worker's token file defines one.
 func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int, principal string) ([][]byte, error) {
 	if err := spec.normalize(); err != nil {
@@ -527,12 +552,13 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
-	// The principal's cell quota is all a worker reads of it, and only
+	// The cells take the gate in the class of the coordinator's spec.
+	// The principal's max-cells is all a worker reads of it, and only
 	// the token file sets one. So only a principal the token file names
 	// gets a record here; the file, not the caller, bounds the records.
-	var quota chan struct{}
+	budget := gateBudget{g: m.gate, class: classOf(spec)}
 	if _, ok := m.cfg.AuthTokens.ByName(principal); ok {
-		quota = m.tenantLocked(principal).cells
+		budget.quota = m.tenantLocked(principal).cells
 	}
 	m.mu.Unlock()
 
@@ -545,8 +571,7 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 		Sink:  func(i int, b []byte) { collected[i] = b }, // calls serialised by the harness
 		// Cells served for a coordinator fold into this worker's own
 		// sim.* series, keeping fleet aggregation double-count free.
-		ObsSink:   m.foldSim,
-		CellQuota: quota,
+		ObsSink: m.foldSim,
 	}
 	// The progress callback records the served cells' wall-clock latency
 	// into harness.cell_us — the same series coordinator-local cells use.
@@ -557,7 +582,7 @@ func (m *Manager) ExecCellRange(ctx context.Context, spec JobSpec, from, to int,
 			m.mu.Unlock()
 		}
 	}
-	_, _, err := execute(ctx, spec, m.slots, progress, hooks)
+	_, _, err := execute(ctx, spec, budget, progress, hooks)
 	switch {
 	case errors.Is(err, harness.ErrBadRange):
 		return nil, &BadSpecError{Err: err}

@@ -73,7 +73,7 @@ func TestTraceReexecutionDeterminism(t *testing.T) {
 	var first, firstTrace []byte
 	for i := 0; i < 3; i++ {
 		m := NewManager(Config{MaxWorkers: 2})
-		res, tr, err := execute(context.Background(), spec, m.slots, nil, harness.ExecHooks{})
+		res, tr, err := execute(context.Background(), spec, gateBudget{g: m.gate}, nil, harness.ExecHooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,13 +282,14 @@ func TestExecCellRangeValidation(t *testing.T) {
 // principal, and a worker must not keep state for names its caller
 // makes up. 10,000 distinct unknown names leave the principal records
 // and the registry series as they were; a principal the token file
-// gives max-cells still runs its cells under that quota.
+// gives max-cells still runs its cells under that quota, while a gate
+// slot stays free.
 func TestExecCellRangeCreatesNoRecords(t *testing.T) {
 	reg, err := tenant.ParseTokens(strings.NewReader("tok-carol carol max-cells=1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(Config{MaxWorkers: 1, WorkerEndpoint: true, AuthTokens: reg})
+	m := NewManager(Config{MaxWorkers: 2, WorkerEndpoint: true, AuthTokens: reg})
 	spec := tinySpec()
 	series := func() int {
 		s := m.Metrics()
@@ -307,22 +308,26 @@ func TestExecCellRangeCreatesNoRecords(t *testing.T) {
 		t.Fatalf("registry series %d after 10,000 unknown names, want %d", got, before)
 	}
 
-	// carol's one cell slot is taken, so her range waits for it until
-	// the deadline and runs nothing; once the slot is free it runs.
+	// carol's one cell is held, so her range waits at the gate until
+	// the deadline and runs nothing, though a slot is free; once her
+	// cell is released it runs.
 	if _, err := m.ExecCellRange(context.Background(), spec, 2, 1, "carol"); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 	quota := m.fq.tenants["carol"].cells
-	if cap(quota) != 1 {
-		t.Fatalf("carol's cell quota holds %d, want 1", cap(quota))
+	if quota == nil || quota.max != 1 {
+		t.Fatalf("carol's max-cells quota is %+v, want 1", quota)
 	}
-	quota <- struct{}{}
+	held := gateBudget{g: m.gate, quota: quota}
+	if !held.Acquire(context.Background()) {
+		t.Fatal("no gate slot for carol's first cell")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	if cells, err := m.ExecCellRange(ctx, spec, 0, 1, "carol"); err == nil || len(cells) != 0 {
 		t.Fatalf("range ran past a full quota: %d cells, err %v", len(cells), err)
 	}
-	<-quota
+	held.Release()
 	if cells, err := m.ExecCellRange(context.Background(), spec, 0, 1, "carol"); err != nil || len(cells) != 1 {
 		t.Fatalf("range under a free quota: %d cells, err %v", len(cells), err)
 	}

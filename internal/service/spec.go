@@ -59,10 +59,11 @@ type JobSpec struct {
 	// is worker-count invariant — so it is excluded from the cache key.
 	Workers int `json:"workers,omitempty"`
 	// Priority selects the scheduling class: "interactive" (the
-	// default) schedules ahead of — and may preempt — "batch". Like
-	// Workers it cannot change the result, only when it is computed, so
-	// it too is excluded from the cache key and stripped from the
-	// result payload.
+	// default) or "batch". Each class has its own running-job slots,
+	// and an interactive cell takes a freed cell slot before a batch
+	// one. Like Workers it cannot change the result, only when it is
+	// computed, so it too is excluded from the cache key and stripped
+	// from the result payload.
 	Priority string `json:"priority,omitempty"`
 }
 
@@ -105,6 +106,9 @@ func (s *JobSpec) normalize() error {
 		}
 		if s.DurationSec < 0 {
 			return fmt.Errorf("negative duration %d", s.DurationSec)
+		}
+		if s.DurationSec > experiments.MaxDurationSec {
+			return fmt.Errorf("duration %d s, over the limit of %d", s.DurationSec, experiments.MaxDurationSec)
 		}
 		if s.Rounds > experiments.MaxRounds {
 			return fmt.Errorf("%d rounds, over the limit of %d", s.Rounds, experiments.MaxRounds)

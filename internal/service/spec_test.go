@@ -222,6 +222,11 @@ func TestNormalizeRejects(t *testing.T) {
 		{Kind: KindRun, Workers: -1},                              // negative workers
 		{Kind: KindRun, Rounds: experiments.MaxRounds + 1},        // more rounds than the bound
 		{Kind: KindExperiment, Experiment: "fig8", Rounds: 1e9},   // the same on an experiment
+		// Windows over the bound, up to one that would overflow sim.Time.
+		{Kind: KindRun, DurationSec: experiments.MaxDurationSec + 1},
+		{Kind: KindRun, DurationSec: 1 << 44},
+		{Kind: KindExperiment, Experiment: "fig8", DurationSec: experiments.MaxDurationSec + 1},
+		{Kind: KindExperiment, Experiment: "fig8", DurationSec: 1 << 44},
 	}
 	for i, spec := range bad {
 		if err := spec.normalize(); err == nil {
