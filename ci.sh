@@ -21,7 +21,12 @@
 #   release and cancel sequences over both priority classes and
 #   max-cells quotas; slots and quota counts stay balanced, no worker
 #   waits while a slot it may take is free, and no batch worker is
-#   granted a slot an interactive worker could take), a
+#   granted a slot an interactive worker could take) and of the
+#   memory manager (FuzzMemoryOps: tapes of Map, MapOne, Touch,
+#   FreePagesOf, reclaim, KswapdStep and exit steps; every arena slot
+#   stays on exactly one LRU list or index and the totals balance after
+#   each step, and a Map's pages head their inactive list in reverse
+#   mapping order), a
 #   golden-file check on the Perfetto trace exporter, the scheme
 #   byte-identity goldens (every registered policy scheme's fixed-seed
 #   result hash), an icesimd smoke test (boot with a state dir,
@@ -120,6 +125,16 @@ go test -run='^$' -fuzz='^FuzzInternalBodies$' -fuzztime=10s ./internal/service/
 # quota has room, and no batch worker is granted a slot while an
 # interactive worker whose quota has room waits.
 go test -run='^$' -fuzz='^FuzzCellGate$' -fuzztime=10s ./internal/service/
+
+# And for the memory manager's page arena: from fuzzed tapes of Map,
+# MapOne, Touch, FreePagesOf, ReclaimProcess, reclaim scans, KswapdStep,
+# ExitProcess and transient allocations, physical pages stay conserved,
+# every arena slot is Resident on exactly one LRU list, Evicted or Dead
+# and sits in exactly one of the per-process index, its dead list and
+# the free slots, and each Map leaves its pages at the head of their
+# inactive list in reverse mapping order. As for FuzzParseProm, 1 s of
+# minimising keeps a new input's minimisation from eating the budget.
+go test -run='^$' -fuzz='^FuzzMemoryOps$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mm/
 
 # The Perfetto exporter's output is pinned byte-for-byte; a drift means
 # the golden file needs a deliberate `go test ./internal/trace -update`.

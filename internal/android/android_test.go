@@ -362,3 +362,40 @@ func TestWorkPoolNoAllocs(t *testing.T) {
 		t.Fatalf("pool holds %d free Works after the runs, want 1", len(pool.free))
 	}
 }
+
+// TestFramePathNoAllocs: once the renderer holds a recycled frame record,
+// a vsync's post and the run that completes its frame allocate nothing.
+// The renderer is pointed at the foreground app directly, so each run
+// posts exactly the frames the test asks for.
+func TestFramePathNoAllocs(t *testing.T) {
+	sys := newTestSystem(t)
+	sys.AM.InstallAll(app.Catalog())
+	launchWait(t, sys, "WhatsApp")
+	r := NewRenderer(sys)
+	r.inst = sys.AM.App("WhatsApp")
+	// Warm-up: the first frame allocates the renderer's one record, and
+	// the runs grow the engine's, the scheduler's and the recorder's
+	// scratch.
+	for i := 0; i < 120; i++ {
+		r.postFrame()
+		sys.Run(VsyncPeriod)
+	}
+	before := r.Rec.Snapshot(sys.Eng.Now()).Completed
+	allocs := testing.AllocsPerRun(200, func() {
+		r.postFrame()
+		sys.Run(VsyncPeriod)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state frame allocated %.1f objects, want 0", allocs)
+	}
+	// WhatsApp renders 46 of every 60 vsyncs.
+	if done := r.Rec.Snapshot(sys.Eng.Now()).Completed - before; done < 140 {
+		t.Fatalf("%d frames completed in the 201 measured vsyncs, want at least 140", done)
+	}
+	// Every record comes home once the last frame ends, and no more were
+	// made than the UI task's queue bound (3) lets be posted at once.
+	sys.Run(sim.Second)
+	if n := len(r.free); n == 0 || n > 3 {
+		t.Fatalf("renderer holds %d free frame records, want 1 to 3", n)
+	}
+}

@@ -180,6 +180,8 @@ func (in *Instance) spawn() {
 		in.javaPages = make([]mm.PageID, 0, in.Spec.JavaPages)
 	}
 	in.main = sys.Procs.NewProcess(in.Spec.Name, in.UID, proc.KindApp, proc.AdjForeground)
+	// The same footprint sizes the main process's page index in mm.
+	sys.MM.Reserve(in.main.PID, in.Spec.TotalPages())
 	in.uiTask = sys.Procs.NewTask(in.main, "ui", proc.DefaultWeight)
 	in.uiTask.SetMaxQueue(3)
 	in.gcTask = sys.Procs.NewTask(in.main, "HeapTaskDaemon", proc.DefaultWeight/2)

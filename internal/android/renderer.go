@@ -40,6 +40,9 @@ type Renderer struct {
 	// Debug accounting: cumulative frame-path costs by source.
 	DbgStall sim.Time // synchronous memory stalls (faults, locks, reclaim)
 	DbgBlock sim.Time // I/O block time
+
+	// free holds frame records ready for reuse (see frameWork).
+	free []*frameWork
 }
 
 // NewRenderer creates a renderer for the system.
@@ -151,48 +154,11 @@ func (r *Renderer) postFrame() {
 		r.streamCredit -= float64(stream)
 	}
 
-	var execStart sim.Time
-	w := &proc.Work{
-		Name: "frame",
-		Setup: func() (sim.Time, sim.Time) {
-			execStart = sys.Eng.Now()
-			// Touch the frame's working set, then allocate transient
-			// surface/scratch pages and this frame's share of footprint
-			// growth. All three paths stall under memory pressure: faults
-			// serve from ZRAM/flash, allocations can enter the slow path
-			// and direct reclaim.
-			cost := in.touchMixHot(profile.TouchPages, 0.65)
-			if alloc > 0 {
-				cost.Add(sys.MM.AllocTransient(alloc))
-			}
-			if grow > 0 {
-				cost.Add(in.grow(grow, 1.4))
-			}
-			if stream > 0 {
-				cost.Add(in.streamFile(stream))
-			}
-			r.DbgStall += cost.Stall
-			if cost.BlockUntil > sys.Eng.Now() {
-				r.DbgBlock += cost.BlockUntil - sys.Eng.Now()
-			}
-			return cost.Stall, cost.BlockUntil
-		},
-		CPU: r.frameCPU(profile.BaseCPU, profile.CPUJitter),
-		OnDone: func(_, end sim.Time) {
-			if alloc > 0 {
-				sys.MM.FreeTransient(alloc)
-			}
-			// Frame time is measured from execution start (Systrace's
-			// doFrame duration): the 16.6 ms interaction-alert budget is
-			// about render time, while pipeline overload shows up as
-			// dropped frames and reduced FPS.
-			r.Rec.RecordFrame(execStart, end)
-			sys.ins.frameLatency.Observe(int64(end - execStart))
-			sys.Trace.Span(execStart, trace.CatFrame, "frame",
-				in.UID, end-execStart, int64(end-execStart), 0)
-		},
-	}
-	if !sys.Sched.Post(in.uiTask, w) {
+	f := r.frame()
+	f.in, f.touch, f.alloc, f.grow, f.stream = in, profile.TouchPages, alloc, grow, stream
+	f.CPU = r.frameCPU(profile.BaseCPU, profile.CPUJitter)
+	if !sys.Sched.Post(in.uiTask, &f.Work) {
+		r.free = append(r.free, f)
 		// Queue full: the frame is dropped outright.
 		r.Rec.RecordDrop(vsync)
 		sys.ins.frameDrops.Inc()
@@ -200,6 +166,75 @@ func (r *Renderer) postFrame() {
 			When: vsync, Cat: trace.CatFrame, Name: "frame-drop", Subject: in.UID,
 		})
 	}
+}
+
+// frameWork is one frame's job on the UI task and what its Setup and
+// OnDone read. A renderer recycles them: a frame returns to the free
+// list when it completes or when Post refuses it, so steady rendering
+// allocates nothing.
+type frameWork struct {
+	proc.Work
+	r                          *Renderer
+	in                         *Instance
+	touch, alloc, grow, stream int
+	execStart                  sim.Time
+}
+
+// frame takes a frame record from the free list, or makes one.
+func (r *Renderer) frame() *frameWork {
+	if n := len(r.free); n > 0 {
+		f := r.free[n-1]
+		r.free = r.free[:n-1]
+		return f
+	}
+	f := &frameWork{r: r}
+	f.Name = "frame"
+	f.Setup = f.setup
+	f.OnDone = f.done
+	return f
+}
+
+func (f *frameWork) setup() (sim.Time, sim.Time) {
+	r, in := f.r, f.in
+	sys := r.sys
+	f.execStart = sys.Eng.Now()
+	// Touch the frame's working set, then allocate transient
+	// surface/scratch pages and this frame's share of footprint
+	// growth. All three paths stall under memory pressure: faults
+	// serve from ZRAM/flash, allocations can enter the slow path
+	// and direct reclaim.
+	cost := in.touchMixHot(f.touch, 0.65)
+	if f.alloc > 0 {
+		cost.Add(sys.MM.AllocTransient(f.alloc))
+	}
+	if f.grow > 0 {
+		cost.Add(in.grow(f.grow, 1.4))
+	}
+	if f.stream > 0 {
+		cost.Add(in.streamFile(f.stream))
+	}
+	r.DbgStall += cost.Stall
+	if cost.BlockUntil > sys.Eng.Now() {
+		r.DbgBlock += cost.BlockUntil - sys.Eng.Now()
+	}
+	return cost.Stall, cost.BlockUntil
+}
+
+func (f *frameWork) done(_, end sim.Time) {
+	r, start := f.r, f.execStart
+	sys := r.sys
+	if f.alloc > 0 {
+		sys.MM.FreeTransient(f.alloc)
+	}
+	// Frame time is measured from execution start (Systrace's
+	// doFrame duration): the 16.6 ms interaction-alert budget is
+	// about render time, while pipeline overload shows up as
+	// dropped frames and reduced FPS.
+	r.Rec.RecordFrame(start, end)
+	sys.ins.frameLatency.Observe(int64(end - start))
+	sys.Trace.Span(start, trace.CatFrame, "frame",
+		f.in.UID, end-start, int64(end-start), 0)
+	r.free = append(r.free, f)
 }
 
 func (r *Renderer) frameCPU(base sim.Time, jitter float64) sim.Time {

@@ -101,7 +101,7 @@ func (m *Manager) refault(id PageID, fileReads *int) Cost {
 		p.heat++
 	}
 
-	distance := m.evictClock - p.evictEpoch
+	distance := uint64(m.evictClock) - uint64(p.evictEpoch)
 	m.distances.note(distance)
 	p.state = Resident
 	p.referenced = true

@@ -2,24 +2,43 @@ package mm
 
 import "testing"
 
-// FuzzMemoryOps drives the manager with arbitrary operation tapes and
-// checks the accounting invariants after every step. Run with
-// `go test -fuzz FuzzMemoryOps ./internal/mm` for an open-ended search;
-// under plain `go test` the seed corpus executes as regression cases.
+// FuzzMemoryOps drives the manager with arbitrary operation tapes: Map,
+// MapOne, Touch, FreePagesOf, ReclaimProcess, reclaim scans, KswapdStep,
+// ExitProcess and transient allocations. After every step it checks the
+// page accounting and the arena's conservation laws (checkArena), and
+// after every Map that the inactive list's head walks the new pages in
+// reverse mapping order, as n pushFronts would have left them. ci.sh
+// runs it for 10 s; `go test -fuzz FuzzMemoryOps ./internal/mm` searches
+// open-ended, and plain `go test` runs the seed corpus.
 func FuzzMemoryOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1, 0})
 	f.Add([]byte("reclaim-refault-exit"))
+	f.Add([]byte{0, 63, 9, 200, 18, 63, 27, 40, 6, 5, 15, 3, 24, 7, 33, 9})
 	f.Fuzz(func(t *testing.T, tape []byte) {
+		// checkArena walks the whole arena, so cap a tape at 512 steps to
+		// keep each run short enough for the fuzzer to explore.
+		if len(tape) > 1024 {
+			tape = tape[:1024]
+		}
 		_, m := newTestManager(7)
 		pages := map[int][]PageID{}
 		for i := 0; i+1 < len(tape); i += 2 {
 			op, arg := tape[i], int(tape[i+1])
 			pid := int(op%4) + 1
-			switch op % 6 {
+			switch op % 9 {
 			case 0:
-				ids, _ := m.Map(pid, 10000+pid, Class(arg%3), arg%64+1)
+				class := Class(arg % 3)
+				ids, _ := m.Map(pid, 10000+pid, class, arg%64+1)
 				pages[pid] = append(pages[pid], ids...)
+				id := m.lists[inactiveList(class)].head
+				for k := len(ids) - 1; k >= 0; k-- {
+					if id != ids[k] {
+						t.Fatalf("step %d: inactive head walk reads %d at %d pages in, want %d (the Map's page %d)",
+							i, id, len(ids)-1-k, ids[k], k)
+					}
+					id = m.arena.at(id).next
+				}
 			case 1:
 				m.ReclaimProcess(pid)
 			case 2:
@@ -35,6 +54,16 @@ func FuzzMemoryOps(f *testing.F) {
 				n := arg%16 + 1
 				m.AllocTransient(n)
 				m.FreeTransient(n)
+			case 6:
+				id, _ := m.MapOne(pid, 10000+pid, Class(arg%3))
+				pages[pid] = append(pages[pid], id)
+			case 7:
+				if ids := pages[pid]; len(ids) > 0 {
+					from := arg % len(ids)
+					m.FreePagesOf(ids[from : from+min(len(ids)-from, arg%8+1)])
+				}
+			case 8:
+				m.KswapdStep()
 			}
 			free := m.FreePages()
 			if free+m.ResidentPages()+m.TransientPages()+m.zramFootprintForTest()+m.cfg.ReservedPages != m.cfg.TotalPages {
@@ -48,6 +77,7 @@ func FuzzMemoryOps(f *testing.F) {
 			if st.Total.Refaulted > st.Total.Reclaimed {
 				t.Fatalf("more refaults than reclaims at step %d", i)
 			}
+			checkArena(t, m, i)
 		}
 	})
 }

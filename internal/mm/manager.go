@@ -2,6 +2,8 @@ package mm
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/eurosys23/ice/internal/sim"
@@ -216,12 +218,12 @@ type Manager struct {
 	// deadInPID counts tombstoned entries still inside byPID.
 	deadInPID map[int]int
 	// mapClock stamps page.mapSeq in Map order.
-	mapClock uint64
+	mapClock uint32
 
 	fgUID int
 
 	// evictClock is the workingset eviction counter backing shadow entries.
-	evictClock uint64
+	evictClock uint32
 
 	// lockBusyUntil models the LRU/zone lock as a FIFO server.
 	lockBusyUntil sim.Time
@@ -293,7 +295,7 @@ func (m *Manager) Config() Config { return m.cfg }
 // one and empties the arena. Call it once the device's results are read:
 // a reused chunk keeps this device's pages, and any later page access
 // through this Manager panics rather than read a page another device now
-// owns. Stale pages never reach the next device's results: mapPage writes
+// owns. Stale pages never reach the next device's results: mapPages writes
 // every field of a slot before anything reads it, and randomVictim draws
 // only below the arena's length, which only grow raises.
 func (m *Manager) Release() { m.arena.release() }
@@ -513,48 +515,75 @@ func (m *Manager) Map(pid, uid int, class Class, n int) ([]PageID, Cost) {
 // allocation paths) and can therefore stall in direct reclaim.
 func (m *Manager) MapAppend(dst []PageID, pid, uid int, class Class, n int) ([]PageID, Cost) {
 	cost := m.chargeAlloc(n)
-	// Look the index slice up once per batch (after chargeAlloc, whose
-	// pressure hooks may tear processes down), not once per page.
-	pages := m.byPID[pid]
-	for i := 0; i < n; i++ {
-		id := m.mapPage(pid, uid, class)
-		pages = append(pages, id)
-		dst = append(dst, id)
-	}
-	m.byPID[pid] = pages
-	return dst, cost
+	return append(dst, m.mapPages(pid, uid, class, n)...), cost
 }
 
 // MapOne creates a single resident page, the churn-path variant (GC
 // compaction remaps pages one at a time) that never touches a slice.
 func (m *Manager) MapOne(pid, uid int, class Class) (PageID, Cost) {
 	cost := m.chargeAlloc(1)
-	id := m.mapPage(pid, uid, class)
-	m.byPID[pid] = append(m.byPID[pid], id)
-	return id, cost
+	return m.mapPages(pid, uid, class, 1)[0], cost
 }
 
-// mapPage initialises a fresh page in the arena and links it resident.
-func (m *Manager) mapPage(pid, uid int, class Class) PageID {
-	id := m.allocSlot()
-	p := m.arena.at(id)
-	m.mapClock++
-	*p = page{
-		pid:    int32(pid),
-		uid:    int32(uid),
-		class:  class,
-		state:  Resident,
-		list:   lNone,
-		prev:   nilPage,
-		next:   nilPage,
-		mapSeq: m.mapClock,
+// Reserve sizes pid's page index for n more pages, so mapping them
+// appends without growing it. Capacity is never read, so reserving
+// changes no result.
+func (m *Manager) Reserve(pid, n int) {
+	m.byPID[pid] = slices.Grow(m.byPID[pid], n)
+}
+
+// mapPages is the one mapping path. It writes n fresh resident pages,
+// each already linked at the head of its class's inactive list, and
+// returns their IDs: the tail of pid's index. The list ends exactly as
+// n pushFronts in mapping order would leave it, and File pages draw
+// their dirty bit in mapping order. The list count, the resident count
+// and the index are updated once per batch. Callers charge the batch
+// first: chargeAlloc's pressure hooks may tear processes down.
+func (m *Manager) mapPages(pid, uid int, class Class, n int) []PageID {
+	if n <= 0 {
+		return nil
 	}
-	if class == File {
-		p.dirty = m.rng.Bool(m.cfg.DirtyFileFraction)
+	if uint64(m.mapClock)+uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("mm: mapping %d pages would take the mapping clock past 2^32-1 (at %d)", n, m.mapClock))
 	}
-	m.resident++
-	m.addToLRU(id, inactiveList(class))
-	return id
+	li := inactiveList(class)
+	l := &m.lists[li]
+	next := l.head
+	var nextP *page
+	if next != nilPage {
+		nextP = m.arena.at(next)
+	}
+	ids := m.byPID[pid]
+	start := len(ids)
+	for i := 0; i < n; i++ {
+		id := m.allocSlot()
+		p := m.arena.at(id)
+		m.mapClock++
+		dirty := class == File && m.rng.Bool(m.cfg.DirtyFileFraction)
+		*p = page{
+			pid:    int32(pid),
+			uid:    int32(uid),
+			prev:   nilPage,
+			next:   next,
+			mapSeq: m.mapClock,
+			class:  class,
+			state:  Resident,
+			list:   li,
+			dirty:  dirty,
+		}
+		if nextP != nil {
+			nextP.prev = id
+		} else {
+			l.tail = id
+		}
+		next, nextP = id, p
+		ids = append(ids, id)
+	}
+	l.head = next
+	l.count += n
+	m.resident += n
+	m.byPID[pid] = ids
+	return ids[start:]
 }
 
 // chargeAlloc performs the watermark checks for allocating n physical pages

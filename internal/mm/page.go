@@ -78,20 +78,33 @@ type PageID int32
 const nilPage PageID = -1
 
 // page is one simulated page. The struct is kept small because scenarios
-// allocate hundreds of thousands of them.
+// allocate hundreds of thousands of them: the six 4-byte fields come
+// first and the seven 1-byte ones pack behind them, 32 bytes in all
+// (TestPageIs32Bytes).
 type page struct {
-	pid   int32
-	uid   int32
-	class Class
-	state State
+	pid  int32
+	uid  int32
+	prev PageID
+	next PageID
+	// evictEpoch is the workingset shadow entry: the value of the manager's
+	// eviction clock when the page was reclaimed. The refault distance is
+	// the clock delta at refault time.
+	evictEpoch uint32
+	// mapSeq is the page's position in the manager's global mapping order.
+	// ExitProcess recycles a process's arena slots in exactly this order —
+	// the order the old append-only byPID index produced — so compacting
+	// dead entries out of byPID cannot perturb slot reuse, which would
+	// change which pages randomVictim's arena draws land on and break
+	// byte-identity.
+	mapSeq uint32
+	class  Class
+	state  State
+	// list is which LRU list the page is on (lNone when not resident).
+	list listID
 	// dirty marks file pages that must be written back on reclaim.
 	dirty bool
 	// referenced is the LRU second-chance bit set on access.
 	referenced bool
-	// list is which LRU list the page is on (lNone when not resident).
-	list listID
-	prev PageID
-	next PageID
 	// heat is the page's hotness: a saturating access counter bumped on
 	// every touch and halved when ageing demotes the page to an inactive
 	// list. Policies read it through the swap boundary (zram.PageInfo)
@@ -102,17 +115,6 @@ type page struct {
 	// Typed as the real CodecRef (not a narrower integer) so widening
 	// the codec-reference space can never silently truncate here.
 	zref zram.CodecRef
-	// evictEpoch is the workingset shadow entry: the value of the manager's
-	// eviction clock when the page was reclaimed. The refault distance is
-	// the clock delta at refault time.
-	evictEpoch uint64
-	// mapSeq is the page's position in the manager's global mapping order.
-	// ExitProcess recycles a process's arena slots in exactly this order —
-	// the order the old append-only byPID index produced — so compacting
-	// dead entries out of byPID cannot perturb slot reuse, which would
-	// change which pages randomVictim's arena draws land on and break
-	// byte-identity.
-	mapSeq uint64
 }
 
 // heatMax saturates the per-page hotness counter.
@@ -162,8 +164,8 @@ func inactiveList(c Class) listID {
 	return lInactiveFile
 }
 
-// The page arena grows one fixed-size chunk at a time: 4096 pages, 192 KiB
-// at 48 B/page. A chunk never moves once allocated, so growth copies no
+// The page arena grows one fixed-size chunk at a time: 4096 pages, 128 KiB
+// at 32 B/page. A chunk never moves once allocated, so growth copies no
 // page.
 const (
 	chunkShift = 12

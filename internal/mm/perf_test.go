@@ -1,7 +1,10 @@
 package mm
 
 import (
+	"math"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/eurosys23/ice/internal/sim"
 	"github.com/eurosys23/ice/internal/storage"
@@ -145,5 +148,58 @@ func TestArenaGrowsByChunks(t *testing.T) {
 	}
 	if got, ok := m.randomVictim(); !ok || got != want {
 		t.Fatalf("randomVictim = %d, %v; want slot %d of %d", got, ok, want, slots)
+	}
+}
+
+// TestPageIs32Bytes pins the page record's layout: 32 bytes, so an arena
+// chunk of 4096 pages is 128 KiB.
+func TestPageIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(page{}); got != 32 {
+		t.Fatalf("page is %d bytes, want 32", got)
+	}
+}
+
+// TestClocksPanicAtLimit: the mapping and eviction clocks are 32 bits
+// wide. Each may reach 2^32-1, and the mapping or eviction that would
+// take it further panics with a message naming the clock, leaving it
+// unwrapped, instead of stamping a page with a wrapped value.
+func TestClocksPanicAtLimit(t *testing.T) {
+	for name, tc := range map[string]struct {
+		eviction bool
+		op       func(m *Manager)
+	}{
+		"MapOne":         {false, func(m *Manager) { m.MapOne(1, 10001, AnonJava) }},
+		"Map":            {false, func(m *Manager) { m.Map(1, 10001, File, 8) }},
+		"reclaimPages":   {true, func(m *Manager) { m.reclaimPages(8) }},
+		"ReclaimProcess": {true, func(m *Manager) { m.ReclaimProcess(1) }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, m := newTestManager(9)
+			m.Map(1, 10001, AnonJava, 16)
+			clock, want := &m.mapClock, "mapping clock past 2^32-1"
+			if tc.eviction {
+				clock, want = &m.evictClock, "eviction clock past 2^32-1"
+			}
+			// One short of the limit, a single mapping or eviction of
+			// process 2's page still runs and takes the clock to it.
+			*clock = math.MaxUint32 - 1
+			m.MapOne(2, 10002, AnonJava)
+			if tc.eviction {
+				m.ReclaimProcess(2)
+			}
+			if *clock != math.MaxUint32 {
+				t.Fatalf("clock at %d, want 2^32-1", *clock)
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, want) {
+					t.Fatalf("%s at the clock's limit: panic %q, want one containing %q", name, msg, want)
+				}
+				if *clock != math.MaxUint32 {
+					t.Fatalf("clock wrapped to %d", *clock)
+				}
+			}()
+			tc.op(m)
+		})
 	}
 }

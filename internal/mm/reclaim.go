@@ -1,6 +1,8 @@
 package mm
 
 import (
+	"math"
+
 	"github.com/eurosys23/ice/internal/sim"
 	"github.com/eurosys23/ice/internal/trace"
 	"github.com/eurosys23/ice/internal/zram"
@@ -190,8 +192,7 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 		m.lists[list].remove(&m.arena, id)
 		p.list = lNone
 		p.state = Evicted
-		m.evictClock++
-		p.evictEpoch = m.evictClock
+		p.evictEpoch = m.tickEvictClock()
 		m.resident--
 		res.reclaimed++
 		if cheapDrop {
@@ -229,6 +230,17 @@ func (m *Manager) noteReclaim(c Class, cheap bool) {
 		weight = 3
 	}
 	m.thrash.note(m.eng.Now(), m.cfg.ThrashWindow, weight)
+}
+
+// tickEvictClock advances the eviction clock and returns it: the shadow
+// entry of the page being evicted. It panics rather than wrap, which
+// would give every later refault a wrong distance.
+func (m *Manager) tickEvictClock() uint32 {
+	if m.evictClock == math.MaxUint32 {
+		panic("mm: an eviction would take the eviction clock past 2^32-1")
+	}
+	m.evictClock++
+	return m.evictClock
 }
 
 // KswapdStep performs one background-reclaim quantum. It returns the CPU
@@ -305,8 +317,7 @@ func (m *Manager) ReclaimProcess(pid int) int {
 		}
 		p.state = Evicted
 		p.referenced = false
-		m.evictClock++
-		p.evictEpoch = m.evictClock
+		p.evictEpoch = m.tickEvictClock()
 		m.resident--
 		n++
 		m.noteReclaim(p.class, p.class == File)

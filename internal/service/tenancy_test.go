@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -96,7 +97,10 @@ func TestFairQueueDRR(t *testing.T) {
 // bob's max-queued quota yields 429, and an interactive job submitted
 // while bob's batch job holds the batch running slot takes the gate's
 // slot from it at cell boundaries — after which BOTH final results are
-// byte-identical to runs of the same specs on a fresh open daemon.
+// byte-identical to runs of the same specs on a fresh open daemon. The
+// test itself holds the gate's slot from before bob's first submit until
+// alice's job waits at the gate, so bob's job is still running when his
+// quota is tested, on any host.
 func TestTenancyEndToEnd(t *testing.T) {
 	const maxWorkers = 1
 	m := NewManager(Config{
@@ -126,6 +130,14 @@ func TestTenancyEndToEnd(t *testing.T) {
 	}
 	if code, _ := getBody(t, ts.URL+"/metrics"); code != http.StatusOK {
 		t.Fatalf("/metrics behind auth: %d", code)
+	}
+
+	// The test holds the gate's only slot until alice's job waits for
+	// it, so bob's batch job runs but finishes no cell while his later
+	// submits queue behind it and overrun his quota, however fast the
+	// host.
+	if m.gate.enter(classInteractive, nil) != nil {
+		t.Fatal("the gate's only slot is taken before any job ran")
 	}
 
 	// Bob's batch matrix occupies the only running slot.
@@ -190,6 +202,20 @@ func TestTenancyEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("interactive submit: %d", resp.StatusCode)
 		}
+		// Free the held slot once alice's worker waits at the gate.
+		// Freed any earlier, bob's waiting workers could pass it among
+		// themselves for several cells before hers arrive: a cell is
+		// shorter than the Go scheduler's time slice.
+		deadline := time.Now().Add(30 * time.Second)
+		for waiting := false; !waiting; runtime.Gosched() {
+			m.gate.mu.Lock()
+			waiting = len(m.gate.waiting[classInteractive]) > 0
+			m.gate.mu.Unlock()
+			if !waiting && time.Now().After(deadline) {
+				t.Fatal("alice's job never reached the cell gate")
+			}
+		}
+		m.gate.release(nil)
 		return fast.ID
 	})
 	if ev.State != StateDone {
