@@ -27,15 +27,17 @@ import (
 // count) and reports harness cell throughput plus per-cell allocation
 // pressure via b.ReportMetric. allocs/cell is the heap-allocation count
 // (runtime.MemStats.Mallocs delta) divided by completed cells, B/cell the
-// bytes those allocations took (the TotalAlloc delta) per cell, and
-// p50_cell_us/p99_cell_us are exact nearest-rank percentiles of the
-// per-cell wall-clock times — the metrics ci.sh snapshots into
-// BENCH_<n>.json.
+// bytes those allocations took (the TotalAlloc delta) per cell,
+// events/cell the simulation events dispatched per cell
+// (sim.TotalDispatched), and p50_cell_us/p99_cell_us are exact
+// nearest-rank percentiles of the per-cell wall-clock times — the
+// metrics ci.sh snapshots into BENCH_<n>.json.
 func benchExperiment(b *testing.B, run func(experiments.Options) error) {
 	var cells atomic.Int64
 	var cellUs []float64 // Progress calls are serialised by the harness
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
+	events := sim.TotalDispatched()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := experiments.Options{
@@ -52,12 +54,14 @@ func benchExperiment(b *testing.B, run func(experiments.Options) error) {
 	b.StopTimer()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
+	events = sim.TotalDispatched() - events
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(cells.Load())/secs, "cells/sec")
 	}
 	if n := cells.Load(); n > 0 {
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(n), "allocs/cell")
 		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(n), "B/cell")
+		b.ReportMetric(float64(events)/float64(n), "events/cell")
 	}
 	if len(cellUs) > 0 {
 		b.ReportMetric(metrics.Percentile(cellUs, 50), "p50_cell_us")

@@ -18,10 +18,12 @@
 #   panic, a refused body changes no principal record, membership entry
 #   or registry series, and each member keeps exactly its two per-peer
 #   series) and of the daemon's cell gate (FuzzCellGate: acquire,
-#   release and cancel sequences over both priority classes and
+#   release, keep and cancel sequences over both priority classes and
 #   max-cells quotas; slots and quota counts stay balanced, no worker
-#   waits while a slot it may take is free, and no batch worker is
-#   granted a slot an interactive worker could take) and of the
+#   waits while a slot it may take is free, no batch worker is
+#   granted a slot an interactive worker could take, and a worker
+#   keeps its slot between cells only when no waiter could take it
+#   first) and of the
 #   memory manager (FuzzMemoryOps: tapes of Map, MapOne, Touch,
 #   FreePagesOf, reclaim, KswapdStep and exit steps; every arena slot
 #   stays on exactly one LRU list or index and the totals balance after
@@ -49,7 +51,9 @@
 #   one tree that differ only in link flags must not share stored
 #   results or fleet membership), and last a one-iteration benchmark
 #   smoke pass (benchmarks must at least run; their cells/sec,
-#   allocs/cell, B/cell and p50/p99 per-cell latency metrics are written to
+#   allocs/cell, B/cell, events/cell (simulation events dispatched per
+#   cell, a work count that repeats exactly at 1x and is not gated) and
+#   p50/p99 per-cell latency metrics are written to
 #   BENCH_<n>.json — n derived from the highest committed snapshot, no
 #   hand edit per change — and each benchmark's cells/sec is compared
 #   against the previous snapshot: a >10% regression fails the gate). The bench step runs last because its snapshot may come from
@@ -464,7 +468,7 @@ for pid in "$vapid" "$vbpid"; do
 done
 
 # Benchmarks stay runnable: one iteration each, no timing claims — and
-# their cells/sec + allocs/cell + B/cell + per-cell latency percentile metrics
+# their cells/sec + allocs/cell + B/cell + events/cell + per-cell latency percentile metrics
 # are snapshotted into BENCH_<n>.json so the perf trajectory the
 # ROADMAP asks for accumulates one file per change. The snapshot number
 # is derived from the highest BENCH snapshot already committed (so a
@@ -484,20 +488,21 @@ awk '
 BEGIN { print "[" }
 /^Benchmark/ {
     name=$1; sub(/-[0-9]+$/, "", name)
-    cells=""; allocs=""; p50=""; p99=""; bytes=""
+    cells=""; allocs=""; p50=""; p99=""; bytes=""; events=""
     for (i = 2; i <= NF; i++) {
         if ($i == "cells/sec")   cells = $(i-1)
         if ($i == "allocs/cell") allocs = $(i-1)
         if ($i == "p50_cell_us") p50 = $(i-1)
         if ($i == "p99_cell_us") p99 = $(i-1)
         if ($i == "B/cell")      bytes = $(i-1)
+        if ($i == "events/cell") events = $(i-1)
     }
     if (cells != "") {
         if (n++) printf ",\n"
-        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s, \"bytes_per_cell\": %s}", \
+        printf "  {\"bench\": \"%s\", \"cells_per_sec\": %s, \"allocs_per_cell\": %s, \"p50_cell_us\": %s, \"p99_cell_us\": %s, \"bytes_per_cell\": %s, \"events_per_cell\": %s}", \
             name, cells, (allocs == "" ? "null" : allocs), \
             (p50 == "" ? "null" : p50), (p99 == "" ? "null" : p99), \
-            (bytes == "" ? "null" : bytes)
+            (bytes == "" ? "null" : bytes), (events == "" ? "null" : events)
     }
 }
 END { print "\n]" }

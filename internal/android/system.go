@@ -300,11 +300,13 @@ func (sys *System) ThawApp(uid int) int {
 }
 
 // FreezeApp freezes every alive process of an application UID. Returns
-// how many processes were frozen.
+// how many processes were frozen. It walks the table's own list, dead
+// processes included, because Freeze refuses those: ICE re-freezes an
+// app on every refault, and this way no call allocates.
 func (sys *System) FreezeApp(uid int) int {
 	now := sys.Eng.Now()
 	n := 0
-	for _, p := range sys.Procs.AliveByUID(uid) {
+	for _, p := range sys.Procs.ByUID(uid) {
 		if p.Freeze(now) {
 			n++
 		}

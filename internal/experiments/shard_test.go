@@ -28,6 +28,12 @@ func (b chanBudget) Acquire(ctx context.Context) bool {
 
 func (b chanBudget) Release() { <-b }
 
+// Keep never keeps: a channel cannot tell whether a sender waits.
+func (b chanBudget) Keep() bool {
+	b.Release()
+	return false
+}
+
 // runRange re-runs a runner restricted to the cells of r and returns
 // the sink payloads in index order — what a worker daemon does for
 // POST /internal/cells, minus the HTTP transport.

@@ -22,6 +22,12 @@ func (b chanBudget) Acquire(ctx context.Context) bool {
 
 func (b chanBudget) Release() { <-b }
 
+// Keep never keeps: a channel cannot tell whether a sender waits.
+func (b chanBudget) Keep() bool {
+	b.Release()
+	return false
+}
+
 // countingBudget wraps a chanBudget and counts granted Acquires and
 // Releases.
 type countingBudget struct {
@@ -40,6 +46,11 @@ func (b *countingBudget) Acquire(ctx context.Context) bool {
 func (b *countingBudget) Release() {
 	b.released.Add(1)
 	b.chanBudget.Release()
+}
+
+func (b *countingBudget) Keep() bool {
+	b.Release()
+	return false
 }
 
 // TestBudgetBoundsConcurrency: with a Budget of one unit, at most one

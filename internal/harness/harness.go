@@ -163,10 +163,15 @@ type ExecHooks struct {
 // Budget is a cell-execution budget shared by concurrent runs. Acquire
 // blocks until the caller may execute one cell, or reports false,
 // holding nothing, once ctx ends; Release returns what a successful
-// Acquire took. Both must be safe for concurrent use.
+// Acquire took. Keep is a worker's call between two cells in place of
+// Release and Acquire: it reports true, still holding the unit for the
+// next cell, when no waiter would be granted the unit ahead of a fresh
+// Acquire by the same worker; otherwise it releases the unit as Release
+// does and reports false. All three must be safe for concurrent use.
 type Budget interface {
 	Acquire(ctx context.Context) bool
 	Release()
+	Keep() bool
 }
 
 // Config tunes one harness run.
@@ -404,7 +409,10 @@ func (tr *tracker) complete(c Cell, cellTime time.Duration, cerr *CellError, sun
 // one never runs, breaking the completed-prefix guarantee. When
 // nothing is claimable while remote leases are outstanding, the worker
 // releases its unit before it waits, so an idle run never starves its
-// neighbours.
+// neighbours. Between two cells a worker asks the Budget to keep its
+// unit rather than releasing it and asking again, so no waiter the
+// Budget would serve after it takes the unit in between; a worker
+// whose context ends while it holds a kept unit releases it.
 func runPool[T any](ctx context.Context, cfg Config, stamped []Cell, out []T, tr *tracker, fn func(Cell) T, q *LeaseQueue, queued int) {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -415,10 +423,12 @@ func runPool[T any](ctx context.Context, cfg Config, stamped []Cell, out []T, tr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil && cfg.acquire(ctx) {
+			held := false // a unit kept from the last cell
+			for ctx.Err() == nil && (held || cfg.acquire(ctx)) {
 				i, ok := q.claim()
 				if !ok {
 					cfg.release()
+					held = false
 					if q.await() {
 						continue
 					}
@@ -426,8 +436,11 @@ func runPool[T any](ctx context.Context, cfg Config, stamped []Cell, out []T, tr
 				}
 				c := stamped[i]
 				cerr, sunk, cellTime := computeCell(cfg, c, &out[i], tr, fn)
-				cfg.release()
+				held = cfg.keep()
 				tr.complete(c, cellTime, cerr, sunk)
+			}
+			if held {
+				cfg.release()
 			}
 		}()
 	}
@@ -438,6 +451,12 @@ func runPool[T any](ctx context.Context, cfg Config, stamped []Cell, out []T, tr
 // if ctx ends first.
 func (cfg *Config) acquire(ctx context.Context) bool {
 	return cfg.Budget == nil || cfg.Budget.Acquire(ctx)
+}
+
+// keep asks to hold the unit acquire took for the next cell, reporting
+// false if it was released instead.
+func (cfg *Config) keep() bool {
+	return cfg.Budget == nil || cfg.Budget.Keep()
 }
 
 // release returns the unit acquire took.

@@ -36,6 +36,46 @@ func TestRunUntilStopsBurnAtHorizon(t *testing.T) {
 	}
 }
 
+// TestBurnPastTasksThatLeave: a task that blocks on I/O, or finishes
+// its work, leaves the queue at the burn that follows instead of ending
+// it, so the tasks still running burn on with no round stepped between.
+// Three tasks share three cores. In the first round one blocks until
+// 10 ms; after it wakes it needs 5 quanta more.
+func TestBurnPastTasksThatLeave(t *testing.T) {
+	eng, s, tb := newSched(3)
+	var spin []*proc.Task
+	for i := 0; i < 2; i++ {
+		task := appTask(tb, "spin", 0)
+		s.Register(task)
+		s.Post(task, &proc.Work{CPU: sim.Hour})
+		spin = append(spin, task)
+	}
+	io := appTask(tb, "io", 0)
+	s.Register(io)
+	wake := 10 * Quantum
+	s.Post(io, &proc.Work{CPU: 5 * Quantum, Setup: func() (sim.Time, sim.Time) { return 0, wake }})
+
+	// The tick at 0 runs the first round and burns the rounds at 1–9 ms.
+	eng.RunUntil(wake - Quantum/2)
+	if got := eng.Dispatched(); got != 1 {
+		t.Fatalf("%d events dispatched before the wake-up, want the first tick alone", got)
+	}
+	// Then the wake-up, the tick at 10 ms (which burns 11–13 ms), the
+	// tick at 14 ms that finishes io's item, and nothing more.
+	eng.RunUntil(20*Quantum + Quantum/2)
+	if got := eng.Dispatched(); got != 4 {
+		t.Fatalf("%d events dispatched by 20.5 ms, want 4", got)
+	}
+	if io.CPUTime != 5*Quantum {
+		t.Fatalf("io task ran %v, want 5 quanta", io.CPUTime)
+	}
+	for i, task := range spin {
+		if task.CPUTime != 21*Quantum {
+			t.Fatalf("spinning task %d ran %v, want 21 quanta", i, task.CPUTime)
+		}
+	}
+}
+
 // burnWorld is one simulation built from a fuzz input: a scheduler, its
 // tasks and trace, and every outside action already queued as an event.
 type burnWorld struct {
@@ -178,9 +218,8 @@ func buildBurnWorld(data []byte) *burnWorld {
 	return w
 }
 
-// FuzzBurnMatchesStep runs each input's world twice: with Drain, which
-// lets the scheduler burn rounds, and with bare Step calls, which never
-// do. Both must end in the same state, counters and trace.
+// FuzzBurnMatchesStep checks, for each input's world, that burning
+// rounds ends where stepping through every round does (burnMatchesStep).
 func FuzzBurnMatchesStep(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 200})                    // one task, one core
 	f.Add([]byte{3, 1, 0, 0, 90, 1, 255})             // fewer tasks than cores
@@ -198,32 +237,78 @@ func FuzzBurnMatchesStep(f *testing.F) {
 	f.Add([]byte{1, 2, 0, 0, 255, 0, 255, 0, 0, 0, 2, 80, 9}) // a sleeper that wakes after a burn, lifted to the burned minimum
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 255,
 		4, 1, 1, 0, 0, 0, 2, 255, 5, 1, 48, 4, 9, 0, 51, 1}) // a long-frozen task a post wakes, lifted in the first burn round
+	f.Add([]byte{0, 5, 0, 0, 255, 1, 255, 2, 255, 3, 255, 4, 255, 5, 255}) // six tasks of unequal weights on one core
+	f.Add([]byte{1, 5, 3, 1, 200, 2, 255, 3, 180, 0, 255, 4, 90, 5, 255,
+		6, 0, 60, 0}) // six tasks on two cores, weight and speed policies that a timer flips
+	f.Add([]byte{1, 3, 0, 0, 255, 0, 0, 0, 255, 0, 255,
+		3, 1, 4, 40}) // a task that blocks on I/O while three others burn on two cores
+	f.Add([]byte{1, 3, 0, 0, 255, 0, 255, 0, 255, 0, 255,
+		4, 3, 5, 0, 9, 0, 10, 3}) // a freeze of a queued task that another task's OnDone posts to
+	f.Add([]byte{0, 2, 0, 1, 60, 2, 255, 0, 255}) // a selected task reaches its quota while unselected ones still have work
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 160 {
 			return
 		}
-		burned, stepped := buildBurnWorld(data), buildBurnWorld(data)
-		burned.eng.Drain(1 << 24)
-		for stepped.eng.Step() {
-		}
-		if a, b := burned.eng.Now(), stepped.eng.Now(); a != b {
-			t.Fatalf("final clock %v, stepping %v", a, b)
-		}
-		for i, ta := range burned.tasks {
-			tb := stepped.tasks[i]
-			if ta.VRuntime != tb.VRuntime || ta.CPUTime != tb.CPUTime {
-				t.Fatalf("task %d: VRuntime %d CPUTime %v, stepping %d %v",
-					i, ta.VRuntime, ta.CPUTime, tb.VRuntime, tb.CPUTime)
-			}
-		}
-		if a, b := burned.s.Stats(), stepped.s.Stats(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("Stats %+v, stepping %+v", a, b)
-		}
-		if a, b := burned.eng.Obs().Snapshot(), stepped.eng.Obs().Snapshot(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("instruments %+v, stepping %+v", a, b)
-		}
-		if burned.tr.Recorded != stepped.tr.Recorded || !reflect.DeepEqual(burned.tr.Events(), stepped.tr.Events()) {
-			t.Fatalf("trace of %d events differs from stepping's %d", burned.tr.Recorded, stepped.tr.Recorded)
-		}
+		burnMatchesStep(t, func() *burnWorld { return buildBurnWorld(data) })
 	})
+}
+
+// TestBurnAcrossSeconds is FuzzBurnMatchesStep for a world whose rounds
+// run for seconds, which no fuzz input's do: five tasks of unequal
+// weights and speeds on two cores, with long items and a stats reset,
+// so burns cross the per-second busy buckets.
+func TestBurnAcrossSeconds(t *testing.T) {
+	burnMatchesStep(t, func() *burnWorld {
+		eng := sim.NewEngine(1)
+		s := New(eng, 2)
+		tr := trace.NewBuffer(1 << 13)
+		s.SetTrace(tr)
+		s.SetSpeedFn(func(t *proc.Task) float64 {
+			if t.TID%3 == 0 {
+				return 0.45
+			}
+			return 1
+		})
+		w := &burnWorld{eng: eng, s: s, tr: tr}
+		tb := proc.NewTable()
+		for i, weight := range fuzzWeights[:5] {
+			p := tb.NewProcess("p", tb.AllocUID(), proc.KindApp, 900)
+			task := tb.NewTask(p, "t", weight)
+			s.Register(task)
+			s.Post(task, &proc.Work{CPU: sim.Time(1+i) * 700 * sim.Millisecond})
+			w.tasks = append(w.tasks, task)
+		}
+		eng.At(400*sim.Millisecond+Quantum/4, s.ResetStats)
+		return w
+	})
+}
+
+// burnMatchesStep builds a world twice and runs it with Drain, which
+// lets the scheduler burn rounds, and with bare Step calls, which never
+// do. Both must end in the same state, counters and trace.
+func burnMatchesStep(t *testing.T, build func() *burnWorld) {
+	t.Helper()
+	burned, stepped := build(), build()
+	burned.eng.Drain(1 << 24)
+	for stepped.eng.Step() {
+	}
+	if a, b := burned.eng.Now(), stepped.eng.Now(); a != b {
+		t.Fatalf("final clock %v, stepping %v", a, b)
+	}
+	for i, ta := range burned.tasks {
+		tb := stepped.tasks[i]
+		if ta.VRuntime != tb.VRuntime || ta.CPUTime != tb.CPUTime {
+			t.Fatalf("task %d: VRuntime %d CPUTime %v, stepping %d %v",
+				i, ta.VRuntime, ta.CPUTime, tb.VRuntime, tb.CPUTime)
+		}
+	}
+	if a, b := burned.s.Stats(), stepped.s.Stats(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("Stats %+v, stepping %+v", a, b)
+	}
+	if a, b := burned.eng.Obs().Snapshot(), stepped.eng.Obs().Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("instruments %+v, stepping %+v", a, b)
+	}
+	if burned.tr.Recorded != stepped.tr.Recorded || !reflect.DeepEqual(burned.tr.Events(), stepped.tr.Events()) {
+		t.Fatalf("trace of %d events differs from stepping's %d", burned.tr.Recorded, stepped.tr.Recorded)
+	}
 }

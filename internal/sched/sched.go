@@ -296,20 +296,42 @@ func (s *Scheduler) second(at sim.Time) int {
 // approximating CFS's sleeper fairness.
 const wakeupBonus = int64(3 * sim.Millisecond)
 
+// filter drops from runq, in place, every task not runnable at now; a
+// round starts with it. A dead task can never run again, and whatever
+// event could make a live one runnable re-enqueues it (see the runq
+// field). The cleared tail keeps no pointer to a task that left.
+func (s *Scheduler) filter(now sim.Time) {
+	queued := len(s.runq)
+	runnable := s.runq[:0]
+	for _, t := range s.runq {
+		if t.Runnable(now) {
+			runnable = append(runnable, t)
+		} else {
+			t.InRunq = false
+		}
+	}
+	clear(s.runq[len(runnable):queued])
+	s.runq = runnable
+}
+
+// floor returns what a round over ts lifts minV to, the least vruntime
+// in ts if that is higher, and the floor below which it lifts a task:
+// that minV less the wakeup bonus.
+func (s *Scheduler) floor(ts []*proc.Task) (minV, floor int64) {
+	minV = ts[0].VRuntime
+	for _, t := range ts[1:] {
+		minV = min(minV, t.VRuntime)
+	}
+	minV = max(minV, s.minV)
+	return minV, minV - wakeupBonus
+}
+
 // lift normalises virtual runtimes at the start of a round so long
 // sleepers don't monopolise cores: minV rises to the least vruntime in
 // ts, and no task trails it by more than the wakeup bonus.
 func (s *Scheduler) lift(ts []*proc.Task) {
-	min := ts[0].VRuntime
-	for _, t := range ts[1:] {
-		if t.VRuntime < min {
-			min = t.VRuntime
-		}
-	}
-	if min > s.minV {
-		s.minV = min
-	}
-	floor := s.minV - wakeupBonus
+	var floor int64
+	s.minV, floor = s.floor(ts)
 	for _, t := range ts {
 		if t.VRuntime < floor {
 			t.VRuntime = floor
@@ -377,22 +399,8 @@ func (s *Scheduler) tick() {
 	}
 	s.nextAllowed = now + Quantum
 
-	// One pass filters the candidate queue, in place, down to the
-	// runnable set. Candidates found not runnable leave the queue: a dead
-	// task can never run again, and whatever event could make a live one
-	// runnable re-enqueues it (see the runq field). The cleared tail keeps
-	// no pointer to a task that left.
-	queued := len(s.runq)
-	runnable := s.runq[:0]
-	for _, t := range s.runq {
-		if t.Runnable(now) {
-			runnable = append(runnable, t)
-		} else {
-			t.InRunq = false
-		}
-	}
-	clear(s.runq[len(runnable):queued])
-	s.runq = runnable
+	s.filter(now)
+	runnable := s.runq
 	s.runqueue.Set(int64(len(runnable)))
 
 	if len(runnable) == 0 {
@@ -465,8 +473,12 @@ type burner struct {
 	core   sim.Time
 	dv     int64
 	class  CPUClass
-	// v is the task's vruntime at the start of the round being ordered.
-	v int64
+	// n is how many rounds the task can burn (Task.Burnable), and c how
+	// many it ran.
+	n, c int64
+	// v0 is the task's vruntime once the first round has lifted it, and
+	// v its vruntime at the start of the round being ordered.
+	v0, v int64
 }
 
 // before orders burners as tick runs tasks: by (vruntime, TID).
@@ -486,65 +498,92 @@ func sortBurners(bs []burner) {
 
 // burn applies at once the burn rounds that follow the round tick just
 // ran, and moves nextAllowed past them. A burn round is one in which
-// every queued task is runnable, has a core, and only burns CPU on its
-// in-progress item. No engine event runs between such rounds, so they
-// can be applied together: each counter, the vruntimes, the busy series
-// and the trace come out exactly as k ticks would leave them (DESIGN
-// §11, "Burn rounds"). Rounds are taken up to the engine's Calm, so no
-// pending event and no caller of RunUntil can observe one early.
+// every task that gets a core only burns CPU on its in-progress item.
+// No engine event runs between such rounds, so they can be applied
+// together: each counter, the vruntimes, the busy series and the trace
+// come out exactly as k ticks would leave them (DESIGN §11, "Burn
+// rounds"). Rounds are taken up to the engine's Calm, so no pending
+// event and no caller of RunUntil can observe one early.
 func (s *Scheduler) burn() {
 	start := s.nextAllowed
 	calm := s.eng.Calm()
-	if calm < start || len(s.runq) > s.cores {
+	if calm < start {
 		return
 	}
-	k := int64((calm-start)/Quantum) + 1
+	// The tick at start is the next event, and its round would begin
+	// with this filter.
+	s.filter(start)
 	bs := s.burners[:0]
 	for _, t := range s.runq {
-		if !t.Runnable(start) {
-			return
-		}
 		budget, speed := s.budget(t)
-		n := t.Burnable(budget)
-		if n == 0 {
+		bs = append(bs, burner{t: t, budget: budget, speed: speed, n: t.Burnable(budget)})
+	}
+	s.burners = bs
+	k := int64((calm-start)/Quantum) + 1
+	all := len(bs) <= s.cores
+	if all {
+		for i := range bs {
+			k = min(k, bs[i].n)
+		}
+		if k == 0 {
 			return
 		}
-		k = min(k, n)
-		bs = append(bs, burner{t: t, budget: budget, speed: speed})
 	}
 
 	// The first round lifts as tick does. Later rounds lift nothing:
 	// every vruntime has grown since, while the floor stays put or
 	// trails the least of them.
-	s.lift(s.runq)
-	var perRound sim.Time
+	minV, floor := s.floor(s.runq)
 	for i := range bs {
 		b := &bs[i]
 		b.core, b.dv = s.charge(b.t, b.budget, b.speed)
 		b.class = s.classify(b.t)
-		b.v = b.t.VRuntime
-		perRound += b.core
+		b.v0 = max(b.t.VRuntime, floor)
+		b.v = b.v0
+	}
+	var last int64
+	if all {
+		last = s.burnAll(bs, start, k)
+	} else if k, last = s.burnRounds(bs, start, k); k == 0 {
+		return
+	}
+
+	// minV rises to the least vruntime at the last round's start. runq
+	// takes bs's order, sorted for the last round or the one after it;
+	// selection is a strict total order, so no result reads it.
+	s.minV = max(minV, last)
+	for i := range bs {
+		b := &bs[i]
+		s.runq[i] = b.t
+		b.t.VRuntime = b.v0 + b.c*b.dv
+		if b.c > 0 {
+			b.t.Burn(b.c, b.budget)
+			s.busy[b.class] += sim.Time(b.c) * b.core
+			s.quanta[b.class].Add(uint64(b.c))
+		}
+	}
+	s.runqueue.Set(int64(len(s.runq)))
+	s.nextAllowed = start + sim.Time(k)*Quantum
+}
+
+// burnAll applies the busy series and trace of k rounds from start in
+// which every burner has a core, and returns the least vruntime at the
+// last one's start. Each round is the same, so the sums have a closed
+// form.
+func (s *Scheduler) burnAll(bs []burner, start sim.Time, k int64) int64 {
+	var perRound sim.Time
+	for i := range bs {
+		bs[i].c = k
+		perRound += bs[i].core
 	}
 	if s.tr != nil {
 		s.traceBurn(bs, start, k)
 	}
 	for i := range bs {
 		b := &bs[i]
-		b.t.Burn(k, b.budget)
-		b.v = b.t.VRuntime + (k-1)*b.dv
-		b.t.VRuntime = b.v + b.dv
-		s.busy[b.class] += sim.Time(k) * b.core
-		s.quanta[b.class].Add(uint64(k))
+		b.v = b.v0 + (k-1)*b.dv
 	}
-	// The last round ran its tasks in order of their vruntimes at its
-	// start, left runq in that order, and raised minV to the least.
 	sortBurners(bs)
-	for i := range bs {
-		s.runq[i] = bs[i].t
-	}
-	if bs[0].v > s.minV {
-		s.minV = bs[0].v
-	}
 	for j := int64(0); j < k; {
 		at := start + sim.Time(j)*Quantum
 		sec := s.second(at)
@@ -554,8 +593,40 @@ func (s *Scheduler) burn() {
 		s.busyPerSec[sec] += sim.Time(n) * perRound
 		j += n
 	}
-	s.runqueue.Set(int64(len(s.runq)))
-	s.nextAllowed = start + sim.Time(k)*Quantum
+	return bs[0].v
+}
+
+// burnRounds steps up to k rounds from start in which more burners are
+// queued than there are cores, applying each one's busy series and
+// trace. Each round runs the cores least burners by (v, TID), as tick
+// would, and it stops before a round that would give one of them more
+// rounds than it can burn. It returns the rounds run and the least
+// vruntime at the last one's start.
+func (s *Scheduler) burnRounds(bs []burner, start sim.Time, k int64) (ran, last int64) {
+	for ; ran < k; ran++ {
+		sortBurners(bs)
+		run := bs[:s.cores]
+		for i := range run {
+			if run[i].c == run[i].n {
+				return ran, last
+			}
+		}
+		at := start + sim.Time(ran)*Quantum
+		last = run[0].v
+		var total sim.Time
+		for i := range run {
+			b := &run[i]
+			if s.tr != nil {
+				s.tr.Span(at, trace.CatSched, quantumName[b.class], b.t.Proc.PID,
+					b.core, int64(b.budget), int64(b.t.Proc.UID))
+			}
+			total += b.core
+			b.c++
+			b.v += b.dv
+		}
+		s.busyPerSec[s.second(at)] += total
+	}
+	return ran, last
 }
 
 // traceBurn emits the CatSched spans of k burn rounds from start, each

@@ -301,8 +301,9 @@ func (m *Manager) releaseRunningLocked(j *job) {
 // principal is at its max-cells, waits. Each freed slot goes to the
 // first waiting worker — interactive class first, oldest first within
 // a class — whose principal's quota has room; a worker passed over for
-// its quota holds nothing while it waits. The gate has its own lock:
-// harness workers call it off the Manager's.
+// its quota holds nothing while it waits. Between two cells a worker
+// keeps its slot unless such a waiter would come before it (keep). The
+// gate has its own lock: harness workers call it off the Manager's.
 type cellGate struct {
 	mu      sync.Mutex
 	free    int
@@ -365,6 +366,26 @@ func (g *cellGate) release(q *cellQuota) {
 	g.releaseLocked(q)
 }
 
+// keep is a holder's call between two cells. The worker keeps its slot,
+// taken under quota q, unless a waiter would be granted it ahead of a
+// fresh enter in class: one of a higher class, or any of the same class
+// (each is older), whose quota has room once the slot is returned. Then
+// the slot is released and handed on as release does, and keep reports
+// false.
+func (g *cellGate) keep(class int, q *cellQuota) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, ws := range g.waiting[:class+1] {
+		for _, w := range ws {
+			if w.quota.room() || w.quota == q {
+				g.releaseLocked(q)
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func (g *cellGate) takeLocked(q *cellQuota) {
 	g.free--
 	if q != nil {
@@ -419,3 +440,5 @@ func (b gateBudget) Acquire(ctx context.Context) bool {
 }
 
 func (b gateBudget) Release() { b.g.release(b.quota) }
+
+func (b gateBudget) Keep() bool { return b.g.keep(b.class, b.quota) }

@@ -244,10 +244,19 @@ func batchCellsWhile(t *testing.T, m *Manager, batchID string, submit func() str
 // 2·MaxWorkers batch cells complete meanwhile: those in flight at the
 // submission, and as many that may take a slot before the interactive
 // workers reach the gate. The batch cells' 60 s window outlasts that
-// start-up. Both jobs run two workers: a one-worker job asks for its
-// next slot only after releasing the last one, by which time the gate
-// has handed it on.
-func TestInteractiveCellsTakeFreedSlots(t *testing.T) {
+// start-up.
+func TestInteractiveCellsTakeFreedSlots(t *testing.T) { interactiveTakesSlots(t, 2) }
+
+// TestOneWorkerInteractiveKeepsItsSlot is TestInteractiveCellsTakeFreedSlots
+// for a one-worker interactive job. Its worker keeps its slot between
+// cells (harness.Budget.Keep): were it to release the slot and ask
+// again, the gate would hand it to a waiting batch worker each time.
+func TestOneWorkerInteractiveKeepsItsSlot(t *testing.T) { interactiveTakesSlots(t, 1) }
+
+// interactiveTakesSlots runs a 6-cell interactive job of the given
+// worker count while a two-worker batch job runs on a one-slot gate,
+// and fails if more than 2·MaxWorkers batch cells complete meanwhile.
+func interactiveTakesSlots(t *testing.T, workers int) {
 	const maxWorkers = 1
 	m := NewManager(Config{MaxWorkers: maxWorkers})
 	batch, err := m.Submit(JobSpec{
@@ -274,7 +283,7 @@ func TestInteractiveCellsTakeFreedSlots(t *testing.T) {
 	n, ev := batchCellsWhile(t, m, batch.ID, func() string {
 		v, err := m.Submit(JobSpec{
 			Kind: KindRun, Device: "Pixel3", Scenario: "S-C", Scheme: "Ice",
-			DurationSec: 2, Rounds: 6, Seed: 37, Workers: 2,
+			DurationSec: 2, Rounds: 6, Seed: 37, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +294,7 @@ func TestInteractiveCellsTakeFreedSlots(t *testing.T) {
 		t.Fatalf("interactive job: %s (%s)", ev.State, ev.Error)
 	}
 	if n > 2*maxWorkers {
-		t.Errorf("%d batch cells completed while the interactive job ran, want at most %d", n, 2*maxWorkers)
+		t.Errorf("%d batch cells completed while the %d-worker interactive job ran, want at most %d", n, workers, 2*maxWorkers)
 	}
 	m.Cancel(batch.ID)
 	drainMgr(t, m)
@@ -409,20 +418,25 @@ func TestCellGateCancelLeavesNoSlot(t *testing.T) {
 	}
 }
 
-// FuzzCellGate drives seeded enter/release/cancel/resolve sequences
-// over both classes and three principals (no quota, max-cells 1 and
-// 2) through a gate of 1–4 slots. A resolve moves a granted waiter to
-// the holders, as Acquire does once it sees the grant; a cancel may
-// hit a waiter whose grant has already landed, the race Acquire's
-// select can lose. After every step: free plus held slots equal the
-// capacity; each quota's count equals its holders and stays within
-// its max; no worker waits while a slot is free and its quota has
-// room; and no batch worker was granted a slot while an interactive
-// worker whose quota has room waits.
+// FuzzCellGate drives seeded enter/release/keep/cancel/resolve
+// sequences over both classes and three principals (no quota,
+// max-cells 1 and 2) through a gate of 1–4 slots. A resolve moves a
+// granted waiter to the holders, as Acquire does once it sees the
+// grant; a cancel may hit a waiter whose grant has already landed, the
+// race Acquire's select can lose; a keep is a holder between two cells
+// (a release op with the high bit set). After every step: free plus
+// held slots equal the capacity; each quota's count equals its holders
+// and stays within its max; no worker waits while a slot is free and
+// its quota has room; no batch worker was granted a slot while an
+// interactive worker whose quota has room waits; and a holder kept its
+// slot only if no waiter of its class or a higher one could take it.
 func FuzzCellGate(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 4, 8, 2, 3, 1, 6})
 	f.Add([]byte{2, 9, 9, 13, 13, 4, 0, 2, 6, 7, 3, 11, 2})
 	f.Add([]byte{0, 1, 5, 9, 13, 17, 2, 2, 3, 3, 7, 6, 10})
+	f.Add([]byte{0, 0, 4, 129, 129})       // an interactive holder keeps its slot past a batch waiter
+	f.Add([]byte{0, 4, 0, 129, 3})         // a batch holder hands its slot to an interactive waiter
+	f.Add([]byte{1, 8, 0, 8, 133, 129, 3}) // keeps past a waiter at its max-cells, then hands on to that principal's
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -456,11 +470,29 @@ func FuzzCellGate(f *testing.F) {
 				} else {
 					pending = append(pending, wk)
 				}
-			case 1: // a holder finishes its cell
+			case 1: // a holder finishes its cell: it releases, or with the high bit keeps
 				if len(holders) > 0 {
 					var wk *worker
 					holders, wk = pick(holders, op)
-					g.release(wk.quota)
+					if op&0x80 == 0 {
+						g.release(wk.quota)
+						break
+					}
+					// Who could take the slot ahead of a fresh enter.
+					ahead := false
+					for _, p := range pending {
+						if !p.w.granted && p.class <= wk.class && (p.quota.room() || p.quota == wk.quota) {
+							ahead = true
+						}
+					}
+					if g.keep(wk.class, wk.quota) {
+						if ahead {
+							t.Fatalf("step %d: a holder kept its slot past a waiter that could take it", step)
+						}
+						holders = append(holders, wk)
+					} else if !ahead {
+						t.Fatalf("step %d: a holder gave up its slot with no waiter to take it", step)
+					}
 				}
 			case 2: // a waiting worker's context ends
 				if len(pending) > 0 {

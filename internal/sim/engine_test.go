@@ -129,14 +129,22 @@ func TestEngineDrainBudgetPanics(t *testing.T) {
 	e.Drain(100)
 }
 
+// TestEngineDispatchedCount also checks the process-wide total: RunUntil
+// and Drain add what they dispatch, and a bare Step adds nothing.
 func TestEngineDispatchedCount(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 7; i++ {
 		e.After(Time(i), func() {})
 	}
+	total := TotalDispatched()
+	e.Step()
+	e.RunUntil(2)
 	e.Drain(100)
 	if e.Dispatched() != 7 {
 		t.Fatalf("Dispatched = %d, want 7", e.Dispatched())
+	}
+	if got := TotalDispatched() - total; got != 6 {
+		t.Fatalf("TotalDispatched rose by %d, want 6", got)
 	}
 }
 
