@@ -9,6 +9,9 @@
 package sched
 
 import (
+	"math"
+	"slices"
+
 	"github.com/eurosys23/ice/internal/obs"
 	"github.com/eurosys23/ice/internal/proc"
 	"github.com/eurosys23/ice/internal/sim"
@@ -118,8 +121,10 @@ type Scheduler struct {
 	// tickFn is the bound tick method, captured once so re-arming the
 	// tick does not allocate a fresh method value per event.
 	tickFn func()
-	// burners is burn's scratch, one entry per core.
+	// burners and order are burn's scratch, one entry per queued task:
+	// the burners, and pointers to them in the order being sorted.
 	burners []burner
+	order   []*burner
 
 	quanta   [numCPUClasses]*obs.Counter
 	runqueue *obs.Gauge
@@ -131,7 +136,7 @@ func New(eng *sim.Engine, cores int) *Scheduler {
 	if cores <= 0 {
 		panic("sched: non-positive core count")
 	}
-	s := &Scheduler{eng: eng, cores: cores, fgUID: -1, burners: make([]burner, 0, cores)}
+	s := &Scheduler{eng: eng, cores: cores, fgUID: -1}
 	s.weight = func(t *proc.Task) int { return t.Weight }
 	s.speed = func(*proc.Task) float64 { return 1 }
 	s.speedDefault = true
@@ -299,43 +304,51 @@ const wakeupBonus = int64(3 * sim.Millisecond)
 // filter drops from runq, in place, every task not runnable at now; a
 // round starts with it. A dead task can never run again, and whatever
 // event could make a live one runnable re-enqueues it (see the runq
-// field). The cleared tail keeps no pointer to a task that left.
-func (s *Scheduler) filter(now sim.Time) {
+// field). The cleared tail keeps no pointer to a task that left. It
+// returns the least vruntime of the tasks that stay.
+func (s *Scheduler) filter(now sim.Time) (least int64) {
 	queued := len(s.runq)
 	runnable := s.runq[:0]
+	least = math.MaxInt64
 	for _, t := range s.runq {
 		if t.Runnable(now) {
 			runnable = append(runnable, t)
+			least = min(least, t.VRuntime)
 		} else {
 			t.InRunq = false
 		}
 	}
 	clear(s.runq[len(runnable):queued])
 	s.runq = runnable
+	return least
 }
 
-// floor returns what a round over ts lifts minV to, the least vruntime
-// in ts if that is higher, and the floor below which it lifts a task:
-// that minV less the wakeup bonus.
-func (s *Scheduler) floor(ts []*proc.Task) (minV, floor int64) {
-	minV = ts[0].VRuntime
-	for _, t := range ts[1:] {
-		minV = min(minV, t.VRuntime)
-	}
-	minV = max(minV, s.minV)
+// floor returns what a round whose least vruntime is least lifts minV
+// to, least if that is higher, and the floor below which it lifts a
+// task: that minV less the wakeup bonus. Lifting normalises virtual
+// runtimes so long sleepers don't monopolise cores.
+func (s *Scheduler) floor(least int64) (minV, floor int64) {
+	minV = max(least, s.minV)
 	return minV, minV - wakeupBonus
 }
 
-// lift normalises virtual runtimes at the start of a round so long
-// sleepers don't monopolise cores: minV rises to the least vruntime in
-// ts, and no task trails it by more than the wakeup bonus.
-func (s *Scheduler) lift(ts []*proc.Task) {
-	var floor int64
-	s.minV, floor = s.floor(ts)
-	for _, t := range ts {
-		if t.VRuntime < floor {
-			t.VRuntime = floor
+// runsBefore is the order a round runs tasks in: by (vruntime, TID), a
+// strict total order, since TIDs are unique.
+func runsBefore(a, b *proc.Task) bool {
+	return a.VRuntime < b.VRuntime || (a.VRuntime == b.VRuntime && a.TID < b.TID)
+}
+
+// liftSort lifts each task of ts below floor to it and insertion-sorts
+// ts into the order a round runs them in. A round's queue mostly keeps
+// the order of the round before, so the sort is close to linear.
+func liftSort(ts []*proc.Task, floor int64) {
+	for i, t := range ts {
+		t.VRuntime = max(t.VRuntime, floor)
+		j := i
+		for ; j > 0 && runsBefore(t, ts[j-1]); j-- {
+			ts[j] = ts[j-1]
 		}
+		ts[j] = t
 	}
 }
 
@@ -399,7 +412,7 @@ func (s *Scheduler) tick() {
 	}
 	s.nextAllowed = now + Quantum
 
-	s.filter(now)
+	least := s.filter(now)
 	runnable := s.runq
 	s.runqueue.Set(int64(len(runnable)))
 
@@ -407,29 +420,15 @@ func (s *Scheduler) tick() {
 		s.tickArmed = false
 		return
 	}
-	s.lift(runnable)
 
-	// Partial selection: only the cores lowest-vruntime tasks run this
-	// quantum, so selecting them in order (O(cores·n), allocation-free)
-	// replaces a full reflect-driven sort. (VRuntime, TID) is a strict
-	// total order — TIDs are unique — so the selected prefix is exactly
-	// the prefix a full sort would produce, whatever order the queue
-	// held the candidates in. Selection swaps within runq; tasks enqueued
+	// The cores first tasks of the sorted queue run this quantum. Since
+	// the order is strict and total, which tasks run, and in what order,
+	// never depends on the order the queue held them in. Tasks enqueued
 	// while the selected ones execute append past this round's set.
-	n := len(runnable)
-	if n > s.cores {
-		n = s.cores
-	}
-	for i := 0; i < n; i++ {
-		min := i
-		for j := i + 1; j < len(runnable); j++ {
-			if runnable[j].VRuntime < runnable[min].VRuntime ||
-				(runnable[j].VRuntime == runnable[min].VRuntime && runnable[j].TID < runnable[min].TID) {
-				min = j
-			}
-		}
-		runnable[i], runnable[min] = runnable[min], runnable[i]
-	}
+	var floor int64
+	s.minV, floor = s.floor(least)
+	liftSort(runnable, floor)
+	n := min(len(runnable), s.cores)
 	for _, t := range runnable[:n] {
 		budget, speed := s.budget(t)
 		used, blockedUntil := t.Execute(now, budget)
@@ -469,7 +468,6 @@ func (s *Scheduler) tick() {
 type burner struct {
 	t      *proc.Task
 	budget sim.Time
-	speed  float64
 	core   sim.Time
 	dv     int64
 	class  CPUClass
@@ -488,11 +486,13 @@ func (b *burner) before(o *burner) bool {
 
 // sortBurners insertion-sorts bs by (v, TID). Consecutive rounds mostly
 // keep their order, so each sort after the first is close to linear.
-func sortBurners(bs []burner) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].before(&bs[j-1]); j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
+func sortBurners(bs []*burner) {
+	for i, b := range bs {
+		j := i
+		for ; j > 0 && b.before(bs[j-1]); j-- {
+			bs[j] = bs[j-1]
 		}
+		bs[j] = b
 	}
 }
 
@@ -511,36 +511,33 @@ func (s *Scheduler) burn() {
 		return
 	}
 	// The tick at start is the next event, and its round would begin
-	// with this filter.
-	s.filter(start)
-	bs := s.burners[:0]
-	for _, t := range s.runq {
-		budget, speed := s.budget(t)
-		bs = append(bs, burner{t: t, budget: budget, speed: speed, n: t.Burnable(budget)})
-	}
-	s.burners = bs
+	// with this filter. Its first round lifts as tick does. Later rounds
+	// lift nothing: every vruntime has grown since, while the floor
+	// stays put or trails the least of them.
+	minV, floor := s.floor(s.filter(start))
 	k := int64((calm-start)/Quantum) + 1
-	all := len(bs) <= s.cores
-	if all {
-		for i := range bs {
-			k = min(k, bs[i].n)
+	all := len(s.runq) <= s.cores
+	s.burners = slices.Grow(s.burners[:0], len(s.runq))[:len(s.runq)]
+	s.order = slices.Grow(s.order[:0], len(s.runq))[:len(s.runq)]
+	for i, t := range s.runq {
+		budget, speed := s.budget(t)
+		n := t.Burnable(budget)
+		if all {
+			// Every task runs every round, so the burn ends before any
+			// item would finish.
+			if k = min(k, n); k == 0 {
+				return
+			}
 		}
-		if k == 0 {
-			return
-		}
-	}
-
-	// The first round lifts as tick does. Later rounds lift nothing:
-	// every vruntime has grown since, while the floor stays put or
-	// trails the least of them.
-	minV, floor := s.floor(s.runq)
-	for i := range bs {
-		b := &bs[i]
-		b.core, b.dv = s.charge(b.t, b.budget, b.speed)
-		b.class = s.classify(b.t)
-		b.v0 = max(b.t.VRuntime, floor)
+		b := &s.burners[i]
+		b.t, b.budget, b.n, b.c = t, budget, n, 0
+		b.core, b.dv = s.charge(t, budget, speed)
+		b.class = s.classify(t)
+		b.v0 = max(t.VRuntime, floor)
 		b.v = b.v0
+		s.order[i] = b
 	}
+	bs := s.order
 	var last int64
 	if all {
 		last = s.burnAll(bs, start, k)
@@ -552,8 +549,7 @@ func (s *Scheduler) burn() {
 	// takes bs's order, sorted for the last round or the one after it;
 	// selection is a strict total order, so no result reads it.
 	s.minV = max(minV, last)
-	for i := range bs {
-		b := &bs[i]
+	for i, b := range bs {
 		s.runq[i] = b.t
 		b.t.VRuntime = b.v0 + b.c*b.dv
 		if b.c > 0 {
@@ -570,17 +566,16 @@ func (s *Scheduler) burn() {
 // which every burner has a core, and returns the least vruntime at the
 // last one's start. Each round is the same, so the sums have a closed
 // form.
-func (s *Scheduler) burnAll(bs []burner, start sim.Time, k int64) int64 {
+func (s *Scheduler) burnAll(bs []*burner, start sim.Time, k int64) int64 {
 	var perRound sim.Time
-	for i := range bs {
-		bs[i].c = k
-		perRound += bs[i].core
+	for _, b := range bs {
+		b.c = k
+		perRound += b.core
 	}
 	if s.tr != nil {
 		s.traceBurn(bs, start, k)
 	}
-	for i := range bs {
-		b := &bs[i]
+	for _, b := range bs {
 		b.v = b.v0 + (k-1)*b.dv
 	}
 	sortBurners(bs)
@@ -602,20 +597,19 @@ func (s *Scheduler) burnAll(bs []burner, start sim.Time, k int64) int64 {
 // would, and it stops before a round that would give one of them more
 // rounds than it can burn. It returns the rounds run and the least
 // vruntime at the last one's start.
-func (s *Scheduler) burnRounds(bs []burner, start sim.Time, k int64) (ran, last int64) {
+func (s *Scheduler) burnRounds(bs []*burner, start sim.Time, k int64) (ran, last int64) {
 	for ; ran < k; ran++ {
 		sortBurners(bs)
 		run := bs[:s.cores]
-		for i := range run {
-			if run[i].c == run[i].n {
+		for _, b := range run {
+			if b.c == b.n {
 				return ran, last
 			}
 		}
 		at := start + sim.Time(ran)*Quantum
 		last = run[0].v
 		var total sim.Time
-		for i := range run {
-			b := &run[i]
+		for _, b := range run {
 			if s.tr != nil {
 				s.tr.Span(at, trace.CatSched, quantumName[b.class], b.t.Proc.PID,
 					b.core, int64(b.budget), int64(b.t.Proc.UID))
@@ -631,12 +625,11 @@ func (s *Scheduler) burnRounds(bs []burner, start sim.Time, k int64) (ran, last 
 
 // traceBurn emits the CatSched spans of k burn rounds from start, each
 // round's in the (vruntime, TID) order tick runs them in.
-func (s *Scheduler) traceBurn(bs []burner, start sim.Time, k int64) {
+func (s *Scheduler) traceBurn(bs []*burner, start sim.Time, k int64) {
 	for j := int64(0); j < k; j++ {
 		sortBurners(bs)
 		at := start + sim.Time(j)*Quantum
-		for i := range bs {
-			b := &bs[i]
+		for _, b := range bs {
 			s.tr.Span(at, trace.CatSched, quantumName[b.class], b.t.Proc.PID,
 				b.core, int64(b.budget), int64(b.t.Proc.UID))
 			b.v += b.dv
