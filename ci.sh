@@ -122,12 +122,13 @@ go test -run='^$' -fuzz='^FuzzBurnMatchesStep$' -fuzztime=10s ./internal/sched/
 go test -run='^$' -fuzz='^FuzzInternalBodies$' -fuzztime=10s ./internal/service/
 
 # And for the cell gate every locally executed cell passes: from fuzzed
-# enter, release, cancel and grant-observed steps over both priority
-# classes and principals with and without max-cells, free plus held
-# slots stay at the capacity, each quota counts exactly its holders and
-# stays within its max, no worker waits while a slot is free and its
-# quota has room, and no batch worker is granted a slot while an
-# interactive worker whose quota has room waits.
+# enter, release, keep, cancel and grant-observed steps over both
+# priority classes and principals with and without max-cells, free plus
+# held slots stay at the capacity, each quota counts exactly its holders
+# and stays within its max, no worker waits while a slot is free and its
+# quota has room, no batch worker is granted a slot while an
+# interactive worker whose quota has room waits, and a worker keeps its
+# slot between cells only when no waiter could take it first.
 go test -run='^$' -fuzz='^FuzzCellGate$' -fuzztime=10s ./internal/service/
 
 # And for the memory manager's page arena: from fuzzed tapes of Map,
