@@ -31,7 +31,10 @@
 #   mapping order), a
 #   golden-file check on the Perfetto trace exporter, the scheme
 #   byte-identity goldens (every registered policy scheme's fixed-seed
-#   result hash), an icesimd smoke test (boot with a state dir,
+#   result hash), a seed sweep (every experiment's Fast pass,
+#   `experiments -run all -fast -workers 2`, must exit 0 at seeds 2-9,
+#   so a panic or failed cell off the pinned seeds fails the gate), an
+#   icesimd smoke test (boot with a state dir,
 #   health check, one cached job round-trip, the Prometheus exposition
 #   on /metrics in both negotiated forms, SIGTERM drain, then a
 #   restart on the same state dir that must serve the job
@@ -149,6 +152,18 @@ go test -run=TestExportChromeGolden ./internal/trace/
 # fixed-seed golden hash (internal/workload/golden_test.go). A drift here
 # means a refactor changed simulation behaviour.
 go test -run=TestSchemeGolden ./internal/workload/
+
+# Seed sweep: the goldens pin a few fixed seeds; every experiment's Fast
+# pass must also run to the end at seeds 2-9. A panic (an mm or
+# scheduler invariant, a clock or owner limit) or any failed cell makes
+# cmd/experiments exit non-zero.
+sweepbin=$(mktemp)
+go build -o "$sweepbin" ./cmd/experiments
+for seed in 2 3 4 5 6 7 8 9; do
+    "$sweepbin" -run all -fast -workers 2 -seed "$seed" >/dev/null \
+        || { rm -f "$sweepbin"; echo "experiments -run all -fast failed at seed $seed" >&2; exit 1; }
+done
+rm -f "$sweepbin"
 
 # icesimd smoke: boot on a random port with a persistent state dir,
 # health-check, run one tiny job twice (the second answer must come from

@@ -152,7 +152,7 @@ func (am *ActivityManager) RequestForeground(name string, onDone func(metrics.La
 		for _, fn := range am.sys.Hooks.FGChange {
 			fn(prev, in)
 		}
-		am.postColdLaunch(in, finish)
+		in.postLaunchChunk(true, 0, finish)
 		return
 	}
 
@@ -162,7 +162,7 @@ func (am *ActivityManager) RequestForeground(name string, onDone func(metrics.La
 	for _, fn := range am.sys.Hooks.FGChange {
 		fn(prev, in)
 	}
-	am.postHotResume(in, finish)
+	in.postLaunchChunk(false, 0, finish)
 }
 
 // moveToBG demotes an app to the cached list.
@@ -224,83 +224,100 @@ func (am *ActivityManager) applyFGBoost(in *Instance, fg bool) {
 	}
 }
 
-// postColdLaunch drives the cold-launch pipeline: stream code/resource
-// pages from flash, map the footprint, and burn the init CPU — in chunks,
-// chained so the UI task's small queue never overflows.
-func (am *ActivityManager) postColdLaunch(in *Instance, finish func(start, end sim.Time)) {
-	sys := am.sys
-	spec := in.Spec
-	cpuPerChunk := scaleCPU(spec.LaunchCPU, sys) / launchChunks
-	var postChunk func(i int)
-	postChunk = func(i int) {
-		last := i == launchChunks-1
-		w := &proc.Work{
-			Name: "cold-launch",
-			Setup: func() (sim.Time, sim.Time) {
-				var cost mm.Cost
-				// Stream this chunk's share of code/resources from flash.
-				reads := spec.LaunchReadPages / launchChunks
-				if reads > 0 {
-					completion := sys.Disk.Read(reads, nil)
-					if completion > cost.BlockUntil {
-						cost.BlockUntil = completion
-					}
-				}
-				// Grow the address space.
-				pid := in.MainPID()
-				var c mm.Cost
-				in.filePages, c = sys.MM.MapAppend(in.filePages, pid, in.UID, mm.File, spec.FilePages/launchChunks)
-				cost.Add(c)
-				in.nativePages, c = sys.MM.MapAppend(in.nativePages, pid, in.UID, mm.AnonNative, spec.NativePages/launchChunks)
-				cost.Add(c)
-				in.javaPages, c = sys.MM.MapAppend(in.javaPages, pid, in.UID, mm.AnonJava, spec.JavaPages/launchChunks)
-				cost.Add(c)
-				return cost.Stall, cost.BlockUntil
-			},
-			CPU: in.rng.Jitter(cpuPerChunk, 0.2),
-		}
-		if last {
-			w.OnDone = func(start, end sim.Time) { finish(start, end) }
-		} else {
-			w.OnDone = func(_, _ sim.Time) { postChunk(i + 1) }
-		}
-		sys.Sched.Post(in.uiTask, w)
-	}
-	postChunk(0)
+// resumeChunks splits a hot resume the same way.
+const resumeChunks = 2
+
+// launchWork is one chunk of a cold launch or a hot resume on the UI
+// task, with what its Setup and OnDone read. Each Instance recycles its
+// own, as the renderer recycles frames: a record returns to the free
+// list when its chunk completes or when Post refuses it, so a launch
+// allocates no Work and no closure per chunk.
+type launchWork struct {
+	proc.Work
+	in     *Instance
+	cold   bool
+	chunk  int
+	finish func(start, end sim.Time)
 }
 
-// postHotResume drives a hot launch: re-touch the resume working set
-// (refaulting whatever was reclaimed while cached — the penalty analysed
-// in §6.3.1) and run the resume CPU.
-func (am *ActivityManager) postHotResume(in *Instance, finish func(start, end sim.Time)) {
-	sys := am.sys
-	spec := in.Spec
-	const chunks = 2
-	cpuPerChunk := scaleCPU(spec.ResumeCPU, sys) / chunks
-	var postChunk func(i int)
-	postChunk = func(i int) {
-		last := i == chunks-1
-		w := &proc.Work{
-			Name: "hot-resume",
-			Setup: func() (sim.Time, sim.Time) {
-				var cost mm.Cost
-				pid := in.MainPID()
-				for _, region := range [][]mm.PageID{in.filePages, in.nativePages, in.javaPages} {
-					n := int(float64(len(region)) * spec.ResumeTouchFrac / chunks)
-					in.scratch = in.scratch[:0]
-					in.scratch = in.pick(region, n, in.scratch)
-					cost.Add(sys.MM.Touch(pid, in.scratch))
-				}
-				return cost.Stall, cost.BlockUntil
-			},
-			CPU: in.rng.Jitter(cpuPerChunk, 0.2),
-		}
-		if last {
-			w.OnDone = func(start, end sim.Time) { finish(start, end) }
-		} else {
-			w.OnDone = func(_, _ sim.Time) { postChunk(i + 1) }
-		}
-		sys.Sched.Post(in.uiTask, w)
+// postLaunchChunk posts chunk i of a cold launch (cold) or of a hot
+// resume on in's UI task. The chunks run one after another, so the UI
+// task's small queue never overflows: the cold ones stream code and
+// resource pages from flash, map the footprint and burn the init CPU;
+// the resume ones re-touch the resume working set (refaulting whatever
+// was reclaimed while cached — the penalty analysed in §6.3.1) and run
+// the resume CPU. finish runs when the last chunk completes. The
+// chunk's CPU is drawn here, at post time.
+func (in *Instance) postLaunchChunk(cold bool, i int, finish func(start, end sim.Time)) {
+	var w *launchWork
+	if n := len(in.launchFree); n > 0 {
+		w = in.launchFree[n-1]
+		in.launchFree = in.launchFree[:n-1]
+	} else {
+		w = &launchWork{in: in}
+		w.Setup = w.setup
+		w.OnDone = w.done
 	}
-	postChunk(0)
+	w.cold, w.chunk, w.finish = cold, i, finish
+	sys := in.sys
+	if cold {
+		w.Name = "cold-launch"
+		w.CPU = in.rng.Jitter(scaleCPU(in.Spec.LaunchCPU, sys)/launchChunks, 0.2)
+	} else {
+		w.Name = "hot-resume"
+		w.CPU = in.rng.Jitter(scaleCPU(in.Spec.ResumeCPU, sys)/resumeChunks, 0.2)
+	}
+	if !sys.Sched.Post(in.uiTask, &w.Work) {
+		w.finish = nil
+		in.launchFree = append(in.launchFree, w)
+	}
+}
+
+func (w *launchWork) setup() (sim.Time, sim.Time) {
+	in := w.in
+	sys := in.sys
+	spec := in.Spec
+	pid := in.MainPID()
+	var cost mm.Cost
+	if !w.cold {
+		for _, region := range [][]mm.PageID{in.filePages, in.nativePages, in.javaPages} {
+			n := int(float64(len(region)) * spec.ResumeTouchFrac / resumeChunks)
+			in.scratch = in.scratch[:0]
+			in.scratch = in.pick(region, n, in.scratch)
+			cost.Add(sys.MM.Touch(pid, in.scratch))
+		}
+		return cost.Stall, cost.BlockUntil
+	}
+	// Stream this chunk's share of code/resources from flash.
+	reads := spec.LaunchReadPages / launchChunks
+	if reads > 0 {
+		completion := sys.Disk.Read(reads, nil)
+		if completion > cost.BlockUntil {
+			cost.BlockUntil = completion
+		}
+	}
+	// Grow the address space.
+	var c mm.Cost
+	in.filePages, c = sys.MM.MapAppend(in.filePages, pid, in.UID, mm.File, spec.FilePages/launchChunks)
+	cost.Add(c)
+	in.nativePages, c = sys.MM.MapAppend(in.nativePages, pid, in.UID, mm.AnonNative, spec.NativePages/launchChunks)
+	cost.Add(c)
+	in.javaPages, c = sys.MM.MapAppend(in.javaPages, pid, in.UID, mm.AnonJava, spec.JavaPages/launchChunks)
+	cost.Add(c)
+	return cost.Stall, cost.BlockUntil
+}
+
+func (w *launchWork) done(start, end sim.Time) {
+	in, cold, next, finish := w.in, w.cold, w.chunk+1, w.finish
+	w.finish = nil
+	in.launchFree = append(in.launchFree, w)
+	chunks := resumeChunks
+	if cold {
+		chunks = launchChunks
+	}
+	if next == chunks {
+		finish(start, end)
+		return
+	}
+	in.postLaunchChunk(cold, next, finish)
 }

@@ -399,3 +399,31 @@ func TestFramePathNoAllocs(t *testing.T) {
 		t.Fatalf("renderer holds %d free frame records, want 1 to 3", n)
 	}
 }
+
+// TestLaunchChunksNoAllocs: an Instance recycles its launch chunk
+// records, so once warm, a cold launch's eight chunks and a hot resume's
+// two post, run and finish without allocating. The app maps and touches
+// no pages, which keeps the chunks' mm work out of the count.
+func TestLaunchChunksNoAllocs(t *testing.T) {
+	sys := newTestSystem(t)
+	in := sys.AM.Install(app.Spec{Name: "blank", LaunchCPU: 40 * sim.Millisecond, ResumeCPU: 10 * sim.Millisecond})
+	launchWait(t, sys, "blank")
+	finished := 0
+	finish := func(_, _ sim.Time) { finished++ }
+	for _, cold := range []bool{true, false} {
+		finished = 0
+		allocs := testing.AllocsPerRun(50, func() {
+			in.postLaunchChunk(cold, 0, finish)
+			sys.Run(sim.Second)
+		})
+		if allocs != 0 {
+			t.Fatalf("a warm launch chain (cold %v) allocated %.1f objects, want 0", cold, allocs)
+		}
+		if finished != 51 {
+			t.Fatalf("%d of 51 launch chains (cold %v) finished", finished, cold)
+		}
+		if n := len(in.launchFree); n != 1 {
+			t.Fatalf("the app holds %d free launch records, want 1", n)
+		}
+	}
+}

@@ -64,6 +64,10 @@ type Instance struct {
 
 	// streamRing holds streamed file-cache pages (see streamFile).
 	streamRing []mm.PageID
+
+	// launchFree holds launch chunk records ready for reuse (see
+	// launchWork).
+	launchFree []*launchWork
 }
 
 // State returns the lifecycle state.
@@ -181,7 +185,7 @@ func (in *Instance) spawn() {
 	}
 	in.main = sys.Procs.NewProcess(in.Spec.Name, in.UID, proc.KindApp, proc.AdjForeground)
 	// The same footprint sizes the main process's page index in mm.
-	sys.MM.Reserve(in.main.PID, in.Spec.TotalPages())
+	sys.MM.Reserve(in.main.PID, in.UID, in.Spec.TotalPages())
 	in.uiTask = sys.Procs.NewTask(in.main, "ui", proc.DefaultWeight)
 	in.uiTask.SetMaxQueue(3)
 	in.gcTask = sys.Procs.NewTask(in.main, "HeapTaskDaemon", proc.DefaultWeight/2)

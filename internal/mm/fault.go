@@ -10,7 +10,7 @@ import "github.com/eurosys23/ice/internal/zram"
 // back from flash.
 //
 // Refault detection works exactly as the paper describes for the real
-// kernel: the page's eviction left a shadow entry (here, evictEpoch); a
+// kernel: the page's eviction left a shadow entry (page.shadow); a
 // fault that finds one is a refault, and the refault distance is the number
 // of evictions since. Every refault is published to the OnRefault hooks —
 // this is the event stream driving ICE's RPF component.
@@ -36,10 +36,10 @@ func (m *Manager) Touch(pid int, ids []PageID) Cost {
 		case Dead:
 			continue
 		case Resident:
-			if p.referenced && (p.list == lInactiveAnon || p.list == lInactiveFile) {
+			if p.referenced() && (p.list == lInactiveAnon || p.list == lInactiveFile) {
 				m.addToLRU(id, activeList(p.class))
 			}
-			p.referenced = true
+			p.flags |= pgReferenced
 			if p.heat < heatMax {
 				p.heat++
 			}
@@ -101,14 +101,16 @@ func (m *Manager) refault(id PageID, fileReads *int) Cost {
 		p.heat++
 	}
 
-	distance := uint64(m.evictClock) - uint64(p.evictEpoch)
+	// The shadow entry shares prev, so read it before the page is relinked.
+	distance := uint64(m.evictClock) - uint64(p.shadow())
 	m.distances.note(distance)
 	p.state = Resident
-	p.referenced = true
+	p.flags |= pgReferenced
 	m.resident++
 	m.addToLRU(id, inactiveList(p.class))
 
-	fg := int(p.uid) == m.fgUID
+	o := &m.owners[p.owner]
+	fg := o.uid == m.fgUID
 	m.ins.refaultPages.Inc()
 	m.ins.refaultByClass[p.class].Inc()
 	if fg {
@@ -120,8 +122,8 @@ func (m *Manager) refault(id PageID, fileReads *int) Cost {
 	m.thrash.note(m.eng.Now(), m.cfg.ThrashWindow, 35)
 
 	ev := RefaultEvent{
-		PID:        int(p.pid),
-		UID:        int(p.uid),
+		PID:        o.pid,
+		UID:        o.uid,
 		Class:      p.class,
 		Foreground: fg,
 		Distance:   distance,

@@ -204,20 +204,14 @@ type Manager struct {
 	resident  int
 	transient int
 
-	// byPID indexes each process's live (resident or evicted) pages, in
-	// mapping order, for per-process reclaim and exit teardown. Freed
-	// pages linger as tombstones only until deadInPID crosses half the
-	// slice, then an order-preserving sweep moves them to deadByPID, so
-	// per-process scans stay proportional to the live page count even
-	// under unbounded heap churn.
-	byPID map[int][]PageID
-	// deadByPID holds each process's freed page IDs until ExitProcess
-	// recycles their arena slots (recycling earlier would change arena
-	// growth and with it randomVictim's draw mapping — see page.mapSeq).
-	deadByPID map[int][]PageID
-	// deadInPID counts tombstoned entries still inside byPID.
-	deadInPID map[int]int
-	// mapClock stamps page.mapSeq in Map order.
+	// owners holds one record per process that mapped a page or reserved
+	// an index, and page.owner indexes it. It only grows, so a Dead
+	// page's owner still resolves after ExitProcess.
+	owners []owner
+	// ownerOf finds a process's record by pid until ExitProcess; a later
+	// mapping under the same pid starts a new record.
+	ownerOf map[int]uint16
+	// mapClock stamps each slot's chunk.seq entry in Map order.
 	mapClock uint32
 
 	fgUID int
@@ -261,6 +255,28 @@ type Manager struct {
 	tr  *trace.Buffer
 }
 
+// owner is one process's record: the pid and uid its pages carry, and
+// the index of its pages.
+type owner struct {
+	pid, uid int
+	// live indexes the process's live (resident or evicted) pages, in
+	// mapping order, for per-process reclaim and exit teardown. Freed
+	// pages linger as tombstones only until tombs crosses half the
+	// slice, then an order-preserving sweep moves them to dead, so
+	// per-process scans stay proportional to the live page count even
+	// under unbounded heap churn.
+	live []PageID
+	// dead holds the process's freed page IDs until ExitProcess recycles
+	// their arena slots (recycling earlier would change arena growth and
+	// with it randomVictim's draw mapping — see chunk).
+	dead []PageID
+	// tombs counts Dead entries still inside live.
+	tombs int
+}
+
+// maxOwners is how many owner records page.owner can index.
+const maxOwners = math.MaxUint16 + 1
+
 // New creates a memory manager.
 func New(eng *sim.Engine, cfg Config, z *zram.Zram, disk *storage.Device) *Manager {
 	if cfg.TotalPages <= 0 {
@@ -271,15 +287,13 @@ func New(eng *sim.Engine, cfg Config, z *zram.Zram, disk *storage.Device) *Manag
 			cfg.MinWatermark, cfg.LowWatermark, cfg.HighWatermark))
 	}
 	m := &Manager{
-		eng:       eng,
-		rng:       eng.Rand().Split(),
-		cfg:       cfg,
-		z:         z,
-		disk:      disk,
-		byPID:     make(map[int][]PageID),
-		deadByPID: make(map[int][]PageID),
-		deadInPID: make(map[int]int),
-		fgUID:     -1,
+		eng:     eng,
+		rng:     eng.Rand().Split(),
+		cfg:     cfg,
+		z:       z,
+		disk:    disk,
+		ownerOf: make(map[int]uint16),
+		fgUID:   -1,
 	}
 	for i := range m.lists {
 		m.lists[i] = newLRUList()
@@ -525,12 +539,35 @@ func (m *Manager) MapOne(pid, uid int, class Class) (PageID, Cost) {
 	return m.mapPages(pid, uid, class, 1)[0], cost
 }
 
-// Reserve sizes pid's page index for n more pages, so mapping them
-// appends without growing it. Capacity is never read, so reserving
-// changes no result.
-func (m *Manager) Reserve(pid, n int) {
-	m.byPID[pid] = slices.Grow(m.byPID[pid], n)
+// Reserve sizes the page index of process pid, owned by uid, for n more
+// pages, so mapping them appends without growing it. Capacity is never
+// read, so reserving changes no result.
+func (m *Manager) Reserve(pid, uid, n int) {
+	o := &m.owners[m.ownerFor(pid, uid)]
+	o.live = slices.Grow(o.live, n)
 }
+
+// ownerFor returns the index of pid's owner record, starting one if pid
+// has none. It panics if pid's record carries another uid, or if a new
+// record would not fit page.owner.
+func (m *Manager) ownerFor(pid, uid int) uint16 {
+	if o, ok := m.ownerOf[pid]; ok {
+		if m.owners[o].uid != uid {
+			panic(fmt.Sprintf("mm: pid %d maps under uid %d, but its pages belong to uid %d", pid, uid, m.owners[o].uid))
+		}
+		return o
+	}
+	if len(m.owners) == maxOwners {
+		panic(fmt.Sprintf("mm: pid %d would need owner record %d, past the %d page.owner indexes", pid, maxOwners+1, maxOwners))
+	}
+	o := uint16(len(m.owners))
+	m.owners = append(m.owners, owner{pid: pid, uid: uid})
+	m.ownerOf[pid] = o
+	return o
+}
+
+// uidOf returns the uid that owns p.
+func (m *Manager) uidOf(p *page) int { return m.owners[p.owner].uid }
 
 // mapPages is the one mapping path. It writes n fresh resident pages,
 // each already linked at the head of its class's inactive list, and
@@ -546,6 +583,8 @@ func (m *Manager) mapPages(pid, uid int, class Class, n int) []PageID {
 	if uint64(m.mapClock)+uint64(n) > math.MaxUint32 {
 		panic(fmt.Sprintf("mm: mapping %d pages would take the mapping clock past 2^32-1 (at %d)", n, m.mapClock))
 	}
+	own := m.ownerFor(pid, uid)
+	o := &m.owners[own]
 	li := inactiveList(class)
 	l := &m.lists[li]
 	next := l.head
@@ -553,24 +592,31 @@ func (m *Manager) mapPages(pid, uid int, class Class, n int) []PageID {
 	if next != nilPage {
 		nextP = m.arena.at(next)
 	}
-	ids := m.byPID[pid]
+	ids := o.live
 	start := len(ids)
 	for i := 0; i < n; i++ {
 		id := m.allocSlot()
-		p := m.arena.at(id)
+		c, k := m.arena.chunks[id>>chunkShift], id&chunkMask
 		m.mapClock++
-		dirty := class == File && m.rng.Bool(m.cfg.DirtyFileFraction)
-		*p = page{
-			pid:    int32(pid),
-			uid:    int32(uid),
-			prev:   nilPage,
-			next:   next,
-			mapSeq: m.mapClock,
-			class:  class,
-			state:  Resident,
-			list:   li,
-			dirty:  dirty,
+		c.seq[k] = m.mapClock
+		var flags pageFlags
+		if class == File && m.rng.Bool(m.cfg.DirtyFileFraction) {
+			flags = pgDirty
 		}
+		// Every field, written in place: a page literal is built in a
+		// stack temporary and copied out, and that copy's wide loads
+		// cannot be forwarded from the narrow stores that built it.
+		// TestMapWritesWholeSlot checks that no field is left out.
+		p := &c.pages[k]
+		p.prev = nilPage
+		p.next = next
+		p.owner = own
+		p.class = class
+		p.state = Resident
+		p.list = li
+		p.heat = 0
+		p.zref = 0
+		p.flags = flags
 		if nextP != nil {
 			nextP.prev = id
 		} else {
@@ -582,7 +628,7 @@ func (m *Manager) mapPages(pid, uid int, class Class, n int) []PageID {
 	l.head = next
 	l.count += n
 	m.resident += n
-	m.byPID[pid] = ids
+	o.live = ids
 	return ids[start:]
 }
 
@@ -663,38 +709,36 @@ func (m *Manager) freePage(id PageID) {
 		return
 	}
 	m.killPage(id)
-	pid := int(p.pid)
-	m.deadInPID[pid]++
+	o := &m.owners[p.owner]
+	o.tombs++
 	// Amortised index compaction: once tombstones outnumber live entries,
 	// sweep them out (order-preserving) so per-process scans and the index
 	// itself stay proportional to the live page count. A swap-remove would
-	// be O(1) per free but permutes byPID order, and both ReclaimProcess's
-	// eviction-epoch assignment and ExitProcess's slot recycling are
-	// order-sensitive — reordering them changes results byte-for-byte.
-	if ids := m.byPID[pid]; len(ids) >= compactMinLen && m.deadInPID[pid]*2 > len(ids) {
-		m.compactPID(pid)
+	// be O(1) per free but permutes the index's order, and both
+	// ReclaimProcess's eviction-epoch assignment and ExitProcess's slot
+	// recycling are order-sensitive — reordering them changes results
+	// byte-for-byte.
+	if len(o.live) >= compactMinLen && o.tombs*2 > len(o.live) {
+		m.compact(o)
 	}
 }
 
-// compactMinLen is the smallest byPID slice worth compacting.
+// compactMinLen is the smallest index worth compacting.
 const compactMinLen = 64
 
-// compactPID sweeps pid's tombstoned entries out of byPID (preserving
-// mapping order) and parks them on deadByPID for exit-time slot recycling.
-func (m *Manager) compactPID(pid int) {
-	ids := m.byPID[pid]
-	dead := m.deadByPID[pid]
-	live := ids[:0]
-	for _, id := range ids {
+// compact sweeps o's tombstoned entries out of its index (preserving
+// mapping order) and parks them on its dead list for exit-time slot
+// recycling.
+func (m *Manager) compact(o *owner) {
+	live := o.live[:0]
+	for _, id := range o.live {
 		if m.arena.at(id).state == Dead {
-			dead = append(dead, id)
+			o.dead = append(o.dead, id)
 		} else {
 			live = append(live, id)
 		}
 	}
-	m.byPID[pid] = live
-	m.deadByPID[pid] = dead
-	m.deadInPID[pid] = 0
+	o.live, o.tombs = live, 0
 }
 
 // killPage transitions one page to Dead, releasing its residency or swap
@@ -721,33 +765,44 @@ func (m *Manager) killPage(id PageID) {
 }
 
 // ExitProcess tears down every page of pid (LMK kill or app removal).
+// The record stays in owners, so the Dead pages still name their pid and
+// uid, but pid no longer finds it.
 func (m *Manager) ExitProcess(pid int) {
-	ids := append(m.byPID[pid], m.deadByPID[pid]...)
+	own, ok := m.ownerOf[pid]
+	if !ok {
+		return
+	}
+	o := &m.owners[own]
+	ids := append(o.live, o.dead...)
 	// Recycle arena slots in mapping order — exactly the order the old
 	// append-only index yielded — so later allocations reuse slots
 	// byte-identically no matter how compaction interleaved with frees.
 	sort.Slice(ids, func(i, j int) bool {
-		return m.arena.at(ids[i]).mapSeq < m.arena.at(ids[j]).mapSeq
+		return *m.arena.seq(ids[i]) < *m.arena.seq(ids[j])
 	})
 	for _, id := range ids {
 		m.killPage(id)
 	}
 	m.freeSlots = append(m.freeSlots, ids...)
-	delete(m.byPID, pid)
-	delete(m.deadByPID, pid)
-	delete(m.deadInPID, pid)
+	o.live, o.dead, o.tombs = nil, nil, 0
+	delete(m.ownerOf, pid)
 }
 
 // PagesOf returns the page IDs mapped by pid (the live index slice;
 // callers must not mutate it). Freed pages disappear from the index once
 // compaction sweeps them, so the slice may still contain a bounded number
 // of Dead tombstones.
-func (m *Manager) PagesOf(pid int) []PageID { return m.byPID[pid] }
+func (m *Manager) PagesOf(pid int) []PageID {
+	if o, ok := m.ownerOf[pid]; ok {
+		return m.owners[o].live
+	}
+	return nil
+}
 
 // ResidentOf counts pid's resident pages.
 func (m *Manager) ResidentOf(pid int) int {
 	var n int
-	for _, id := range m.byPID[pid] {
+	for _, id := range m.PagesOf(pid) {
 		if m.arena.at(id).state == Resident {
 			n++
 		}
@@ -758,7 +813,7 @@ func (m *Manager) ResidentOf(pid int) int {
 // EvictedOf counts pid's evicted pages.
 func (m *Manager) EvictedOf(pid int) int {
 	var n int
-	for _, id := range m.byPID[pid] {
+	for _, id := range m.PagesOf(pid) {
 		if m.arena.at(id).state == Evicted {
 			n++
 		}
@@ -771,7 +826,7 @@ func (m *Manager) EvictedOf(pid int) int {
 // footprint with low total heat is memory held but not used.
 func (m *Manager) HeatOf(pid int) int {
 	var h int
-	for _, id := range m.byPID[pid] {
+	for _, id := range m.PagesOf(pid) {
 		if p := m.arena.at(id); p.state == Resident {
 			h += int(p.heat)
 		}
@@ -809,13 +864,14 @@ type PageInfo struct {
 // Info returns a snapshot of page id.
 func (m *Manager) Info(id PageID) PageInfo {
 	p := m.arena.at(id)
+	o := &m.owners[p.owner]
 	return PageInfo{
-		PID:        int(p.pid),
-		UID:        int(p.uid),
+		PID:        o.pid,
+		UID:        o.uid,
 		Class:      p.class,
 		State:      p.state,
-		Dirty:      p.dirty,
-		Referenced: p.referenced,
+		Dirty:      p.dirty(),
+		Referenced: p.referenced(),
 		Heat:       p.heat,
 	}
 }

@@ -77,34 +77,21 @@ type PageID int32
 
 const nilPage PageID = -1
 
-// page is one simulated page. The struct is kept small because scenarios
-// allocate hundreds of thousands of them: the six 4-byte fields come
-// first and the seven 1-byte ones pack behind them, 32 bytes in all
-// (TestPageIs32Bytes).
+// page is one simulated page. The record is kept small because scenarios
+// allocate hundreds of thousands of them: the two 4-byte links, the
+// 2-byte owner and six 1-byte fields make 16 bytes (TestPageIs16Bytes).
+// The mapping order lives beside the pages, in the chunk's seq plane.
 type page struct {
-	pid  int32
-	uid  int32
+	// prev and next link the page into its LRU list. An Evicted page is on
+	// no list, so prev holds its shadow entry instead (shadow, setShadow).
 	prev PageID
 	next PageID
-	// evictEpoch is the workingset shadow entry: the value of the manager's
-	// eviction clock when the page was reclaimed. The refault distance is
-	// the clock delta at refault time.
-	evictEpoch uint32
-	// mapSeq is the page's position in the manager's global mapping order.
-	// ExitProcess recycles a process's arena slots in exactly this order —
-	// the order the old append-only byPID index produced — so compacting
-	// dead entries out of byPID cannot perturb slot reuse, which would
-	// change which pages randomVictim's arena draws land on and break
-	// byte-identity.
-	mapSeq uint32
-	class  Class
-	state  State
+	// owner indexes the Manager's owner records: the page's pid and uid.
+	owner uint16
+	class Class
+	state State
 	// list is which LRU list the page is on (lNone when not resident).
 	list listID
-	// dirty marks file pages that must be written back on reclaim.
-	dirty bool
-	// referenced is the LRU second-chance bit set on access.
-	referenced bool
 	// heat is the page's hotness: a saturating access counter bumped on
 	// every touch and halved when ageing demotes the page to an inactive
 	// list. Policies read it through the swap boundary (zram.PageInfo)
@@ -114,8 +101,31 @@ type page struct {
 	// entry — which codec compressed it, so Load/Drop account exactly.
 	// Typed as the real CodecRef (not a narrower integer) so widening
 	// the codec-reference space can never silently truncate here.
-	zref zram.CodecRef
+	zref  zram.CodecRef
+	flags pageFlags
 }
+
+// pageFlags holds a page's two bits.
+type pageFlags uint8
+
+const (
+	// pgDirty marks file pages that must be written back on reclaim.
+	pgDirty pageFlags = 1 << iota
+	// pgReferenced is the LRU second-chance bit set on access.
+	pgReferenced
+)
+
+func (p *page) dirty() bool      { return p.flags&pgDirty != 0 }
+func (p *page) referenced() bool { return p.flags&pgReferenced != 0 }
+
+// shadow returns an Evicted page's workingset shadow entry: the value of
+// the manager's eviction clock when the page was reclaimed. The refault
+// distance is the clock delta at refault time.
+func (p *page) shadow() uint32 { return uint32(p.prev) }
+
+// setShadow stamps the shadow entry of a page that has just left its
+// list. It lives in prev, which nothing reads until the page is relinked.
+func (p *page) setShadow(epoch uint32) { p.prev = PageID(epoch) }
 
 // heatMax saturates the per-page hotness counter.
 const heatMax = 0xff
@@ -164,32 +174,47 @@ func inactiveList(c Class) listID {
 	return lInactiveFile
 }
 
-// The page arena grows one fixed-size chunk at a time: 4096 pages, 128 KiB
-// at 32 B/page. A chunk never moves once allocated, so growth copies no
-// page.
+// The page arena grows one fixed-size chunk at a time: 4096 pages and
+// their mapping stamps, 80 KiB at 16 B + 4 B a page. A chunk never moves
+// once allocated, so growth copies no page.
 const (
 	chunkShift = 12
 	chunkPages = 1 << chunkShift
 	chunkMask  = chunkPages - 1
 )
 
+// chunk holds 4096 pages and, in a separate plane, each one's position in
+// the manager's global mapping order. mapPages writes a slot's stamp and
+// ExitProcess's sort reads it, so recycled slots come back in exactly the
+// order the old append-only index produced: compacting dead entries out
+// of a process's index cannot perturb slot reuse, which would change
+// which pages randomVictim's arena draws land on and break byte-identity.
+// No other path reads the plane, so it stays out of the page record.
+type chunk struct {
+	pages [chunkPages]page
+	seq   [chunkPages]uint32
+}
+
 // chunkPool holds the chunks of released arenas until a growing arena
 // takes them, so a pass of cells reuses a few devices' worth of chunks
 // instead of allocating, zeroing and collecting each device's afresh. A
-// chunk comes back with the released device's pages still in it; see
-// Manager.Release for why none of them can reach a result.
+// chunk comes back with the released device's pages and stamps still in
+// it; see Manager.Release for why none of them can reach a result.
 var chunkPool sync.Pool
 
 // pageArena stores every page the manager ever mapped, indexed by PageID.
 // Its length counts every slot ever allocated, recycled ones included:
 // randomVictim draws over exactly that range.
 type pageArena struct {
-	chunks []*[chunkPages]page
+	chunks []*chunk
 	n      int
 }
 
 // at returns the page in slot id.
-func (a *pageArena) at(id PageID) *page { return &a.chunks[id>>chunkShift][id&chunkMask] }
+func (a *pageArena) at(id PageID) *page { return &a.chunks[id>>chunkShift].pages[id&chunkMask] }
+
+// seq returns slot id's mapping stamp.
+func (a *pageArena) seq(id PageID) *uint32 { return &a.chunks[id>>chunkShift].seq[id&chunkMask] }
 
 // len reports how many slots were ever allocated.
 func (a *pageArena) len() int { return a.n }
@@ -198,9 +223,9 @@ func (a *pageArena) len() int { return a.n }
 // a released one from chunkPool if there is one, else a new one.
 func (a *pageArena) grow() PageID {
 	if a.n == len(a.chunks)*chunkPages {
-		c, _ := chunkPool.Get().(*[chunkPages]page)
+		c, _ := chunkPool.Get().(*chunk)
 		if c == nil {
-			c = new([chunkPages]page)
+			c = new(chunk)
 		}
 		a.chunks = append(a.chunks, c)
 	}

@@ -2,6 +2,7 @@ package mm
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -12,7 +13,8 @@ import (
 )
 
 // TestByPIDCompactsDeadEntries pins the fix for the dead-index leak:
-// freePage used to leave Dead page IDs in byPID until ExitProcess, so a
+// freePage used to leave Dead page IDs in the process's index until
+// ExitProcess, so a
 // long-lived process with allocation churn (GC loops, cache turnover)
 // grew its index — and every PagesOf / ReclaimProcess scan — without
 // bound. The amortised compaction must keep the index within a constant
@@ -30,7 +32,7 @@ func TestByPIDCompactsDeadEntries(t *testing.T) {
 		ids[slot] = id
 	}
 	live := 0
-	for _, id := range m.byPID[pid] {
+	for _, id := range m.PagesOf(pid) {
 		if m.arena.at(id).state != Dead {
 			live++
 		}
@@ -38,17 +40,18 @@ func TestByPIDCompactsDeadEntries(t *testing.T) {
 	if live != 512 {
 		t.Fatalf("live pages in index = %d, want 512", live)
 	}
-	if got, bound := len(m.byPID[pid]), 2*live+compactMinLen; got > bound {
-		t.Fatalf("byPID index holds %d entries for %d live pages (bound %d): dead entries leak", got, live, bound)
+	if got, bound := len(m.PagesOf(pid)), 2*live+compactMinLen; got > bound {
+		t.Fatalf("the index holds %d entries for %d live pages (bound %d): dead entries leak", got, live, bound)
 	}
 	// Exit must still release every slot the process ever held, dead
-	// tombstones included, exactly once.
+	// tombstones included, exactly once, and drop the record's lists.
+	o := &m.owners[m.ownerOf[pid]]
 	m.ExitProcess(pid)
-	if _, ok := m.byPID[pid]; ok {
-		t.Fatal("byPID entry survived ExitProcess")
+	if _, ok := m.ownerOf[pid]; ok {
+		t.Fatal("pid still finds its owner record after ExitProcess")
 	}
-	if _, ok := m.deadByPID[pid]; ok {
-		t.Fatal("deadByPID entry survived ExitProcess")
+	if o.live != nil || o.dead != nil {
+		t.Fatal("the owner record kept its index or dead list after ExitProcess")
 	}
 }
 
@@ -151,11 +154,14 @@ func TestArenaGrowsByChunks(t *testing.T) {
 	}
 }
 
-// TestPageIs32Bytes pins the page record's layout: 32 bytes, so an arena
-// chunk of 4096 pages is 128 KiB.
-func TestPageIs32Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(page{}); got != 32 {
-		t.Fatalf("page is %d bytes, want 32", got)
+// TestPageIs16Bytes pins the page record's layout: 16 bytes, so an arena
+// chunk of 4096 pages and their 4-byte mapping stamps is 80 KiB.
+func TestPageIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(page{}); got != 16 {
+		t.Fatalf("page is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(chunk{}); got != 80<<10 {
+		t.Fatalf("chunk is %d bytes, want 80 KiB", got)
 	}
 }
 
@@ -202,4 +208,86 @@ func TestClocksPanicAtLimit(t *testing.T) {
 			tc.op(m)
 		})
 	}
+}
+
+// benchPages is what the mm layer benches map: 64 K pages, 16 chunks.
+const benchPages = 1 << 16
+
+// newBenchManager returns a Manager with room for benchPages mapped
+// pages above its watermarks and a ZRAM partition that holds them all.
+func newBenchManager() *Manager {
+	eng := sim.NewEngine(1)
+	cfg := DefaultConfig()
+	cfg.TotalPages = 2 * benchPages
+	cfg.HighWatermark, cfg.LowWatermark, cfg.MinWatermark = 1024, 768, 512
+	cfg.ThrashCoupling = 0
+	return New(eng, cfg, zram.New(zram.DefaultConfig(benchPages), eng.Obs()), storage.New(eng, storage.UFS21))
+}
+
+// mapBenchPages maps benchPages pages for one process through MapAppend
+// in 256-page batches that cycle through the classes, as a cold launch's
+// chunks do, appending their IDs to dst.
+func mapBenchPages(m *Manager, dst []PageID) []PageID {
+	const batch = 256
+	for end := len(dst) + benchPages; len(dst) < end; {
+		dst, _ = m.MapAppend(dst, 1, 10001, Class(len(dst)/batch%int(numClasses)), batch)
+	}
+	return dst
+}
+
+// BenchmarkMapPages maps 64 K pages into an arena whose chunks come back
+// from chunkPool, with the process's index reserved, and reports the
+// mapping's ns and allocated bytes per page. Building and releasing
+// each Manager is not timed.
+func BenchmarkMapPages(b *testing.B) {
+	ids := make([]PageID, 0, benchPages)
+	warm := newBenchManager()
+	mapBenchPages(warm, ids)
+	warm.Release()
+	var ms runtime.MemStats
+	var bytes uint64
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		m := newBenchManager()
+		m.Reserve(1, 10001, benchPages)
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		b.StartTimer()
+		mapBenchPages(m, ids[:0])
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		bytes += ms.TotalAlloc - before
+		m.Release()
+	}
+	pages := float64(b.N) * benchPages
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pages, "ns/page")
+	b.ReportMetric(float64(bytes)/pages, "B/page")
+}
+
+// BenchmarkReclaimScan runs direct-reclaim-sized reclaim passes over a
+// full arena of 64 K mapped pages and reports ns per scanned page. Most
+// scans sample the whole arena at random (MemcgScanFraction), the rest
+// walk an inactive list's tail. Whenever a quarter of the pages is out,
+// they are refaulted outside the timer, so the arena stays full.
+func BenchmarkReclaimScan(b *testing.B) {
+	m := newBenchManager()
+	ids := mapBenchPages(m, nil)
+	out := make([]PageID, 0, benchPages)
+	var scans int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scans += m.reclaimPages(m.cfg.DirectReclaimBatch).scanned
+		if m.ResidentPages() < benchPages*3/4 {
+			b.StopTimer()
+			out = out[:0]
+			for _, id := range ids {
+				if m.arena.at(id).state == Evicted {
+					out = append(out, id)
+				}
+			}
+			m.Touch(1, out)
+			b.StartTimer()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scans), "ns/scan")
 }

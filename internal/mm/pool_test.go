@@ -3,6 +3,7 @@ package mm
 import (
 	"math/rand"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -20,10 +21,16 @@ func poisonChunkPool(t *testing.T, n int) {
 	debug.SetGCPercent(-1)
 	rng := rand.New(rand.NewSource(int64(n)))
 	for i := 0; i < n; i++ {
-		c := new([chunkPages]page)
-		rng.Read(unsafe.Slice((*byte)(unsafe.Pointer(c)), unsafe.Sizeof(*c)))
-		chunkPool.Put(c)
+		chunkPool.Put(garbageChunk(rng))
 	}
+}
+
+// garbageChunk returns a chunk whose every byte, pages and mapping
+// stamps alike, is drawn from rng.
+func garbageChunk(rng *rand.Rand) *chunk {
+	c := new(chunk)
+	rng.Read(unsafe.Slice((*byte)(unsafe.Pointer(c)), unsafe.Sizeof(*c)))
+	return c
 }
 
 // TestReleasedManagerPanics: once Release has handed the arena's chunks
@@ -84,8 +91,8 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 // KswapdStep, and after every step checks that each slot below the
 // arena's length is Resident on exactly one LRU list, Evicted or Dead;
 // that each list's walked length equals its count; that resident equals
-// the Resident slots; and that each slot is in exactly one of byPID,
-// deadByPID and freeSlots.
+// the Resident slots; and that each slot is in exactly one of its
+// owner's index, its owner's dead list and freeSlots.
 func TestArenaConservationOnPoisonedChunks(t *testing.T) {
 	poisonChunkPool(t, 8)
 	eng := sim.NewEngine(17)
@@ -132,7 +139,9 @@ func TestArenaConservationOnPoisonedChunks(t *testing.T) {
 }
 
 // checkArena asserts the arena's conservation laws (see
-// TestArenaConservationOnPoisonedChunks).
+// TestArenaConservationOnPoisonedChunks). A slot not on the free list
+// must sit in its own owner record's index or dead list, and the shadow
+// entries of Evicted slots must be distinct and lie in (0, evictClock].
 func checkArena(t *testing.T, m *Manager, step int) {
 	t.Helper()
 	n := m.arena.len()
@@ -155,15 +164,22 @@ func checkArena(t *testing.T, m *Manager, step int) {
 		}
 	}
 	indexed := make([]int, n)
-	for _, ids := range m.byPID {
-		for _, id := range ids {
+	for pid, own := range m.ownerOf {
+		o := &m.owners[own]
+		if o.pid != pid {
+			t.Fatalf("step %d: pid %d finds the record of pid %d", step, pid, o.pid)
+		}
+		for _, id := range o.live {
+			if m.arena.at(id).owner != own {
+				t.Fatalf("step %d: slot %d in pid %d's index belongs to owner %d, want %d",
+					step, id, pid, m.arena.at(id).owner, own)
+			}
 			indexed[id]++
 		}
-	}
-	for _, ids := range m.deadByPID {
-		for _, id := range ids {
-			if m.arena.at(id).state != Dead {
-				t.Fatalf("step %d: slot %d on deadByPID is %v", step, id, m.arena.at(id).state)
+		for _, id := range o.dead {
+			if p := m.arena.at(id); p.state != Dead || p.owner != own {
+				t.Fatalf("step %d: slot %d on pid %d's dead list is %v of owner %d, want Dead of %d",
+					step, id, pid, p.state, p.owner, own)
 			}
 			indexed[id]++
 		}
@@ -175,8 +191,19 @@ func checkArena(t *testing.T, m *Manager, step int) {
 		indexed[id]++
 	}
 	resident := 0
+	shadows := make(map[uint32]PageID)
 	for i := 0; i < n; i++ {
 		p := m.arena.at(PageID(i))
+		if p.state == Evicted {
+			e := p.shadow()
+			if e == 0 || e > m.evictClock {
+				t.Fatalf("step %d: Evicted slot %d has shadow entry %d, want one in (0, %d]", step, i, e, m.evictClock)
+			}
+			if j, ok := shadows[e]; ok {
+				t.Fatalf("step %d: Evicted slots %d and %d share shadow entry %d", step, j, i, e)
+			}
+			shadows[e] = PageID(i)
+		}
 		switch {
 		case p.state == Resident && onList[i] == 1:
 			resident++
@@ -185,10 +212,118 @@ func checkArena(t *testing.T, m *Manager, step int) {
 			t.Fatalf("step %d: slot %d is %v with list %v, on %d LRU lists", step, i, p.state, p.list, onList[i])
 		}
 		if indexed[i] != 1 {
-			t.Fatalf("step %d: slot %d is in %d of byPID, deadByPID and freeSlots, want 1", step, i, indexed[i])
+			t.Fatalf("step %d: slot %d is in %d of its owner's index and dead list and freeSlots, want 1", step, i, indexed[i])
 		}
 	}
 	if resident != m.resident {
 		t.Fatalf("step %d: %d Resident slots, resident counts %d", step, resident, m.resident)
+	}
+}
+
+// TestMapWritesWholeSlot: mapPages writes a slot field by field, so no
+// page literal guarantees that it writes them all; this test does. Pages
+// mapped into garbage-filled chunks, and into recycled slots whose last
+// pages were touched, written back, evicted and freed, must each equal
+// the literal fresh memory would hold and carry their mapping stamp.
+func TestMapWritesWholeSlot(t *testing.T) {
+	eng := sim.NewEngine(19)
+	cfg := DefaultConfig()
+	cfg.TotalPages = 3 * chunkPages
+	cfg.ReservedPages = 256
+	cfg.HighWatermark, cfg.LowWatermark, cfg.MinWatermark = 384, 320, 256
+	cfg.DirtyFileFraction = 0.5
+	cfg.ThrashCoupling = 0
+	m := New(eng, cfg, zram.New(zram.DefaultConfig(4096), eng.Obs()), storage.New(eng, storage.UFS21))
+	// The arena grows into these two chunks before it asks the pool.
+	rng := rand.New(rand.NewSource(19))
+	m.arena.chunks = append(m.arena.chunks, garbageChunk(rng), garbageChunk(rng))
+
+	mapAndCheck := func(pid int, class Class, n int) []PageID {
+		t.Helper()
+		r := *m.rng // replays the dirty bits' draws
+		head, clock := m.lists[inactiveList(class)].head, m.mapClock
+		ids := m.mapPages(pid, 10000+pid, class, n)
+		own := m.ownerOf[pid]
+		for k, id := range ids {
+			want := page{prev: nilPage, next: head, owner: own, class: class, state: Resident, list: inactiveList(class)}
+			if k+1 < n {
+				want.prev = ids[k+1]
+			}
+			if k > 0 {
+				want.next = ids[k-1]
+			}
+			if class == File && r.Bool(cfg.DirtyFileFraction) {
+				want.flags = pgDirty
+			}
+			if got := *m.arena.at(id); got != want {
+				t.Fatalf("pid %d's page %d (slot %d) reads %+v, want %+v", pid, k, id, got, want)
+			}
+			if got, want := *m.arena.seq(id), clock+uint32(k)+1; got != want {
+				t.Fatalf("pid %d's page %d (slot %d) has mapping stamp %d, want %d", pid, k, id, got, want)
+			}
+		}
+		return ids
+	}
+
+	// Fresh slots: both garbage chunks, one class per batch.
+	anon := mapAndCheck(1, AnonJava, 3000)
+	file := mapAndCheck(2, File, 2000)
+	if len(m.arena.chunks) != 2 {
+		t.Fatalf("the batches took %d chunks, want the 2 garbage ones", len(m.arena.chunks))
+	}
+	// Leave every field of the slots set: heat, referenced and dirty
+	// bits, swap entries and shadow entries, then free them all.
+	m.Touch(1, anon)
+	m.Touch(2, file)
+	m.ReclaimProcess(1)
+	m.ReclaimProcess(2)
+	m.Touch(1, anon[:100])
+	m.ExitProcess(1)
+	m.ExitProcess(2)
+	// Recycled slots: every one of the 5000 freed.
+	mapAndCheck(3, AnonNative, 2500)
+	mapAndCheck(4, File, 2500)
+	if len(m.freeSlots) != 0 || m.arena.len() != 5000 {
+		t.Fatalf("%d free slots left, arena of %d; want every mapping in the 5000 recycled slots",
+			len(m.freeSlots), m.arena.len())
+	}
+}
+
+// TestOwnerLimitPanics: page.owner is 16 bits wide, so a Manager keeps
+// at most 65,536 owner records. The mapping that would need owner
+// 65,537 panics before it maps a page, and so does a mapping under a
+// second uid for a pid that already has a record.
+func TestOwnerLimitPanics(t *testing.T) {
+	for name, tc := range map[string]struct {
+		op   func(m *Manager)
+		want string
+	}{
+		"new pid":    {func(m *Manager) { m.Map(maxOwners+1, 20000, AnonJava, 8) }, "owner record 65537"},
+		"second uid": {func(m *Manager) { m.MapOne(1, 10002, AnonJava) }, "belong to uid 10001"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, m := newTestManager(13)
+			for pid := 1; pid <= maxOwners; pid++ {
+				m.Reserve(pid, 10000+pid, 0)
+			}
+			// Each known pid still maps.
+			m.Map(1, 10001, AnonJava, 16)
+			m.MapOne(maxOwners, 10000+maxOwners, File)
+			slots, clock, resident, lists := m.arena.len(), m.mapClock, m.ResidentPages(), m.ListCounts()
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one containing %q", msg, tc.want)
+				}
+				if m.arena.len() != slots || m.mapClock != clock || m.ResidentPages() != resident || m.ListCounts() != lists {
+					t.Fatalf("the refused mapping changed the arena: %d slots, clock %d, %d resident, lists %v; was %d, %d, %d, %v",
+						m.arena.len(), m.mapClock, m.ResidentPages(), m.ListCounts(), slots, clock, resident, lists)
+				}
+				if len(m.owners) != maxOwners {
+					t.Fatalf("%d owner records, want %d", len(m.owners), maxOwners)
+				}
+			}()
+			tc.op(m)
+		})
 	}
 }

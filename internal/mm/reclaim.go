@@ -53,7 +53,7 @@ func (m *Manager) demoteIfNeeded(c Class, want int) sim.Time {
 			break
 		}
 		p := m.arena.at(id)
-		p.referenced = false
+		p.flags &^= pgReferenced
 		// Ageing halves hotness: a page that stops being touched cools
 		// exponentially (the signal Ariadne's codec choice reads).
 		p.heat >>= 1
@@ -76,10 +76,10 @@ func (m *Manager) randomVictim() (PageID, bool) {
 		if p.state != Resident {
 			continue
 		}
-		if p.referenced {
+		if p.referenced() {
 			// Aggressive policies (Acclaim's FAE) sacrifice even active
 			// background pages.
-			if m.aggressive == nil || !m.aggressive.EvictReferenced(int(p.uid), m.fgUID) {
+			if m.aggressive == nil || !m.aggressive.EvictReferenced(m.uidOf(p), m.fgUID) {
 				continue
 			}
 		}
@@ -150,21 +150,20 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 		res.scanned++
 		res.cpu += m.cfg.ScanCost
 
-		if p.referenced {
+		if p.referenced() {
 			evictAnyway := false
-			if m.aggressive != nil && m.aggressive.EvictReferenced(int(p.uid), m.fgUID) {
+			if m.aggressive != nil && m.aggressive.EvictReferenced(m.uidOf(p), m.fgUID) {
 				evictAnyway = true
 			}
+			p.flags &^= pgReferenced
 			if !evictAnyway {
 				// Second chance: recently used pages are activated instead
 				// of evicted.
-				p.referenced = false
 				m.addToLRU(id, activeList(p.class))
 				continue
 			}
-			p.referenced = false
 		}
-		if m.policy != nil && m.policy.Protect(int(p.uid), p.class, m.fgUID) {
+		if m.policy != nil && m.policy.Protect(m.uidOf(p), p.class, m.fgUID) {
 			// Policy says hands off (e.g. Acclaim protecting FG pages):
 			// rotate to the active list so the scan makes progress.
 			m.addToLRU(id, activeList(p.class))
@@ -183,16 +182,17 @@ func (m *Manager) reclaimPages(target int) reclaimResult {
 			p.zref = ref
 			res.cpu += cost
 		}
-		cheapDrop := p.class == File && !p.dirty
-		if p.class == File && p.dirty {
+		cheapDrop := p.class == File && !p.dirty()
+		if p.class == File && p.dirty() {
 			res.writeback++
-			p.dirty = false
+			p.flags &^= pgDirty
 		}
-		// Evict: record the shadow entry and drop residency.
+		// Evict: drop residency and record the shadow entry in the prev
+		// link the unlink just freed.
 		m.lists[list].remove(&m.arena, id)
 		p.list = lNone
 		p.state = Evicted
-		p.evictEpoch = m.tickEvictClock()
+		p.setShadow(m.tickEvictClock())
 		m.resident--
 		res.reclaimed++
 		if cheapDrop {
@@ -295,7 +295,7 @@ func (m *Manager) directReclaim(target int) Cost {
 // It returns the number of pages evicted.
 func (m *Manager) ReclaimProcess(pid int) int {
 	var n, writeback int
-	for _, id := range m.byPID[pid] {
+	for _, id := range m.PagesOf(pid) {
 		p := m.arena.at(id)
 		if p.state != Resident {
 			continue
@@ -307,17 +307,17 @@ func (m *Manager) ReclaimProcess(pid int) int {
 				continue
 			}
 			p.zref = ref
-		} else if p.dirty {
+		} else if p.dirty() {
 			writeback++
-			p.dirty = false
+			p.flags &^= pgDirty
 		}
 		if p.list != lNone {
 			m.lists[p.list].remove(&m.arena, id)
 			p.list = lNone
 		}
 		p.state = Evicted
-		p.referenced = false
-		p.evictEpoch = m.tickEvictClock()
+		p.flags &^= pgReferenced
+		p.setShadow(m.tickEvictClock())
 		m.resident--
 		n++
 		m.noteReclaim(p.class, p.class == File)

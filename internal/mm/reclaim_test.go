@@ -101,7 +101,7 @@ func TestRandomVictimSkipsReferencedByDefault(t *testing.T) {
 	ids, _ := m.Map(1, 10001, AnonNative, 50)
 	m.Touch(1, ids) // all referenced
 	if id, ok := m.randomVictim(); ok {
-		if m.arena.at(id).referenced {
+		if m.arena.at(id).referenced() {
 			t.Fatal("randomVictim returned a referenced page without a policy")
 		}
 	}

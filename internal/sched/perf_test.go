@@ -77,3 +77,43 @@ func burnSecond(t *testing.T, cores, n int) {
 		t.Fatalf("burning a second allocated %.1f objects, want 0", allocs)
 	}
 }
+
+// TestFirstBurnNoAllocs: New sizes burn's scratch to the core count, so
+// a fresh Scheduler's first burned second, with no more tasks than
+// cores, allocates nothing. Each measured run takes a Scheduler that has
+// only registered and posted its tasks. The busy series grows an entry
+// per simulated second, so it is grown first to reach the round at 1 s,
+// the last one RunFor's horizon takes in.
+func TestFirstBurnNoAllocs(t *testing.T) {
+	const cores, runs = 4, 50
+	type world struct {
+		eng *sim.Engine
+		s   *Scheduler
+	}
+	worlds := make([]world, 0, runs+1)
+	for i := 0; i < runs+1; i++ {
+		eng, s, tb := newSched(cores)
+		for j := 0; j < cores; j++ {
+			task := appTask(tb, "spin", 0)
+			s.Register(task)
+			s.Post(task, &proc.Work{CPU: sim.Hour})
+		}
+		s.second(sim.Second)
+		worlds = append(worlds, world{eng, s})
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		w := worlds[next]
+		next++
+		w.eng.RunFor(sim.Second)
+	})
+	if allocs != 0 {
+		t.Fatalf("a fresh Scheduler's first burned second allocated %.1f objects, want 0", allocs)
+	}
+	// Every core ran the 1,001 rounds from 0 to 1 s.
+	for _, w := range worlds {
+		if busy, want := w.s.Stats().TotalBusy(), cores*(sim.Second+Quantum); busy != want {
+			t.Fatalf("a first second kept the cores busy for %v, want %v", busy, want)
+		}
+	}
+}

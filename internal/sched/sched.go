@@ -122,7 +122,9 @@ type Scheduler struct {
 	// tick does not allocate a fresh method value per event.
 	tickFn func()
 	// burners and order are burn's scratch, one entry per queued task:
-	// the burners, and pointers to them in the order being sorted.
+	// the burners, and pointers to them in the order being sorted. New
+	// sizes both to the core count, so they grow only for a queue longer
+	// than that.
 	burners []burner
 	order   []*burner
 
@@ -136,7 +138,13 @@ func New(eng *sim.Engine, cores int) *Scheduler {
 	if cores <= 0 {
 		panic("sched: non-positive core count")
 	}
-	s := &Scheduler{eng: eng, cores: cores, fgUID: -1}
+	s := &Scheduler{
+		eng:     eng,
+		cores:   cores,
+		fgUID:   -1,
+		burners: make([]burner, 0, cores),
+		order:   make([]*burner, 0, cores),
+	}
 	s.weight = func(t *proc.Task) int { return t.Weight }
 	s.speed = func(*proc.Task) float64 { return 1 }
 	s.speedDefault = true

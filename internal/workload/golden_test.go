@@ -169,10 +169,10 @@ func TestSchemeGoldenOnPoisonedChunks(t *testing.T) {
 }
 
 // poisonChunkPool maps n arena chunks' worth of pages on a scratch
-// Manager, overwrites every byte of its chunks with seeded garbage and
-// releases it, which leaves those chunks in mm's pool for the next
-// arena that grows. The arena is unexported, so it is reached through
-// reflect; its chunks hold no pointers.
+// Manager, overwrites every byte of its chunks (pages and mapping
+// stamps) with seeded garbage and releases it, which leaves those chunks
+// in mm's pool for the next arena that grows. The arena is unexported,
+// so it is reached through reflect; its chunks hold no pointers.
 func poisonChunkPool(t *testing.T, n int) {
 	t.Helper()
 	eng := sim.NewEngine(1)
@@ -185,9 +185,10 @@ func poisonChunkPool(t *testing.T, n int) {
 	m := mm.New(eng, cfg, z, disk)
 	m.Map(1, 10001, mm.AnonJava, n*chunkPages)
 	chunks := reflect.ValueOf(m).Elem().FieldByName("arena").FieldByName("chunks")
-	if chunks.Len() != n || chunks.Type().Elem().Elem().Len() != chunkPages {
+	pages, _ := chunks.Type().Elem().Elem().FieldByName("pages")
+	if chunks.Len() != n || pages.Type.Len() != chunkPages {
 		t.Fatalf("%d pages filled %d chunks of %d, want %d of %d",
-			n*chunkPages, chunks.Len(), chunks.Type().Elem().Elem().Len(), n, chunkPages)
+			n*chunkPages, chunks.Len(), pages.Type.Len(), n, chunkPages)
 	}
 	rng := rand.New(rand.NewSource(int64(n)))
 	for i := 0; i < n; i++ {
