@@ -310,8 +310,9 @@ func (m *Manager) Config() Config { return m.cfg }
 // a reused chunk keeps this device's pages, and any later page access
 // through this Manager panics rather than read a page another device now
 // owns. Stale pages never reach the next device's results: mapPages writes
-// every field of a slot before anything reads it, and randomVictim draws
-// only below the arena's length, which only grow raises.
+// every field of a slot and its mapping stamp before anything reads them,
+// and randomVictim draws only below the arena's length, which only grow
+// raises.
 func (m *Manager) Release() { m.arena.release() }
 
 // Stats returns a snapshot of the accumulated statistics.
@@ -558,7 +559,7 @@ func (m *Manager) ownerFor(pid, uid int) uint16 {
 		return o
 	}
 	if len(m.owners) == maxOwners {
-		panic(fmt.Sprintf("mm: pid %d would need owner record %d, past the %d page.owner indexes", pid, maxOwners+1, maxOwners))
+		panic(fmt.Sprintf("mm: pid %d would need owner record %d, but page.owner indexes only %d", pid, maxOwners+1, maxOwners))
 	}
 	o := uint16(len(m.owners))
 	m.owners = append(m.owners, owner{pid: pid, uid: uid})
