@@ -26,9 +26,10 @@
 #   first) and of the
 #   memory manager (FuzzMemoryOps: tapes of Map, MapOne, Touch,
 #   FreePagesOf, reclaim, KswapdStep and exit steps; every arena slot
-#   stays on exactly one LRU list or index and the totals balance after
-#   each step, and a Map's pages head their inactive list in reverse
-#   mapping order), a
+#   stays on exactly one LRU list or index (its own owner's), the
+#   Evicted slots' shadow entries stay distinct and within the eviction
+#   clock, and the totals balance after each step, and a Map's pages
+#   head their inactive list in reverse mapping order), a
 #   golden-file check on the Perfetto trace exporter, the scheme
 #   byte-identity goldens (every registered policy scheme's fixed-seed
 #   result hash), a seed sweep (every experiment's Fast pass,
@@ -138,9 +139,11 @@ go test -run='^$' -fuzz='^FuzzCellGate$' -fuzztime=10s ./internal/service/
 # MapOne, Touch, FreePagesOf, ReclaimProcess, reclaim scans, KswapdStep,
 # ExitProcess and transient allocations, physical pages stay conserved,
 # every arena slot is Resident on exactly one LRU list, Evicted or Dead
-# and sits in exactly one of the per-process index, its dead list and
-# the free slots, and each Map leaves its pages at the head of their
-# inactive list in reverse mapping order. As for FuzzParseProm, 1 s of
+# and sits in exactly one of its own owner record's index, that
+# record's dead list and the free slots, the Evicted slots' shadow
+# entries are distinct and lie in (0, evictClock], and each Map leaves
+# its pages at the head of their inactive list in reverse mapping
+# order. As for FuzzParseProm, 1 s of
 # minimising keeps a new input's minimisation from eating the budget.
 go test -run='^$' -fuzz='^FuzzMemoryOps$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mm/
 

@@ -5,7 +5,8 @@ import "testing"
 // FuzzMemoryOps drives the manager with arbitrary operation tapes: Map,
 // MapOne, Touch, FreePagesOf, ReclaimProcess, reclaim scans, KswapdStep,
 // ExitProcess and transient allocations. After every step it checks the
-// page accounting and the arena's conservation laws (checkArena), and
+// page accounting and the arena's conservation laws (checkArena: list
+// and index membership, owner records, shadow entries), and
 // after every Map that the inactive list's head walks the new pages in
 // reverse mapping order, as n pushFronts would have left them. ci.sh
 // runs it for 10 s; `go test -fuzz FuzzMemoryOps ./internal/mm` searches
