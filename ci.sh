@@ -143,8 +143,8 @@ go test -run='^$' -fuzz='^FuzzCellGate$' -fuzztime=10s ./internal/service/
 # record's dead list and the free slots, the Evicted slots' shadow
 # entries are distinct and lie in (0, evictClock], and each Map leaves
 # its pages at the head of their inactive list in reverse mapping
-# order. As for FuzzParseProm, 1 s of
-# minimising keeps a new input's minimisation from eating the budget.
+# order. As for FuzzParseProm, 1 s of minimising keeps a new input's
+# minimisation from eating the budget.
 go test -run='^$' -fuzz='^FuzzMemoryOps$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mm/
 
 # The Perfetto exporter's output is pinned byte-for-byte; a drift means
